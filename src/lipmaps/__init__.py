@@ -7,7 +7,8 @@ The package provides, in dependency order:
   onto ordinary arithmetic);
 * :mod:`lipmaps.rasters` -- immutable image / probe / map containers that
   carry the grey-scale bound ``m`` and enforce value regimes;
-* :mod:`lipmaps.morphology` -- grey-level dilation and erosion with a
+* :mod:`lipmaps.morphology` -- the run-length sliding max/min kernel
+  behind every map, and grey-level dilation and erosion with a
   structuring function, clipped at raster borders;
 * :mod:`lipmaps.asplund` -- both Asplund metrics, their sliding-window
   distance maps (two computation paths each), the isomorphism link

@@ -38,22 +38,24 @@ invariance guarantees hold.  A cell whose clipped window is empty (only
 possible when the probe does not cover its own anchor) takes the lattice
 neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
+
+The morphological path and the additive maps slide through
+:func:`lipmaps.morphology.spread`, which pads with the lattice neutral
+(equal to clipping) and costs one pass per horizontal probe run; each map
+supplies only its per-cell combine (``x - hat(b)`` or ``x (-) b``).  The
+ratio path keeps its own per-offset clipped loop, so it stays an
+independent reference for the kernel.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError, VerificationError
 from .lip import complement, hat, lip_sub, tilde, xi, xi_inv
-from .morphology import (
-    covered_mask,
-    dilate,
-    erode,
-    full_overlap_mask,
-    offset_slices,
-    reflect,
-)
+from .morphology import covered_mask, full_overlap_mask, spread
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale, require_regime
 
 __all__ = [
@@ -147,6 +149,22 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
 # ---------------------------------------------------------------------------
 
 
+def offset_slices(shape, dy, dx):
+    """Destination/source slice pair realising ``out[x] op= arr[x + (dy, dx)]``.
+
+    Returns ``None`` when no cell of ``out`` has its offset partner inside
+    the raster.
+    """
+    h, w = shape
+    r0, r1 = max(0, -dy), min(h, h - dy)
+    c0, c1 = max(0, -dx), min(w, w - dx)
+    if r0 >= r1 or c0 >= c1:
+        return None
+    dst = (slice(r0, r1), slice(c0, c1))
+    src = (slice(r0 + dy, r1 + dy), slice(c0 + dx, c1 + dx))
+    return dst, src
+
+
 def _offset_reduce(arr, offs, combine, maximum, init):
     """Accumulate ``combine(arr[x+h], v)`` over probe offsets, clipped to the raster."""
     out = np.full(arr.shape, init)
@@ -158,13 +176,6 @@ def _offset_reduce(arr, offs, combine, maximum, init):
         dst, src = sl
         acc(out[dst], combine(arr[src], v), out=out[dst])
     return out
-
-
-def _probe_offsets(b: Probe, transform=None):
-    dys, dxs, vals = b.offsets()
-    if transform is not None:
-        vals = transform(vals)
-    return [(int(dy), int(dx), float(v)) for dy, dx, v in zip(dys, dxs, vals)]
 
 
 def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
@@ -184,21 +195,24 @@ def _require_add(f: GreyImage, b: Probe):
 
 def _ratio_bound_mult(f, b, maximum):
     tf = tilde(f.values, f.m)
-    offs = _probe_offsets(b, lambda v: tilde(v, b.m))
+    dys, dxs, vals = b.offsets()
+    offs = [(int(dy), int(dx), float(v)) for dy, dx, v in zip(dys, dxs, tilde(vals, b.m))]
     combine = lambda window, tb: window / tb
     init = 0.0 if maximum else np.inf
     with np.errstate(invalid="ignore"):
         return _offset_reduce(tf, offs, combine, maximum, init)
 
 
-def _dilation_probe(b: Probe) -> Probe:
-    # structuring function -hat(reflect(b)) of the dilation form of the mlub
-    rb = reflect(b)
-    return rb.with_values(-hat(rb.values, rb.m))
+def _hat_extrema(f, b, hi=True, lo=True):
+    # window max/min of hat(f)(x+h) - hat(b)(h): the dilation of hat(f) by
+    # -hat(reflect(b)) and its erosion by hat(b), in one pass
+    return spread(hat(f.values, f.m), b.with_values(hat(b.values, b.m)), operator.sub, hi, lo)
 
 
-def _erosion_probe(b: Probe) -> Probe:
-    return b.with_values(hat(b.values, b.m))
+def _add_extrema(f, b, hi=True, lo=True):
+    # window max/min of f(x+h) (-) b(h); the LIP difference is increasing in f(x+h)
+    m = f.m
+    return spread(f.values, b, lambda x, v: (x - v) / (1.0 - v / m), hi, lo)
 
 
 def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
@@ -214,7 +228,7 @@ def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
         vals = _ratio_bound_mult(f, b, maximum=True)
     elif path == "morpho":
         with np.errstate(over="ignore"):
-            vals = np.exp(dilate(hat(f.values, f.m), _dilation_probe(b)))
+            vals = np.exp(_hat_extrema(f, b, lo=False)[0])
     else:
         raise ValueError(f"unknown path {path!r}")
     return RealMap(vals, full_overlap_mask(f.shape, b), f.m)
@@ -230,7 +244,7 @@ def mglb_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
         vals = _ratio_bound_mult(f, b, maximum=False)
     elif path == "morpho":
         with np.errstate(over="ignore"):
-            vals = np.exp(erode(hat(f.values, f.m), _erosion_probe(b)))
+            vals = np.exp(_hat_extrema(f, b, hi=False)[1])
     else:
         raise ValueError(f"unknown path {path!r}")
     return RealMap(vals, full_overlap_mask(f.shape, b), f.m)
@@ -252,8 +266,8 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.log(lam / mu)
     elif path == "morpho":
-        hf = hat(f.values, f.m)
-        vals = dilate(hf, _dilation_probe(b)) - erode(hf, _erosion_probe(b))
+        hi, lo = _hat_extrema(f, b)
+        vals = hi - lo
     else:
         raise ValueError(f"unknown path {path!r}")
     return RealMap(_clamp_noise(vals), full_overlap_mask(f.shape, b), f.m)
@@ -266,20 +280,16 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     probe must have values strictly below ``m``.
     """
     _require_add(f, b)
-    m = f.m
-    offs = _probe_offsets(b)
-    vals = _offset_reduce(f.values, offs, lambda w, v: (w - v) / (1.0 - v / m), True, -np.inf)
-    return FmMap(vals, full_overlap_mask(f.shape, b), m)
+    vals = _add_extrema(f, b, lo=False)[0]
+    return FmMap(vals, full_overlap_mask(f.shape, b), f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b)
-    m = f.m
-    offs = _probe_offsets(b)
-    vals = _offset_reduce(f.values, offs, lambda w, v: (w - v) / (1.0 - v / m), False, np.inf)
-    vals = np.where(covered_mask(f.shape, b), vals, m)
-    return FmMap(vals, full_overlap_mask(f.shape, b), m)
+    vals = _add_extrema(f, b, hi=False)[1]
+    vals = np.where(covered_mask(f.shape, b), vals, f.m)
+    return FmMap(vals, full_overlap_mask(f.shape, b), f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -290,10 +300,7 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     _require_add(f, b)
     require_regime(f.values, f.m, "FM")
     m = f.m
-    offs = _probe_offsets(b)
-    combine = lambda w, v: (w - v) / (1.0 - v / m)
-    c1 = _offset_reduce(f.values, offs, combine, True, -np.inf)
-    c2 = _offset_reduce(f.values, offs, combine, False, np.inf)
+    c1, c2 = _add_extrema(f, b)
     cov = covered_mask(f.shape, b)
     vals = np.full(f.shape, -np.inf)
     vals[cov] = lip_sub(c1[cov], c2[cov], m)
