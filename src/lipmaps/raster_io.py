@@ -3,11 +3,16 @@
 Three small formats, all defined bit-exact:
 
 * PGM ``P2``/``P5`` with ``maxval <= 255`` for 8-bit grey input; pixel
-  values become grey reals on the ``m = 256`` scale.
+  values become grey reals on the ``m = 256`` scale.  A ``P2`` body without
+  comments is split and checked in bulk; the byte scanner runs on bodies
+  with comments and to locate an error, so byte offsets stay exact.
 * ``fmap``: text container for real-valued maps (and transformed images).
   Header ``fmap <width> <height> <m>``, then one line per row with cells
   printed to 17 significant digits (``inf``/``-inf`` for infinities), one
-  space between cells.  17 digits round-trip float64 exactly.
+  space between cells.  17 digits round-trip float64 exactly.  The body is
+  parsed in bulk, one ``float()`` map per row; the per-token scan runs
+  only to locate an error, so a ``ParseError`` names the first bad row or
+  cell in row-major order.
 * ``probe``: header ``probe <width> <height> <anchor_x> <anchor_y> <m>``,
   then one line per row whose tokens are either a value (cell inside the
   probe domain) or ``_`` (outside).
@@ -120,19 +125,39 @@ def read_pgm(path) -> GreyImage:
             i = int(np.argmax(bad))
             raise ParseError(f"pixel value {int(values[i])} exceeds maxval {maxval}", start + i)
     else:
-        values = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            tok, at = sc.token(f"pixel {i}")
-            if not tok.isdigit():
-                raise ParseError(f"expected pixel value, got {tok!r}", at)
-            v = int(tok)
-            if v > maxval:
-                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
-            values[i] = v
-        sc.skip_separators()
-        if sc.pos < len(data):
-            raise ParseError("trailing data after raster", sc.pos)
+        values = _p2_body_bulk(data[sc.pos :], n, maxval)
+        if values is None:  # a body with comments, or one to locate the error in
+            values = np.empty(n, dtype=np.float64)
+            for i in range(n):
+                tok, at = sc.token(f"pixel {i}")
+                if not tok.isdigit():
+                    raise ParseError(f"expected pixel value, got {tok!r}", at)
+                v = int(tok)
+                if v > maxval:
+                    raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
+                values[i] = v
+            sc.skip_separators()
+            if sc.pos < len(data):
+                raise ParseError("trailing data after raster", sc.pos)
     return GreyImage(values.reshape(height, width), 256.0)
+
+
+def _p2_body_bulk(body: bytes, n: int, maxval: int) -> np.ndarray | None:
+    """The ``n`` pixels of a valid comment-free ``P2`` body, else ``None``.
+
+    ``bytes.split()`` splits on exactly the ``_WS`` bytes, so on a valid body
+    it yields the scanner's tokens.  A comment's ``#`` fails the digit test.
+    """
+    toks = body.split()
+    if len(toks) != n or not b"".join(toks).isdigit():
+        return None
+    try:
+        ints = np.fromiter(map(int, toks), dtype=np.int64, count=n)
+    except OverflowError:  # a digit string beyond int64 is above maxval too
+        return None
+    if (ints > maxval).any():
+        return None
+    return ints.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +194,9 @@ def _read_fmap(path):
     if len(body) != height:
         raise ParseError(f"expected {height} row lines, found {len(body)}")
     values = np.empty((height, width), dtype=np.float64)
+    if _fmap_body_bulk(body, values):
+        return values, m
+    # locate the first error in row-major order
     for r, line in enumerate(body):
         toks = line.split()
         if len(toks) != width:
@@ -178,13 +206,32 @@ def _read_fmap(path):
     return values, m
 
 
+def _fmap_body_bulk(body: list, values: np.ndarray) -> bool:
+    """Fill ``values`` from the row lines; ``False`` if any row or cell is bad.
+
+    One ``float()`` pass per row, so a row's Python floats are the only
+    per-cell objects alive at a time.
+    """
+    width = values.shape[1]
+    for r, line in enumerate(body):
+        toks = line.split()
+        if len(toks) != width:
+            return False
+        try:
+            values[r] = list(map(float, toks))
+        except ValueError:
+            return False
+    return not np.isnan(values).any()
+
+
 def _write_fmap(values: np.ndarray, m: float, path):
     h, w = values.shape
+    # "%.17g" % x gives the bytes of format(x, ".17g") for every float64
+    row_format = " ".join(["%.17g"] * w) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"fmap {w} {h} {_f17(m)}\n")
         for row in values:
-            fh.write(" ".join(_f17(v) for v in row))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_map(path) -> DistanceMap:
@@ -214,7 +261,7 @@ def write_map(dist_map, path, mode: str = "exact"):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"P2\n{w} {h}\n255\n")
             for row in out:
-                fh.write(" ".join(str(int(x)) for x in row))
+                fh.write(" ".join(map(str, row.tolist())))
                 fh.write("\n")
     else:
         raise ValueError(f"unknown mode {mode!r}")

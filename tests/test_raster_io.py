@@ -11,6 +11,11 @@ from lipmaps import (
     Probe,
     RealMap,
     RegimeError,
+    darken,
+    make_canvas,
+    make_ring_probe,
+    map_add,
+    plant_target,
     read_image,
     read_map,
     read_pgm,
@@ -19,6 +24,23 @@ from lipmaps import (
     write_map,
     write_probe,
 )
+from lipmaps import cli
+
+
+def reference_fmap(values, m):
+    """The ``fmap`` bytes, one ``format(v, ".17g")`` per cell."""
+    lines = [f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')}"]
+    lines += [" ".join(format(float(v), ".17g") for v in row) for row in values]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def edge_floats(rng, shape):
+    """Random float64 bit patterns (NaN removed) with the edge values planted."""
+    v = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    v = np.where(np.isnan(v), 1.5, v)
+    edges = [5e-324, -5e-324, 2.2250738585072009e-308, -0.0, 0.0, np.inf, -np.inf, 1e308, -1e308]
+    v.flat[: len(edges)] = edges
+    return v
 
 
 class TestPgm:
@@ -221,3 +243,110 @@ class TestProbeFormat:
         read_probe(p)  # lenient load is fine
         with pytest.raises(RegimeError):
             read_probe(p, strict=True)
+
+
+class TestFmapBulkAgreesWithScan:
+    """The bulk row parser and writer against per-cell references."""
+
+    @pytest.mark.parametrize("m", [256.0, 1e200])
+    def test_write_map_bytes_match_format_17g(self, tmp_path, rng, m):
+        vals = edge_floats(rng, (7, 9))
+        p = tmp_path / "m.fmap"
+        write_map(DistanceMap(vals, None, m), p)
+        assert p.read_bytes() == reference_fmap(vals, m)
+        back = read_map(p)
+        assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+        assert back.m == m
+
+    def test_write_image_bytes_match_format_17g(self, tmp_path, rng):
+        m = 1e200
+        vals = edge_floats(rng, (5, 6))
+        vals = np.where(vals > m, m, vals)  # GreyImage holds values <= m only
+        p = tmp_path / "i.fmap"
+        write_image(GreyImage(vals, m), p)
+        assert p.read_bytes() == reference_fmap(vals, m)
+        back = read_image(p)
+        assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 2\n3 x\n", "bad value token 'x' at row 1, column 1"),
+            ("1 nan\n3\n", "NaN not allowed at row 0, column 1"),
+            ("1 2\n3\n", "row 1: expected 2 cells, found 1"),
+            ("1 2 3\n4 5\n", "row 0: expected 2 cells, found 3"),
+            ("1 x\n3 nan\n", "bad value token 'x' at row 0, column 1"),
+        ],
+    )
+    def test_first_error_in_row_major_order(self, tmp_path, body, message):
+        p = tmp_path / "bad.fmap"
+        p.write_text("fmap 2 2 256\n" + body)
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert str(exc.value) == message
+
+    def test_crlf_and_blank_lines_between_rows(self, tmp_path):
+        p = tmp_path / "m.fmap"
+        p.write_bytes(b"fmap 2 2 256\r\n1 -inf\r\n\r\n  \r\n1e400 1_0\r\n")
+        assert read_map(p).values.tolist() == [[1.0, -np.inf], [np.inf, 10.0]]
+
+
+class TestP2BulkAgreesWithScan:
+    """P2 bodies: the bulk split keeps the scanner's messages and byte offsets."""
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("P2\n2 1\n255\n5 x\n", "expected pixel value, got b'x'", 13),
+            ("P2\n2 1\n100\n50 101\n", "pixel value 101 exceeds maxval 100", 14),
+            ("P2\n1 1\n255\n" + "9" * 30 + "\n", f"pixel value {'9' * 30} exceeds maxval 255", 11),
+            ("P2\n2 2\n255\n1 2 3\n", "unexpected end of file while reading pixel 3", 17),
+            ("P2\n2 1\n255\n1 2 3\n", "trailing data after raster", 15),
+        ],
+    )
+    def test_error_offsets(self, tmp_path, text, message, offset):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(text.encode("ascii"))
+        with pytest.raises(ParseError) as exc:
+            read_pgm(p)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (at byte offset {offset})"
+
+    def test_comment_inside_body(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_text("P2\n2 2\n255\n7 # first row\n9\n# second row\n0 255\n")
+        assert read_pgm(p).values.tolist() == [[7.0, 9.0], [0.0, 255.0]]
+
+    def test_pgm8_bytes(self, tmp_path, rng):
+        vals = rng.uniform(0, 10, size=(3, 4))
+        p = tmp_path / "v.pgm"
+        write_map(DistanceMap(vals, None, 256.0), p, mode="pgm8")
+        grey = np.round((vals - vals.min()) / (vals.max() - vals.min()) * 255).astype(int)
+        rows = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in grey)
+        assert p.read_bytes() == ("P2\n4 3\n255\n" + rows).encode("ascii")
+
+
+def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
+    """lighting, map-add and detect through the CLI, as the benchmark runs them."""
+    probe = make_ring_probe(6, 3)
+    anchor = (23, 40)
+    scene = plant_target(make_canvas(64, 64, seed=5), probe, anchor)
+    pixels = np.rint(scene.values).astype(np.uint8)
+    scene_pgm, ring = tmp_path / "scene.pgm", tmp_path / "ring.probe"
+    dark_fmap, map_fmap = tmp_path / "dark.fmap", tmp_path / "map.fmap"
+    scene_pgm.write_bytes(b"P5\n64 64\n255\n" + pixels.tobytes())
+    write_probe(probe, ring)
+
+    steps = [
+        ["lighting", "--image", scene_pgm, "--out", dark_fmap, "--add", "200"],
+        ["map-add", "--image", dark_fmap, "--probe", ring, "--out", map_fmap],
+        ["detect", "--map", map_fmap, "--threshold", "0.256", "--probe", ring],
+    ]
+    for argv in steps:
+        assert cli.main([str(a) for a in argv]) == 0
+
+    dark = darken(GreyImage(pixels.astype(np.float64)), 200.0)
+    assert dark_fmap.read_bytes() == reference_fmap(dark.values, 256.0)
+    assert map_fmap.read_bytes() == reference_fmap(map_add(dark, probe).values, 256.0)
+    first = capsys.readouterr().out.split("\n", 1)[0].split()
+    assert first[:2] == [str(anchor[1]), str(anchor[0])]
