@@ -3,16 +3,14 @@
 Three small formats, all defined bit-exact:
 
 * PGM ``P2``/``P5`` with ``maxval <= 255`` for 8-bit grey input; pixel
-  values become grey reals on the ``m = 256`` scale.  A ``P2`` body without
-  comments is split and checked in bulk; the byte scanner runs on bodies
-  with comments and to locate an error, so byte offsets stay exact.
+  values become grey reals on the ``m = 256`` scale.
 * ``fmap``: text container for real-valued maps (and transformed images).
   Header ``fmap <width> <height> <m>``, then one line per row with cells
   printed to 17 significant digits (``inf``/``-inf`` for infinities), one
   space between cells.  17 digits round-trip float64 exactly.  The body is
-  parsed in bulk, one ``float()`` map per row; the per-token scan runs
-  only to locate an error, so a ``ParseError`` names the first bad row or
-  cell in row-major order.
+  parsed and written in bulk, one row at a time; a per-token scan of a row
+  runs only to locate an error in it, so a ``ParseError`` names the first
+  bad row or cell in row-major order.
 * ``probe``: header ``probe <width> <height> <anchor_x> <anchor_y> <m>``,
   then one line per row whose tokens are either a value (cell inside the
   probe domain) or ``_`` (outside).
@@ -125,39 +123,19 @@ def read_pgm(path) -> GreyImage:
             i = int(np.argmax(bad))
             raise ParseError(f"pixel value {int(values[i])} exceeds maxval {maxval}", start + i)
     else:
-        values = _p2_body_bulk(data[sc.pos :], n, maxval)
-        if values is None:  # a body with comments, or one to locate the error in
-            values = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                tok, at = sc.token(f"pixel {i}")
-                if not tok.isdigit():
-                    raise ParseError(f"expected pixel value, got {tok!r}", at)
-                v = int(tok)
-                if v > maxval:
-                    raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
-                values[i] = v
-            sc.skip_separators()
-            if sc.pos < len(data):
-                raise ParseError("trailing data after raster", sc.pos)
+        values = np.empty(n, dtype=np.float64)
+        for i in range(n):
+            tok, at = sc.token(f"pixel {i}")
+            if not tok.isdigit():
+                raise ParseError(f"expected pixel value, got {tok!r}", at)
+            v = int(tok)
+            if v > maxval:
+                raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
+            values[i] = v
+        sc.skip_separators()
+        if sc.pos < len(data):
+            raise ParseError("trailing data after raster", sc.pos)
     return GreyImage(values.reshape(height, width), 256.0)
-
-
-def _p2_body_bulk(body: bytes, n: int, maxval: int) -> np.ndarray | None:
-    """The ``n`` pixels of a valid comment-free ``P2`` body, else ``None``.
-
-    ``bytes.split()`` splits on exactly the ``_WS`` bytes, so on a valid body
-    it yields the scanner's tokens.  A comment's ``#`` fails the digit test.
-    """
-    toks = body.split()
-    if len(toks) != n or not b"".join(toks).isdigit():
-        return None
-    try:
-        ints = np.fromiter(map(int, toks), dtype=np.int64, count=n)
-    except OverflowError:  # a digit string beyond int64 is above maxval too
-        return None
-    if (ints > maxval).any():
-        return None
-    return ints.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +172,19 @@ def _read_fmap(path):
     if len(body) != height:
         raise ParseError(f"expected {height} row lines, found {len(body)}")
     values = np.empty((height, width), dtype=np.float64)
-    if _fmap_body_bulk(body, values):
-        return values, m
-    # locate the first error in row-major order
     for r, line in enumerate(body):
         toks = line.split()
         if len(toks) != width:
             raise ParseError(f"row {r}: expected {width} cells, found {len(toks)}")
-        for c, tok in enumerate(toks):
-            values[r, c] = _parse_float(tok, f"at row {r}, column {c}")
-    return values, m
-
-
-def _fmap_body_bulk(body: list, values: np.ndarray) -> bool:
-    """Fill ``values`` from the row lines; ``False`` if any row or cell is bad.
-
-    One ``float()`` pass per row, so a row's Python floats are the only
-    per-cell objects alive at a time.
-    """
-    width = values.shape[1]
-    for r, line in enumerate(body):
-        toks = line.split()
-        if len(toks) != width:
-            return False
         try:
             values[r] = list(map(float, toks))
+            if not np.isnan(values[r]).any():
+                continue
         except ValueError:
-            return False
-    return not np.isnan(values).any()
+            pass
+        for c, tok in enumerate(toks):  # locate the bad cell
+            values[r, c] = _parse_float(tok, f"at row {r}, column {c}")
+    return values, m
 
 
 def _write_fmap(values: np.ndarray, m: float, path):

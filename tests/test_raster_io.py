@@ -88,8 +88,32 @@ class TestPgm:
     def test_pixel_above_maxval(self, tmp_path):
         p = tmp_path / "f.pgm"
         p.write_text("P2\n2 1\n100\n50 101\n")
-        with pytest.raises(ParseError, match="exceeds maxval"):
+        with pytest.raises(ParseError, match="exceeds maxval") as exc:
             read_pgm(p)
+        assert exc.value.offset == 14
+        assert str(exc.value) == "pixel value 101 exceeds maxval 100 (at byte offset 14)"
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("P2\n2 1\n255\n5 x\n", "expected pixel value, got b'x'", 13),
+            ("P2\n1 1\n255\n" + "9" * 30 + "\n", f"pixel value {'9' * 30} exceeds maxval 255", 11),
+            ("P2\n2 2\n255\n1 2 3\n", "unexpected end of file while reading pixel 3", 17),
+            ("P2\n2 1\n255\n1 2 3\n", "trailing data after raster", 15),
+        ],
+    )
+    def test_p2_body_error_offsets(self, tmp_path, text, message, offset):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(text.encode("ascii"))
+        with pytest.raises(ParseError) as exc:
+            read_pgm(p)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (at byte offset {offset})"
+
+    def test_comment_inside_p2_body(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        p.write_text("P2\n2 2\n255\n7 # first row\n9\n# second row\n0 255\n")
+        assert read_pgm(p).values.tolist() == [[7.0, 9.0], [0.0, 255.0]]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "g.pgm"
@@ -173,6 +197,7 @@ class TestFmap:
         img = read_pgm(p)
         # finite cells min-max normalised; +inf clamps to 255
         assert img.values.tolist() == [[0.0, 128.0], [255.0, 255.0]]
+        assert p.read_bytes() == b"P2\n2 2\n255\n0 128\n255 255\n"
 
     def test_pgm8_minus_inf_clamps_to_zero(self, tmp_path):
         vals = np.array([[-np.inf, 3.0, 7.0]])
@@ -276,6 +301,7 @@ class TestFmapBulkAgreesWithScan:
             ("1 2\n3\n", "row 1: expected 2 cells, found 1"),
             ("1 2 3\n4 5\n", "row 0: expected 2 cells, found 3"),
             ("1 x\n3 nan\n", "bad value token 'x' at row 0, column 1"),
+            ("nan x\n1 2\n", "NaN not allowed at row 0, column 0"),
         ],
     )
     def test_first_error_in_row_major_order(self, tmp_path, body, message):
@@ -289,41 +315,6 @@ class TestFmapBulkAgreesWithScan:
         p = tmp_path / "m.fmap"
         p.write_bytes(b"fmap 2 2 256\r\n1 -inf\r\n\r\n  \r\n1e400 1_0\r\n")
         assert read_map(p).values.tolist() == [[1.0, -np.inf], [np.inf, 10.0]]
-
-
-class TestP2BulkAgreesWithScan:
-    """P2 bodies: the bulk split keeps the scanner's messages and byte offsets."""
-
-    @pytest.mark.parametrize(
-        "text, message, offset",
-        [
-            ("P2\n2 1\n255\n5 x\n", "expected pixel value, got b'x'", 13),
-            ("P2\n2 1\n100\n50 101\n", "pixel value 101 exceeds maxval 100", 14),
-            ("P2\n1 1\n255\n" + "9" * 30 + "\n", f"pixel value {'9' * 30} exceeds maxval 255", 11),
-            ("P2\n2 2\n255\n1 2 3\n", "unexpected end of file while reading pixel 3", 17),
-            ("P2\n2 1\n255\n1 2 3\n", "trailing data after raster", 15),
-        ],
-    )
-    def test_error_offsets(self, tmp_path, text, message, offset):
-        p = tmp_path / "bad.pgm"
-        p.write_bytes(text.encode("ascii"))
-        with pytest.raises(ParseError) as exc:
-            read_pgm(p)
-        assert exc.value.offset == offset
-        assert str(exc.value) == f"{message} (at byte offset {offset})"
-
-    def test_comment_inside_body(self, tmp_path):
-        p = tmp_path / "c.pgm"
-        p.write_text("P2\n2 2\n255\n7 # first row\n9\n# second row\n0 255\n")
-        assert read_pgm(p).values.tolist() == [[7.0, 9.0], [0.0, 255.0]]
-
-    def test_pgm8_bytes(self, tmp_path, rng):
-        vals = rng.uniform(0, 10, size=(3, 4))
-        p = tmp_path / "v.pgm"
-        write_map(DistanceMap(vals, None, 256.0), p, mode="pgm8")
-        grey = np.round((vals - vals.min()) / (vals.max() - vals.min()) * 255).astype(int)
-        rows = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in grey)
-        assert p.read_bytes() == ("P2\n4 3\n255\n" + rows).encode("ascii")
 
 
 def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
