@@ -12,20 +12,25 @@ keeps a per-offset loop as an independent reference.  The kernel pads
 the raster with the lattice neutral of each side (``-inf`` for the max,
 ``+inf`` for the min), which gives exactly the clipped window, and
 splits the probe into horizontal runs of equal value (the chord
-decomposition of Urbach & Wilkinson, IEEE TIP 2008).  Over one run the
-probe value is constant, so the run's contribution is the combine
-applied once to the running max/min of the image along the run.  Those
-running extrema come from a log-step table (van Herk 1992): level ``k``
-holds the max/min over ``2**k`` consecutive columns, and a run of length
-``n`` with ``2**k <= n < 2**(k+1)`` is the max/min of two shifted level-``k``
-slices.  The table is rebuilt per fixed strip of output rows, so its
-buffers stay O(strip x width), and the max and min sides share the pass.
-Map cost therefore grows with the probe's number of runs, not its number
-of cells; a run of length 1 reads level 0, a plain shifted slice.
+decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The running
+max/min of the image along a run comes from a log-step table (van Herk
+1992): level ``k`` holds the max/min over ``2**k`` consecutive columns,
+and a run of length ``n`` with ``2**k <= n < 2**(k+1)`` is the max/min of
+two shifted level-``k`` slices.  Every combine is non-decreasing in the
+image value, so ``max_h combine(f(x+h), v) = combine(max_h f(x+h), v)``
+over all the runs that share the probe value ``v``: the runs of one
+value are reduced into one accumulator and the combine runs once per
+distinct value.  The work is done per fixed strip of output rows and
+one side at a time, so the scratch memory, all table levels of one side
+plus the accumulator, stays O(levels x strip x width) whatever the
+number of values.  Map cost therefore grows with the probe's number of
+runs, not its number of cells; a run of length 1 reads level 0, a plain
+shifted slice.
 
 Max/min accumulation is order-independent and every combine used here is
-non-decreasing in the image value under IEEE rounding, so the result is
-bit-identical to the literal per-cell, per-offset loop.
+non-decreasing in the image value under IEEE rounding, so the result
+equals the literal per-cell, per-offset loop bit for bit, up to the sign
+of a zero result, which max/min ties leave to the order of evaluation.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .rasters import Probe
 
 __all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask", "covered_mask"]
 
-# Output rows per kernel pass; bounds the log-step tables to O(strip x width).
+# Output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
 _STRIP = 64
 
 
@@ -71,8 +76,8 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
 
     ``combine(x, v)`` takes an array of image values and a probe value.  It
     must be non-decreasing in ``x`` under rounding and map ``+-inf`` to
-    themselves, so that applying it once per run to the window extremum
-    equals applying it per cell.
+    themselves, so that applying it once per distinct probe value (per
+    strip and side) to the window extremum equals applying it per cell.
     """
     f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
@@ -90,36 +95,38 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
         c_lo, c_hi = min(0, int(x0.min())), max(0, int(x1.max()))
         width = w + c_hi - c_lo
         levels = np.frexp(x1 - x0 + 1)[1] - 1  # floor(log2(length))
-        runs = sorted(
-            (int(k), int(y - y_lo), int(a - c_lo), int(z - c_lo) + 1 - (1 << int(k)), float(v))
-            for k, y, a, z, v in zip(levels, dy, x0, x1, vals)
-        )
-        # two tables per side: level k lives in table k % 2 and level k + 1 is built into the other
-        bufs = [[np.empty((_STRIP + y_hi - y_lo, width)) for _ in range(2)] for _ in sides]
+        # runs grouped by probe value (the `==` of probe_runs); a run of length n
+        # reads level k = floor(log2(n)) at columns a and z, one slice when n == 2**k
+        groups = {}
+        for k, y, a, z, v in zip(levels, dy, x0, x1, vals):
+            k, a, z = int(k), int(a - c_lo), int(z - c_lo) + 1 - (1 << int(k))
+            groups.setdefault(float(v), []).append((k, int(y - y_lo), (a,) if a == z else (a, z)))
+        # every level of one side's table, rebuilt per strip and side, plus one accumulator
+        top = int(levels.max())
+        tables = np.empty((top + 1, _STRIP + y_hi - y_lo, width))
+        acc = np.empty((_STRIP, w))
         for r0 in range(0, h, _STRIP):
             r1 = min(h, r0 + _STRIP)
             rows = r1 - r0 + y_hi - y_lo
             s0, s1 = max(0, r0 + y_lo), min(h, r1 + y_hi)
             if s0 >= s1:
                 continue
-            for (_, neutral), (table, _) in zip(sides, bufs):
-                table[:rows].fill(neutral)
-                table[s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
-            level = 0
-            for k, ty, a, z, v in runs:
-                while level < k:
-                    # level + 1 is only needed (and only valid) on its first `valid` columns
-                    step, valid = 1 << level, width - (2 << level) + 1
-                    for (reduce, _), pair in zip(sides, bufs):
-                        cur, nxt = pair[level % 2][:rows], pair[1 - level % 2][:rows]
-                        reduce(cur[:, :valid], cur[:, step : step + valid], out=nxt[:, :valid])
-                    level += 1
-                for (reduce, _), pair, out in zip(sides, bufs, outs):
-                    table = pair[level % 2]
-                    win = table[ty : ty + r1 - r0, a : a + w]
-                    if z != a:
-                        win = reduce(win, table[ty : ty + r1 - r0, z : z + w])
-                    reduce(out[r0:r1], combine(win, v), out=out[r0:r1])
+            for (reduce, neutral), out in zip(sides, outs):
+                tables[0, :rows].fill(neutral)
+                tables[0, s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
+                for k in range(top):
+                    # level k + 1 is only needed (and only valid) on its first `valid` columns
+                    step, valid = 1 << k, width - (2 << k) + 1
+                    level = tables[k, :rows]
+                    reduce(level[:, :valid], level[:, step : step + valid], out=tables[k + 1, :rows, :valid])
+                strip = out[r0:r1]
+                for v, runs in groups.items():
+                    win = None
+                    for k, ty, cols in runs:
+                        for c in cols:
+                            part = tables[k, ty : ty + r1 - r0, c : c + w]
+                            win = part if win is None else reduce(win, part, out=acc[: r1 - r0])
+                    reduce(strip, combine(win, v), out=strip)
     done = iter(outs)
     return (next(done) if hi else None, next(done) if lo else None)
 
