@@ -14,7 +14,9 @@ model derives from the transmittance law ``T(f (+) g) = T(f) * T(g)`` with
 Every function here accepts a scalar or a numpy array (any shape) and
 returns the same kind.  Extended reals are plain float64 with ``+-inf``;
 ``tilde``/``hat``/``xi`` map edge grey values to infinities instead of
-raising, so pointwise pipelines stay total.  All functions are pure.
+raising, so pointwise pipelines stay total.  They evaluate ``ln(1 - f/m)``
+as ``log1p(-f/m)`` and ``1 - exp(y)`` as ``-expm1(y)``, which keeps full
+relative precision for grey values near 0.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def tilde(f, m=DEFAULT_M):
     if np.any(fa < 0) or np.any(fa > m):
         raise DomainError(f"tilde requires f in [0, m={m}]")
     with np.errstate(divide="ignore"):
-        return _ret(np.log(1.0 - fa / m), f)
+        return _ret(np.log1p(-fa / m), f)
 
 
 def hat(f, m=DEFAULT_M):
@@ -170,7 +172,7 @@ def hat(f, m=DEFAULT_M):
     if np.any(fa < 0) or np.any(fa > m):
         raise DomainError(f"hat requires f in [0, m={m}]")
     with np.errstate(divide="ignore"):
-        return _ret(np.log(-np.log(1.0 - fa / m)), f)
+        return _ret(np.log(-np.log1p(-fa / m)), f)
 
 
 def hat_inv(y, m=DEFAULT_M):
@@ -178,7 +180,7 @@ def hat_inv(y, m=DEFAULT_M):
     m = _check_m(m)
     ya = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return _ret(m * (1.0 - np.exp(-np.exp(ya))), y)
+        return _ret(-m * np.expm1(-np.exp(ya)), y)
 
 
 def xi(f, m=DEFAULT_M):
@@ -195,7 +197,7 @@ def xi(f, m=DEFAULT_M):
     if np.any(fa > m):
         raise DomainError(f"xi requires f <= m = {m}")
     with np.errstate(divide="ignore"):
-        return _ret(-m * np.log(1.0 - fa / m), f)
+        return _ret(-m * np.log1p(-fa / m), f)
 
 
 def xi_inv(f, m=DEFAULT_M):
@@ -205,7 +207,7 @@ def xi_inv(f, m=DEFAULT_M):
     if np.isnan(fa).any():
         raise DomainError("f contains NaN")
     with np.errstate(over="ignore"):
-        return _ret(m * (1.0 - np.exp(-fa / m)), f)
+        return _ret(-m * np.expm1(-fa / m), f)
 
 
 def complement(f, m=DEFAULT_M):

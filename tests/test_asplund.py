@@ -269,6 +269,16 @@ class TestMapMult:
         b = random_probe(5, 5, rng)
         assert np.all(map_mult(f, b).values >= 0.0)
 
+    def test_tiny_strict_value_stays_finite(self, rng):
+        # hat(1e-15) is about -35.8; through log(1 - f/m) it underflowed to -inf
+        values = random_image(8, 8, rng).values.copy()
+        values[3, 4] = 1e-15
+        f = GreyImage(values)
+        b = random_probe(3, 3, rng)
+        morpho = map_mult(f, b).values
+        assert np.all(np.isfinite(morpho))
+        assert np.max(np.abs(morpho - map_mult(f, b, path="ratio").values)) <= 1e-9 * np.max(morpho)
+
     def test_strict_regime(self):
         f = GreyImage([[0.0, 100.0]])
         b = full_probe([[100.0]], anchor=(0, 0))

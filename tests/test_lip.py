@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -103,6 +103,11 @@ class TestFrozenValues:
         assert math.isclose(hat(128.0), -0.36651292058166435, rel_tol=1e-14)
         assert hat(0.0) == -np.inf
         assert hat(256.0) == np.inf
+
+    def test_hat_near_zero(self):
+        # log(1 - f/m) keeps ~13 digits at f = 1e-3; log1p keeps them all
+        ref = float(mp.log(-mp.log(1 - mpf(1e-3) / mpf(M))))
+        assert abs(hat(1e-3) - ref) <= 1e-15 * abs(ref)
 
     def test_hat_round_trip(self):
         for f in (0.5, 31.25, 128.0, 255.5):
@@ -237,6 +242,7 @@ class TestIsomorphismLaws:
         assert abs(xi_inv(xi(f)) - f) <= 1e-12 * (M + abs(f))
 
     @given(strict_values, strict_values)
+    @example(0.5000000000000001, 0.5)  # one ulp apart: 1 - f/m rounds them together
     def test_order_preserving(self, f, g):
         assert (f <= g) == (xi(f) <= xi(g))
 
