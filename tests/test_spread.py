@@ -5,16 +5,21 @@ the log-step tables of :func:`lipmaps.morphology.spread` are never built.
 The probes here are piecewise flat: runs of length ``2**k`` and ``2**k + 1``
 (a table level read as one slice, and as two overlapping slices), runs wider
 than the raster, rings, probes taller than one row strip, anchors outside
-the mask.  Every map must match the loop below bit for bit; the loop reads
-the raster one cell at a time and does not go through the kernel.
+the mask, and a few values shared by many runs, which the kernel reduces
+together before one combine.  Every map must match the loop below bit for
+bit; the loop reads the raster one cell at a time and does not go through
+the kernel.
 """
+
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lipmaps import GreyImage, Probe, make_ring_probe, map_add, map_mult, mglb_add, mlub_add
 from lipmaps.lip import hat, lip_sub
-from lipmaps.morphology import _STRIP, covered_mask, dilate, erode, probe_runs
+from lipmaps.morphology import _STRIP, covered_mask, dilate, erode, probe_runs, spread
 
 M = 256.0
 RUN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
@@ -52,6 +57,22 @@ def flat_probe(rng, rows, lengths, lo, hi, holes=False):
         values.append(np.concatenate([np.full(n, levels[i % 2]) for i, n in enumerate(order)]))
     values = np.array(values)
     mask = rng.random(values.shape) < 0.9 if holes else np.ones(values.shape, dtype=bool)
+    mask.flat[0] = True
+    anchor = (int(rng.integers(values.shape[0])), int(rng.integers(values.shape[1])))
+    return values, mask, anchor
+
+
+def valued_probe(rng, rows, lengths, levels, holes=False):
+    """Rows of runs with the given lengths, each run taking one of ``levels``, neighbours unequal."""
+    values = []
+    for _ in range(rows):
+        row, prev = [], None
+        for n in rng.permutation(lengths):
+            prev = rng.choice([v for v in levels if v != prev])
+            row.append(np.full(n, prev))
+        values.append(np.concatenate(row))
+    values = np.array(values)
+    mask = rng.random(values.shape) < 0.85 if holes else np.ones(values.shape, dtype=bool)
     mask.flat[0] = True
     anchor = (int(rng.integers(values.shape[0])), int(rng.integers(values.shape[1])))
     return values, mask, anchor
@@ -151,6 +172,75 @@ class TestDilateErodeRuns:
         values, mask, anchor = flat_probe(rng, _STRIP + 3, (1, 2, 4), -20.0, 20.0, holes=True)
         b = Probe(values, mask, anchor, M)
         assert_dilate_erode(rng.uniform(-50.0, 50.0, size=(_STRIP + 1, 6)), b)
+
+
+class TestSharedValues:
+    """Probes with 2 to 4 values: the runs of one value are reduced together, then combined once."""
+
+    @pytest.mark.parametrize("n_values, height", [(2, _STRIP - 1), (3, _STRIP), (4, _STRIP + 1)])
+    def test_few_values_many_runs(self, rng, n_values, height):
+        levels = list(rng.uniform(5.0, 250.0, size=n_values))
+        for holes in (False, True):
+            values, mask, anchor = valued_probe(rng, 4, RUN_LENGTHS, levels, holes)
+            b = Probe(values, mask, anchor, M)
+            dy, _, n, v = probe_runs(b)
+            # one value spans several runs in one row and runs in several rows,
+            # and its runs read different table levels
+            top = max(levels, key=lambda x: np.sum(v == x))
+            assert np.sum((v == top) & (dy == dy[0])) >= 2 and len(set(dy[v == top])) >= 2
+            assert len(set(np.frexp(n[v == top])[1])) >= 2
+            assert_all_maps(*images(rng, (height, 13)), b)
+
+    @pytest.mark.parametrize("height, width", [(9, 5), (_STRIP + 1, 23), (9, 40)])
+    def test_group_opens_with_a_plain_slice(self, rng, height, width):
+        # value a: runs 4 (level 2, one slice), then 9 and 17 (two slices), 3, 1;
+        # value c: runs 1 and 2 (one slice each), then 8 and 16
+        a, c = 40.0, 170.0
+        rows = [((a, 4), (c, 1), (a, 9), (c, 2), (a, 17)), ((c, 8), (a, 3), (c, 16), (a, 1), (c, 5))]
+        values = np.array([np.concatenate([np.full(n, v) for v, n in row]) for row in rows])
+        for anchor in ((0, 0), (1, 16), (0, 32)):
+            b = Probe(values, np.ones(values.shape, dtype=bool), anchor, M)
+            assert_all_maps(*images(rng, (height, width)), b)
+
+    def test_off_mask_anchor_with_holes(self, rng):
+        values, mask, _ = valued_probe(rng, 3, RUN_LENGTHS, [30.0, 90.0, 200.0], holes=True)
+        mask[1, 7] = False
+        b = Probe(values, mask, (1, 7), M)
+        assert_all_maps(*images(rng, (_STRIP, 11)), b)
+
+    @pytest.mark.parametrize("height", [_STRIP - 1, _STRIP, _STRIP + 1])
+    def test_dilate_erode_with_infinities(self, rng, height):
+        values, mask, anchor = valued_probe(rng, 3, RUN_LENGTHS, [-7.5, 2.0, 11.0], holes=True)
+        b = Probe(values, mask, anchor, M)
+        f = rng.uniform(-50.0, 50.0, size=(height, 17))
+        f[rng.random(f.shape) < 0.1] = np.inf
+        f[rng.random(f.shape) < 0.1] = -np.inf
+        assert_dilate_erode(f, b)
+
+    def test_scratch_memory_independent_of_value_count(self, rng):
+        # 64 runs of one geometry: 64 distinct values, then 2 alternating values
+        lengths = (1, 2, 3, 4, 5, 8, 9, 16) * 2
+
+        def probe(levels):
+            values = np.array([np.repeat(levels[16 * r : 16 * r + 16], lengths) for r in range(4)])
+            return Probe(values, np.ones(values.shape, dtype=bool), (1, 40), M)
+
+        many = probe(5.0 + 3.0 * np.arange(64))
+        two = probe(np.where(np.arange(64) % 2, 5.0, 9.0))
+        assert len(set(probe_runs(many)[3])) == 64 and len(probe_runs(two)[0]) == 64
+        f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
+
+        def peak(b):
+            tracemalloc.start()
+            try:
+                spread(f, b, operator.sub)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # less than one more strip-sized accumulator for 62 more values
+        assert peak(many) < peak(two) + _STRIP * f.shape[1] * f.itemsize
+        assert_all_maps(*images(rng, (_STRIP + 1, 9)), many)
 
 
 class TestRunDecomposition:
