@@ -42,9 +42,10 @@ neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 The morphological path and the additive maps slide through
 :func:`lipmaps.morphology.spread`, which pads with the lattice neutral
 (equal to clipping) and costs one pass per horizontal probe run; each map
-supplies only its per-cell combine (``x - hat(b)`` or ``x (-) b``).  The
-ratio path keeps its own per-offset clipped loop, so it stays an
-independent reference for the kernel.
+supplies only its per-cell combine (``x - hat(b)`` or ``x (-) b``), which
+the kernel applies once per distinct probe value.  The ratio path keeps
+its own per-offset clipped loop, so it stays an independent reference for
+the kernel.
 """
 
 from __future__ import annotations
