@@ -55,11 +55,7 @@ def flat_probe(rng, rows, lengths, lo, hi, holes=False):
         order = rng.permutation(lengths)
         levels = rng.uniform(lo, hi, size=2)
         values.append(np.concatenate([np.full(n, levels[i % 2]) for i, n in enumerate(order)]))
-    values = np.array(values)
-    mask = rng.random(values.shape) < 0.9 if holes else np.ones(values.shape, dtype=bool)
-    mask.flat[0] = True
-    anchor = (int(rng.integers(values.shape[0])), int(rng.integers(values.shape[1])))
-    return values, mask, anchor
+    return with_mask(rng, np.array(values), holes)
 
 
 def valued_probe(rng, rows, lengths, levels, holes=False):
@@ -71,8 +67,12 @@ def valued_probe(rng, rows, lengths, levels, holes=False):
             prev = rng.choice([v for v in levels if v != prev])
             row.append(np.full(n, prev))
         values.append(np.concatenate(row))
-    values = np.array(values)
-    mask = rng.random(values.shape) < 0.85 if holes else np.ones(values.shape, dtype=bool)
+    return with_mask(rng, np.array(values), holes)
+
+
+def with_mask(rng, values, holes):
+    """``(values, mask, anchor)``: about a tenth of the cells dropped if ``holes``, a random anchor."""
+    mask = rng.random(values.shape) < 0.9 if holes else np.ones(values.shape, dtype=bool)
     mask.flat[0] = True
     anchor = (int(rng.integers(values.shape[0])), int(rng.integers(values.shape[1])))
     return values, mask, anchor
