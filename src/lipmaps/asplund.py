@@ -40,10 +40,12 @@ neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
 
 The morphological path and the additive maps slide through
-:func:`lipmaps.morphology.spread`, which pads with the lattice neutral
-(equal to clipping) and costs one pass per horizontal probe run; each map
-supplies only its per-cell combine (``x - hat(b)`` or ``x (-) b``), which
-the kernel applies once per distinct probe value.  The ratio path keeps
+:func:`lipmaps.morphology.spread`, which pads with NaN and reduces with
+``fmax``/``fmin`` (equal to clipping; empty windows keep the lattice
+neutral) and costs one pass per horizontal probe run; each map supplies
+only its per-cell combine (``x - hat(b)`` or ``x (-) b``), which the
+kernel applies once per distinct probe value, and once for both sides on
+a value held by a single probe cell.  The ratio path keeps
 its own per-offset clipped loop, so it stays an independent reference for
 the kernel.
 """

@@ -9,28 +9,41 @@ empty infimum).
 Every sliding extremum in the package goes through one kernel,
 :func:`spread`, except the ratio path of :mod:`lipmaps.asplund`, which
 keeps a per-offset loop as an independent reference.  The kernel pads
-the raster with the lattice neutral of each side (``-inf`` for the max,
-``+inf`` for the min), which gives exactly the clipped window, and
-splits the probe into horizontal runs of equal value (the chord
-decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The running
-max/min of the image along a run comes from a log-step table (van Herk
-1992): level ``k`` holds the max/min over ``2**k`` consecutive columns,
-and a run of length ``n`` with ``2**k <= n < 2**(k+1)`` is the max/min of
-two shifted level-``k`` slices.  Every combine is non-decreasing in the
-image value, so ``max_h combine(f(x+h), v) = combine(max_h f(x+h), v)``
-over all the runs that share the probe value ``v``: the runs of one
-value are reduced into one accumulator and the combine runs once per
-distinct value.  The work is done per fixed strip of output rows and
-one side at a time, so the scratch memory, all table levels of one side
-plus the accumulator, stays O(levels x strip x width) whatever the
-number of values.  Map cost therefore grows with the probe's number of
-runs, not its number of cells; a run of length 1 reads level 0, a plain
-shifted slice.
+the raster with NaN, read as "no value here", and reduces and folds with
+``np.fmax``/``np.fmin``, which skip NaN, so every window is exactly the
+clipped one; each output starts at the lattice neutral of its side
+(``-inf`` for the max, ``+inf`` for the min), which an empty window
+leaves in place.  A combine must therefore map NaN to NaN, and the image
+itself must be NaN-free (:func:`dilate` and :func:`erode` reject a NaN
+cell).  The kernel splits the probe into horizontal runs of equal value
+(the chord decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The
+running max/min of the image along a run comes from a log-step table
+(van Herk 1992): level ``k`` holds the max/min over ``2**k`` consecutive
+columns, and a run of length ``n`` with ``2**k <= n < 2**(k+1)`` is the
+max/min of two shifted level-``k`` slices.  Every combine is
+non-decreasing in the image value, so
+``max_h combine(f(x+h), v) = combine(max_h f(x+h), v)`` over all the runs
+that share the probe value ``v``: the runs of one value are reduced into
+one accumulator and the combine runs once per distinct value.
+
+The work is done per fixed strip of output rows.  Level 0, the padded
+image, is built once per strip and shared by both sides.  A probe value
+held by a single cell (one run of length 1 after clipping) reads one
+level-0 slice, which is both its window max and its window min, so it
+gets one combine whose result is folded into both outputs; on a probe cut
+from a real image, with no two equal neighbours, that is every value.
+The other values are then reduced and combined one side at a time, over
+levels ``1..top`` rebuilt in place above level 0, so the scratch memory,
+one table of ``top + 1`` levels plus the accumulator, stays
+O(levels x strip x width) whatever the number of values.  Map cost
+therefore grows with the probe's number of runs, not its number of
+cells.
 
 Max/min accumulation is order-independent and every combine used here is
 non-decreasing in the image value under IEEE rounding, so the result
 equals the literal per-cell, per-offset loop bit for bit, up to the sign
-of a zero result, which max/min ties leave to the order of evaluation.
+of a zero result: max/min ties keep one operand and ``-0.0 == 0.0``, so
+that sign still depends on the order in which ties are met.
 """
 
 from __future__ import annotations
@@ -39,7 +52,8 @@ import operator
 
 import numpy as np
 
-from .rasters import Probe
+from .errors import DomainError
+from .rasters import Probe, _first_bad_cell
 
 __all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask", "covered_mask"]
 
@@ -75,13 +89,21 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
     value, ``-inf`` for the max and ``+inf`` for the min.
 
     ``combine(x, v)`` takes an array of image values and a probe value.  It
-    must be non-decreasing in ``x`` under rounding and map ``+-inf`` to
-    themselves, so that applying it once per distinct probe value (per
-    strip and side) to the window extremum equals applying it per cell.
+    must be non-decreasing in ``x`` under rounding, so that applying it once
+    per distinct probe value (per strip) to the window extremum equals
+    applying it per cell, and it must map NaN to NaN: the table is padded
+    with NaN ("no value here") and every reduce and fold is an
+    ``np.fmax``/``np.fmin``, which skip NaN.  For the same reason ``f``
+    must be NaN-free; a NaN cell would be read as lying outside the raster.
+
+    Per strip, table level 0 (the padded image) is built once.  A probe
+    value held by a single cell gets one combine of its level-0 slice,
+    folded into both outputs; the other values are reduced and combined
+    per side over levels ``1..top``, rebuilt in place above level 0.
     """
     f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
-    sides = [(np.maximum, -np.inf)] * hi + [(np.minimum, np.inf)] * lo
+    sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
     outs = [np.full(f.shape, neutral) for _, neutral in sides]
     dy, x0, n, vals = probe_runs(b)
     # clip each run to the columns that can reach the raster, drop the rest
@@ -101,7 +123,12 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
         for k, y, a, z, v in zip(levels, dy, x0, x1, vals):
             k, a, z = int(k), int(a - c_lo), int(z - c_lo) + 1 - (1 << int(k))
             groups.setdefault(float(v), []).append((k, int(y - y_lo), (a,) if a == z else (a, z)))
-        # every level of one side's table, rebuilt per strip and side, plus one accumulator
+        # a value on one clipped cell (one run of length 1) reads one level-0 slice,
+        # and its window max and min are that slice
+        cells = {v: runs[0] for v, runs in groups.items() if len(runs) == 1 and runs[0][0] == 0}
+        for v in cells:
+            del groups[v]
+        # levels 0..top of one table, level 0 shared by both sides, plus one accumulator
         top = int(levels.max())
         tables = np.empty((top + 1, _STRIP + y_hi - y_lo, width))
         acc = np.empty((_STRIP, w))
@@ -111,15 +138,22 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
             s0, s1 = max(0, r0 + y_lo), min(h, r1 + y_hi)
             if s0 >= s1:
                 continue
-            for (reduce, neutral), out in zip(sides, outs):
-                tables[0, :rows].fill(neutral)
-                tables[0, s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
+            tables[0, :rows].fill(np.nan)
+            tables[0, s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
+            strips = [out[r0:r1] for out in outs]
+            for v, (_, ty, (c,)) in cells.items():
+                part = combine(tables[0, ty : ty + r1 - r0, c : c + w], v)
+                for (reduce, _), strip in zip(sides, strips):
+                    reduce(strip, part, out=strip)
+                del part  # one combine result alive at a time
+            if not groups:
+                continue
+            for (reduce, _), strip in zip(sides, strips):
                 for k in range(top):
                     # level k + 1 is only needed (and only valid) on its first `valid` columns
                     step, valid = 1 << k, width - (2 << k) + 1
                     level = tables[k, :rows]
                     reduce(level[:, :valid], level[:, step : step + valid], out=tables[k + 1, :rows, :valid])
-                strip = out[r0:r1]
                 for v, runs in groups.items():
                     win = None
                     for k, ty, cols in runs:
@@ -133,12 +167,21 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level dilation ``(f (+) b)(x) = sup { f(x-h) + b(h) : h in D_b }``."""
-    return spread(f, reflect(b), operator.add, lo=False)[0]
+    return spread(_nan_free(f), reflect(b), operator.add, lo=False)[0]
 
 
 def erode(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level erosion ``(f (-) b)(x) = inf { f(x+h) - b(h) : h in D_b }``."""
-    return spread(f, b, operator.sub, hi=False)[1]
+    return spread(_nan_free(f), b, operator.sub, hi=False)[1]
+
+
+def _nan_free(f):
+    """``f`` as a float64 array; a NaN cell raises :class:`DomainError`, as in :class:`GreyImage`."""
+    f = np.asarray(f, dtype=np.float64)
+    nan = np.isnan(f)
+    if nan.any():
+        raise DomainError(f"NaN at cell {_first_bad_cell(nan)}")
+    return f
 
 
 def reflect(b: Probe) -> Probe:

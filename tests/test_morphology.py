@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lipmaps import Probe
+from lipmaps import DomainError, Probe
 from lipmaps.morphology import covered_mask, dilate, erode, full_overlap_mask, reflect
 
 from conftest import full_probe
@@ -55,6 +55,14 @@ class TestHandEnumerated:
         b = full_probe(np.zeros((1, 3)))
         assert dilate(f, b).tolist() == [[0.0, np.inf, np.inf]]
         assert erode(f, b).tolist() == [[-np.inf, -np.inf, 0.0]]
+
+    @pytest.mark.parametrize("op", [dilate, erode])
+    def test_nan_cell_rejected(self, op):
+        # a NaN would otherwise fill the 3x3 block of output cells whose window reads it
+        f = np.zeros((4, 4))
+        f[3, 0] = f[1, 2] = np.nan
+        with pytest.raises(DomainError, match=r"NaN at cell \(1, 2\)"):
+            op(f, full_probe(np.ones((3, 3))))
 
 
 class TestReflect:

@@ -1,14 +1,16 @@
-"""The run-length sliding kernel against literal per-cell loops, on probes with long runs.
+"""The run-length sliding kernel against literal per-cell loops.
 
 Random probes have no two equal neighbours, so every run has length 1 and
-the log-step tables of :func:`lipmaps.morphology.spread` are never built.
-The probes here are piecewise flat: runs of length ``2**k`` and ``2**k + 1``
-(a table level read as one slice, and as two overlapping slices), runs wider
+:func:`lipmaps.morphology.spread` reads only table level 0, the padded image,
+which it builds once per strip for both sides; each of those single-cell
+values gets one combine, folded into both the max and the min.  The other
+probes here are piecewise flat: runs of length ``2**k`` and ``2**k + 1`` (a
+table level read as one slice, and as two overlapping slices), runs wider
 than the raster, rings, probes taller than one row strip, anchors outside
-the mask, and a few values shared by many runs, which the kernel reduces
-together before one combine.  Every map must match the loop below bit for
-bit; the loop reads the raster one cell at a time and does not go through
-the kernel.
+the mask, a few values shared by many runs, which the kernel reduces together
+before one combine, and single cells mixed in among such runs.  Every map
+must match the loop below bit for bit; the loop reads the raster one cell at
+a time and does not go through the kernel.
 """
 
 import operator
@@ -241,6 +243,99 @@ class TestSharedValues:
         # less than one more strip-sized accumulator for 62 more values
         assert peak(many) < peak(two) + _STRIP * f.shape[1] * f.itemsize
         assert_all_maps(*images(rng, (_STRIP + 1, 9)), many)
+
+
+def mixed_probe(rng, rows, holes=False):
+    """Rows of single cells with values of their own among runs of two shared values.
+
+    Per row, value ``u`` sits on two separate cells (one value, two runs of
+    length 1), so it is reduced like a shared value, not combined as a single
+    cell.
+    """
+    s, t, u = rng.uniform(5.0, 250.0, size=3)
+    values = []
+    for _ in range(rows):
+        one = iter(rng.uniform(5.0, 250.0, size=4))
+        row = [(s, 4), (next(one), 1), (t, 9), (u, 1), (next(one), 1), (s, 2), (next(one), 1), (u, 1)]
+        row += [(t, 17), (next(one), 1)]
+        values.append(np.concatenate([np.full(n, v) for v, n in row]))
+    return with_mask(rng, np.array(values), holes)
+
+
+def single_cells(b):
+    """``(single, runs)``: the probe's runs of one cell whose value no other run holds, and all its runs."""
+    _, _, n, v = probe_runs(b)
+    vals, counts = np.unique(v, return_counts=True)
+    return int(np.sum((n == 1) & np.isin(v, vals[counts == 1]))), len(n)
+
+
+def assert_one_side(f, b, hi, lo):
+    """``spread`` asked for one side returns it as the loop does, and ``None`` for the other."""
+    wins = windows(f, b)
+    got = spread(f, b, operator.sub, hi=hi, lo=lo)
+    for asked, side, pick, empty in ((hi, got[0], max, -np.inf), (lo, got[1], min, np.inf)):
+        if asked:
+            assert np.array_equal(side, loop_reduce(f.shape, wins, lambda x, v: x - v, pick, empty))
+        else:
+            assert side is None
+
+
+class TestSingleCells:
+    """Values held by one cell: one combine per strip, folded into both the max and the min."""
+
+    @pytest.mark.parametrize("shape", [(5, 5), (1, 7), (7, 1)])
+    @pytest.mark.parametrize("height", [1, _STRIP - 1, _STRIP, _STRIP + 1])
+    def test_run_free_probes(self, rng, shape, height):
+        for holes in (False, True):
+            values, mask, anchor = with_mask(rng, rng.uniform(5.0, 250.0, size=shape), holes)
+            b = Probe(values, mask, anchor, M)
+            single, runs = single_cells(b)
+            assert single == runs == mask.sum()
+            assert_all_maps(*images(rng, (height, 9)), b)
+
+    @pytest.mark.parametrize("height", [_STRIP - 1, _STRIP, _STRIP + 1])
+    def test_mixed_with_shared_values(self, rng, height):
+        for holes in (False, True):
+            b = Probe(*mixed_probe(rng, 3, holes), M)
+            single, runs = single_cells(b)
+            assert 3 <= single < runs
+            assert_all_maps(*images(rng, (height, 13)), b)
+
+    def test_cells_beyond_the_raster(self, rng):
+        # a 9x11 probe on 3x4 rasters: some cells never reach the raster, some
+        # reach it only from a border cell
+        for anchor in ((0, 0), (4, 5), (8, 10), (8, 0)):
+            b = Probe(rng.uniform(5.0, 250.0, size=(9, 11)), np.ones((9, 11), dtype=bool), anchor, M)
+            assert_all_maps(*images(rng, (3, 4)), b)
+
+    def test_run_clipped_to_one_cell(self, rng):
+        # the 9-cell run at offsets -20..-12 reaches a 13-wide raster from one
+        # column only, so after clipping its value sits on one cell
+        values = np.concatenate([np.full(9, 40.0), rng.uniform(5.0, 250.0, size=12)])[None, :]
+        b = Probe(values, np.ones(values.shape, dtype=bool), (0, 20), M)
+        assert_all_maps(*images(rng, (_STRIP + 1, 13)), b)
+
+    def test_off_mask_anchor(self, rng):
+        for values, mask, _ in (with_mask(rng, rng.uniform(5.0, 250.0, size=(5, 7)), True), mixed_probe(rng, 2, True)):
+            mask[1, 3] = False
+            b = Probe(values, mask, (1, 3), M)
+            assert_all_maps(*images(rng, (_STRIP + 1, 11)), b)
+
+    @pytest.mark.parametrize("hi, lo", [(True, False), (False, True)])
+    def test_one_side(self, rng, hi, lo):
+        f = rng.uniform(-50.0, 50.0, size=(_STRIP + 1, 11))
+        assert_one_side(f, Probe(*with_mask(rng, rng.uniform(-20.0, 20.0, size=(5, 5)), True), M), hi, lo)
+        assert_one_side(f, Probe(*mixed_probe(rng, 2, True), M), hi, lo)
+
+    @pytest.mark.parametrize("height", [_STRIP - 1, _STRIP, _STRIP + 1])
+    def test_dilate_erode_with_infinities(self, rng, height):
+        f = rng.uniform(-50.0, 50.0, size=(height, 17))
+        f[rng.random(f.shape) < 0.1] = np.inf
+        f[rng.random(f.shape) < 0.1] = -np.inf
+        for shape in ((5, 5), (1, 7), (7, 1)):
+            assert_dilate_erode(f, Probe(*with_mask(rng, rng.uniform(-20.0, 20.0, size=shape), True), M))
+        values, mask, anchor = mixed_probe(rng, 3, holes=True)
+        assert_dilate_erode(f, Probe(values - 120.0, mask, anchor, M))
 
 
 class TestRunDecomposition:
