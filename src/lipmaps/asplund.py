@@ -39,15 +39,20 @@ possible when the probe does not cover its own anchor) takes the lattice
 neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
 
-The morphological path and the additive maps slide through
+The morphological path and the additive maps share one routine,
+``_extrema``: it picks the family's transform and per-cell combine
+(``x - hat(b)`` or ``x (-) b``) and makes one call to
 :func:`lipmaps.morphology.spread`, which pads with NaN and reduces with
-``fmax``/``fmin`` (equal to clipping; empty windows keep the lattice
-neutral) and costs one pass per horizontal probe run; each map supplies
-only its per-cell combine (``x - hat(b)`` or ``x (-) b``), which the
-kernel applies once per distinct probe value, and once for both sides on
-a value held by a single probe cell.  The ratio path keeps
-its own per-offset clipped loop, so it stays an independent reference for
-the kernel.
+``fmax``/``fmin`` (equal to clipping), costs one pass per horizontal probe
+run and applies the combine once per distinct probe value, and once for
+both sides on a value held by a single probe cell.  An empty window keeps
+``lo = +inf``, and a covered one never reaches it (images hold no
+``+inf``; probe values are finite and below ``m``), so ``mglb_add`` and
+``map_add`` mark empty windows by ``lo == +inf``; ``hi`` cannot tell,
+since a window of ``-inf`` cells has ``hi = -inf``.  ``c1 (-) c2`` is
+capped at the largest float below ``m``, which rounding otherwise reaches
+when ``c2`` lies far below ``-m``.  The ratio path keeps its own per-offset
+clipped loop, so it stays an independent reference for the kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, SingularityError, VerificationError
 from .lip import complement, hat, lip_sub, tilde, xi, xi_inv
-from .morphology import covered_mask, full_overlap_mask, spread
+from .morphology import full_overlap_mask, spread
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale, require_regime
 
 __all__ = [
@@ -95,6 +100,14 @@ def _check_pair(f: GreyImage, g: GreyImage):
 
 def _clamp_noise(vals):
     return np.where((vals < 0) & (vals >= _NOISE_FLOOR), 0.0, vals)
+
+
+def _lip_distance(c1, c2, m):
+    # m - c1 (-) c2 = (m - c1) / (1 - c2/m) > 0, but for c2 far below -m it
+    # falls under half an ulp of m and the quotient rounds to m or above
+    d = np.asarray(lip_sub(c1, c2, m))
+    np.minimum(d, np.nextafter(m, -np.inf), out=d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +154,11 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
     """LIP-additive Asplund distance ``c1 (-) c2``, in ``[0, m[``.
 
     Defined for functions with values in ``]-inf, m[``.  Zero iff ``f``
-    equals ``g`` LIP-shifted by a constant.
+    equals ``g`` LIP-shifted by a constant.  A distance that rounding
+    carries to ``m`` is returned one ulp below ``m``.
     """
     c1, c2 = add_bounds(f, g)
-    return float(lip_sub(c1, c2, f.m))
+    return float(_lip_distance(c1, c2, f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +220,31 @@ def _ratio_bound_mult(f, b, maximum):
         return _offset_reduce(tf, offs, combine, maximum, init)
 
 
-def _hat_extrema(f, b, hi=True, lo=True):
-    # window max/min of hat(f)(x+h) - hat(b)(h): the dilation of hat(f) by
-    # -hat(reflect(b)) and its erosion by hat(b), in one pass
-    return spread(hat(f.values, f.m), b.with_values(hat(b.values, b.m)), operator.sub, hi, lo)
+def _extrema(f, b, additive, hi=True, lo=True):
+    """``(hi, lo, full_mask)``: window max/min of ``T f(x+h) - T b(h)`` and the full-overlap mask.
 
-
-def _add_extrema(f, b, hi=True, lo=True):
-    # window max/min of f(x+h) (-) b(h); the LIP difference is increasing in f(x+h)
+    Multiplicative: ``hat(f)(x+h) - hat(b)(h)``, the dilation of ``hat(f)``
+    by ``-hat(reflect(b))`` and its erosion by ``hat(b)``.  Additive:
+    ``f(x+h) (-) b(h)``, increasing in ``f(x+h)``.  A side not asked for is
+    ``None``; an empty window leaves ``hi = -inf`` and ``lo = +inf``.
+    """
     m = f.m
-    return spread(f.values, b, lambda x, v: (x - v) / (1.0 - v / m), hi, lo)
+    if additive:
+        ext = spread(f.values, b, lambda x, v: (x - v) / (1.0 - v / m), hi, lo)
+    else:
+        ext = spread(hat(f.values, m), b.with_values(hat(b.values, m)), operator.sub, hi, lo)
+    return (*ext, full_overlap_mask(f.shape, b))
+
+
+def _bound_mult(f, b, path, maximum):
+    _require_mult(f, b, strict_image=False)
+    if path == "ratio":
+        return RealMap(_ratio_bound_mult(f, b, maximum), full_overlap_mask(f.shape, b), f.m)
+    if path != "morpho":
+        raise ValueError(f"unknown path {path!r}")
+    hi, lo, full = _extrema(f, b, additive=False, hi=maximum, lo=not maximum)
+    with np.errstate(over="ignore"):
+        return RealMap(np.exp(hi if maximum else lo), full, f.m)
 
 
 def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
@@ -226,15 +255,7 @@ def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
     error.  ``f`` may contain the edge values 0 and ``m`` (which produce 0
     and +inf entries); the probe must be strictly inside ``]0, m[``.
     """
-    _require_mult(f, b, strict_image=False)
-    if path == "ratio":
-        vals = _ratio_bound_mult(f, b, maximum=True)
-    elif path == "morpho":
-        with np.errstate(over="ignore"):
-            vals = np.exp(_hat_extrema(f, b, lo=False)[0])
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    return RealMap(vals, full_overlap_mask(f.shape, b), f.m)
+    return _bound_mult(f, b, path, maximum=True)
 
 
 def mglb_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
@@ -242,15 +263,7 @@ def mglb_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
 
     Morphological form: ``exp(hat(f) erode hat(b))``.
     """
-    _require_mult(f, b, strict_image=False)
-    if path == "ratio":
-        vals = _ratio_bound_mult(f, b, maximum=False)
-    elif path == "morpho":
-        with np.errstate(over="ignore"):
-            vals = np.exp(_hat_extrema(f, b, hi=False)[1])
-    else:
-        raise ValueError(f"unknown path {path!r}")
-    return RealMap(vals, full_overlap_mask(f.shape, b), f.m)
+    return _bound_mult(f, b, path, maximum=False)
 
 
 def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
@@ -268,12 +281,13 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
         mu = _ratio_bound_mult(f, b, maximum=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.log(lam / mu)
+        full = full_overlap_mask(f.shape, b)
     elif path == "morpho":
-        hi, lo = _hat_extrema(f, b)
+        hi, lo, full = _extrema(f, b, additive=False)
         vals = hi - lo
     else:
         raise ValueError(f"unknown path {path!r}")
-    return RealMap(_clamp_noise(vals), full_overlap_mask(f.shape, b), f.m)
+    return RealMap(_clamp_noise(vals), full, f.m)
 
 
 def mlub_add(f: GreyImage, b: Probe) -> FmMap:
@@ -283,31 +297,29 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     probe must have values strictly below ``m``.
     """
     _require_add(f, b)
-    vals = _add_extrema(f, b, lo=False)[0]
-    return FmMap(vals, full_overlap_mask(f.shape, b), f.m)
+    hi, _, full = _extrema(f, b, additive=True, lo=False)
+    return FmMap(hi, full, f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b)
-    vals = _add_extrema(f, b, hi=False)[1]
-    vals = np.where(covered_mask(f.shape, b), vals, f.m)
-    return FmMap(vals, full_overlap_mask(f.shape, b), f.m)
+    _, lo, full = _extrema(f, b, additive=True, hi=False)
+    lo[lo == np.inf] = f.m
+    return FmMap(lo, full, f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
     """Map of LIP-additive Asplund distances ``mlub_add (-) mglb_add``, in ``[0, m[``.
 
-    Strict additive regime: image and probe values in ``]-inf, m[``.
+    Strict additive regime: image and probe values in ``]-inf, m[``.  A
+    value that rounding carries to ``m`` is returned one ulp below ``m``.
     """
     _require_add(f, b)
     require_regime(f.values, f.m, "FM")
-    m = f.m
-    c1, c2 = _add_extrema(f, b)
-    cov = covered_mask(f.shape, b)
-    vals = np.full(f.shape, -np.inf)
-    vals[cov] = lip_sub(c1[cov], c2[cov], m)
-    return FmMap(vals, full_overlap_mask(f.shape, b), m)
+    c1, c2, full = _extrema(f, b, additive=True)
+    c2[c2 == np.inf] = 0.0  # empty window: -inf (-) 0 keeps the -inf marker
+    return FmMap(_lip_distance(c1, c2, f.m), full, f.m)
 
 
 # ---------------------------------------------------------------------------

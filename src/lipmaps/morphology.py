@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError
 from .rasters import Probe, _first_bad_cell
 
-__all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask", "covered_mask"]
+__all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask"]
 
 # Output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
 _STRIP = 64
@@ -206,17 +206,3 @@ def full_overlap_mask(shape, b: Probe) -> np.ndarray:
         out[r0 : r1 + 1, c0 : c1 + 1] = True
     return out
 
-
-def covered_mask(shape, b: Probe) -> np.ndarray:
-    """Cells where at least one probe offset lands inside the raster.
-
-    Each run of the probe covers one rectangle of cells.
-    """
-    h, w = shape
-    out = np.zeros(shape, dtype=bool)
-    for dy, dx, n, _ in zip(*probe_runs(b)):
-        r0, r1 = max(0, -dy), min(h, h - dy)
-        c0, c1 = max(0, 1 - dx - n), min(w, w - dx)
-        if r0 < r1 and c0 < c1:
-            out[r0:r1, c0:c1] = True
-    return out

@@ -184,10 +184,11 @@ class TestBoundMaps:
             got = mglb_mult(f, b, path=path).values
             assert got[0, 0] == 0.0 and got[0, 2] == np.inf
 
-    def test_bad_path_name(self, instance_1x2):
+    @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
+    def test_bad_path_name(self, instance_1x2, fn):
         f, _, b = instance_1x2
         with pytest.raises(ValueError):
-            mlub_mult(f, b, path="fast")
+            fn(f, b, path="fast")
 
 
 class TestAdditiveBoundMaps:
@@ -308,6 +309,17 @@ class TestMapAdd:
         vals = map_add(f, b).values
         assert np.all(vals >= 0.0) and np.all(vals < M)
 
+    @pytest.mark.parametrize("m", [1e-6, 1e200])
+    def test_values_below_m_when_c2_far_below_minus_m(self, rng, m):
+        # log-uniform values down to -m e^40: c1 (-) c2 rounds to m or above unless capped
+        for _ in range(20):
+            f = GreyImage(-m * np.exp(rng.uniform(0.0, 40.0, size=(6, 6))), m)
+            b = full_probe(-m * np.exp(rng.uniform(0.0, 40.0, size=(3, 3))), m=m)
+            vals = map_add(f, b).values
+            assert np.all(vals >= 0.0) and np.all(vals < m)
+            d = dist_add(GreyImage(f.values[:3, :3], m), GreyImage(b.values, m))
+            assert 0.0 <= d < m
+
     def test_lighting_invariance_and_argmin(self, rng):
         canvas = random_image(24, 24, rng)
         b = random_probe(3, 3, rng)
@@ -347,6 +359,15 @@ class TestEmptyWindowConventions:
         out = map_add(f, b)
         assert out.values[0, 2] == -np.inf
         assert not out.full_mask[0, 2]
+
+    def test_additive_window_of_minus_inf_cells_is_covered(self):
+        # cell 0 sees only the -inf cell, cell 1 only the m cell, cell 3 nothing
+        f = grey([[10.0, -np.inf, M, 10.0]])
+        b = self.probe()
+        hi, lo = mlub_add(f, b).values[0], mglb_add(f, b).values[0]
+        assert hi[0] == lo[0] == -np.inf
+        assert hi[1] == lo[1] == M
+        assert hi[3] == -np.inf and lo[3] == M
 
 
 class TestLatticeOperatorLaws:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from lipmaps import DomainError, Probe
-from lipmaps.morphology import covered_mask, dilate, erode, full_overlap_mask, reflect
+from lipmaps import DomainError, Probe, map_add, mglb_add
+from lipmaps.morphology import dilate, erode, full_overlap_mask, reflect
 
-from conftest import full_probe
+from conftest import M, full_probe, grey
 
 
 def random_probe_any_mask(rng, h, w):
@@ -214,11 +214,19 @@ class TestMasks:
         b = full_probe(np.zeros((5, 5)))
         assert not full_overlap_mask((3, 3), b).any()
 
-    def test_covered_mask_all_with_masked_anchor(self):
-        b = full_probe(np.zeros((3, 3)))
-        assert covered_mask((4, 4), b).all()
+    @staticmethod
+    def covered(shape, b):
+        """Cells with a non-empty window: neither ``map_add`` -inf nor ``mglb_add`` m there."""
+        f = grey(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
+        empty = map_add(f, b).values == -np.inf
+        assert np.array_equal(mglb_add(f, b).values == M, empty)
+        return ~empty
 
-    def test_covered_mask_with_offset_probe(self):
+    def test_covered_all_with_masked_anchor(self):
+        b = full_probe(np.zeros((3, 3)))
+        assert self.covered((4, 4), b).all()
+
+    def test_covered_with_offset_probe(self):
         b = Probe([[0.0, 1.0]], [[False, True]], (0, 0))
-        cov = covered_mask((1, 3), b)
+        cov = self.covered((1, 3), b)
         assert cov.tolist() == [[True, True, False]]
