@@ -39,32 +39,28 @@ possible when the probe does not cover its own anchor) takes the lattice
 neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
 
-The morphological path and the additive maps share one routine,
-``_extrema``: it picks the family's transform and per-cell combine
-(``x - hat(b)`` or ``x (-) b``) and makes one call to
-:func:`lipmaps.morphology.spread`, which pads with NaN and reduces with
-``fmax``/``fmin`` (equal to clipping), costs one pass per horizontal probe
-run and applies the combine once per distinct probe value, and once for
-both sides on a value held by a single probe cell.  An empty window keeps
-``lo = +inf``, and a covered one never reaches it (images hold no
-``+inf``; probe values are finite and below ``m``), so ``mglb_add`` and
-``map_add`` mark empty windows by ``lo == +inf``; ``hi`` cannot tell,
-since a window of ``-inf`` cells has ``hi = -inf``.  ``c1 (-) c2`` is
-capped at the largest float below ``m``, which rounding otherwise reaches
-when ``c2`` lies far below ``-m``.  The ratio path keeps its own per-offset
-clipped loop, so it stays an independent reference for the kernel.
+One transform per family: ``_extrema`` applies ``T`` to image and probe
+and makes one call to :func:`lipmaps.morphology.spread`, whose window max
+``hi`` and min ``lo`` of ``T f(x+h) - T b(h)`` give the maps.  ``T = hat``:
+``exp(hi)``, ``exp(lo)``, ``hi - lo``.  ``T = xi``, which turns LIP
+subtraction into subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``,
+``xi_inv(hi - lo)``.  An empty window keeps ``hi = -inf`` and
+``lo = +inf``, which the arithmetic carries to the neutrals:
+``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m`` and ``-inf - (+inf) = -inf``;
+an ``m`` cell has ``xi = +inf`` and gives ``m`` back exactly.  ``xi_inv(hi - lo)`` is capped
+at the largest float below ``m``, which rounding reaches once ``hi - lo``
+passes about ``37 m``.  The ratio path keeps its own per-offset clipped
+loop, so it stays an independent reference for the kernel.
 """
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError, VerificationError
+from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
 from .lip import complement, hat, lip_sub, tilde, xi, xi_inv
 from .morphology import full_overlap_mask, spread
-from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale, require_regime
+from .rasters import FmMap, GreyImage, Probe, RealMap, _first_bad_cell, check_same_scale, require_regime
 
 __all__ = [
     "mult_bounds",
@@ -87,10 +83,6 @@ __all__ = [
 #: Relative tolerance for the identities asserted inside this module.
 LINK_TOL = 1e-9
 
-# Negative distance values above this are floating-point noise and get
-# clamped to 0 so map invariants stay testable.
-_NOISE_FLOOR = -1e-12
-
 
 def _check_pair(f: GreyImage, g: GreyImage):
     check_same_scale(f, g)
@@ -98,14 +90,11 @@ def _check_pair(f: GreyImage, g: GreyImage):
         raise DimensionError(f"image shapes differ: {f.shape} vs {g.shape}")
 
 
-def _clamp_noise(vals):
-    return np.where((vals < 0) & (vals >= _NOISE_FLOOR), 0.0, vals)
-
-
-def _lip_distance(c1, c2, m):
-    # m - c1 (-) c2 = (m - c1) / (1 - c2/m) > 0, but for c2 far below -m it
-    # falls under half an ulp of m and the quotient rounds to m or above
-    d = np.asarray(lip_sub(c1, c2, m))
+def _lip_distance(hi, lo, m):
+    """``c1 (-) c2`` from the extrema ``hi``, ``lo`` of ``xi(f) - xi(g)``: ``xi_inv(hi - lo)``, below ``m``."""
+    # m - xi_inv(d) = m exp(-d/m) > 0, but once d/m passes about 37 it falls
+    # under half an ulp of m and the result rounds to m
+    d = np.asarray(xi_inv(hi - lo, m))
     np.minimum(d, np.nextafter(m, -np.inf), out=d)
     return d
 
@@ -157,8 +146,11 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
     equals ``g`` LIP-shifted by a constant.  A distance that rounding
     carries to ``m`` is returned one ulp below ``m``.
     """
-    c1, c2 = add_bounds(f, g)
-    return float(_lip_distance(c1, c2, f.m))
+    _check_pair(f, g)
+    require_regime(f.values, f.m, "FM")
+    require_regime(g.values, g.m, "FM", what="probe image")
+    d = xi(f.values, f.m) - xi(g.values, f.m)
+    return float(_lip_distance(d.max(), d.min(), f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +212,15 @@ def _ratio_bound_mult(f, b, maximum):
         return _offset_reduce(tf, offs, combine, maximum, init)
 
 
-def _extrema(f, b, additive, hi=True, lo=True):
-    """``(hi, lo, full_mask)``: window max/min of ``T f(x+h) - T b(h)`` and the full-overlap mask.
+def _extrema(f, b, t, hi=True, lo=True):
+    """``(hi, lo, full_mask)``: window max/min of ``t(f)(x+h) - t(b)(h)`` and the full-overlap mask.
 
-    Multiplicative: ``hat(f)(x+h) - hat(b)(h)``, the dilation of ``hat(f)``
-    by ``-hat(reflect(b))`` and its erosion by ``hat(b)``.  Additive:
-    ``f(x+h) (-) b(h)``, increasing in ``f(x+h)``.  A side not asked for is
+    ``t`` is ``hat`` (multiplicative: the dilation of ``hat(f)`` by
+    ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``xi``
+    (additive: ``xi`` of ``f(x+h) (-) b(h)``).  A side not asked for is
     ``None``; an empty window leaves ``hi = -inf`` and ``lo = +inf``.
     """
-    m = f.m
-    if additive:
-        ext = spread(f.values, b, lambda x, v: (x - v) / (1.0 - v / m), hi, lo)
-    else:
-        ext = spread(hat(f.values, m), b.with_values(hat(b.values, m)), operator.sub, hi, lo)
+    ext = spread(t(f.values, f.m), b.with_values(t(b.values, f.m)), hi, lo)
     return (*ext, full_overlap_mask(f.shape, b))
 
 
@@ -242,7 +230,7 @@ def _bound_mult(f, b, path, maximum):
         return RealMap(_ratio_bound_mult(f, b, maximum), full_overlap_mask(f.shape, b), f.m)
     if path != "morpho":
         raise ValueError(f"unknown path {path!r}")
-    hi, lo, full = _extrema(f, b, additive=False, hi=maximum, lo=not maximum)
+    hi, lo, full = _extrema(f, b, hat, hi=maximum, lo=not maximum)
     with np.errstate(over="ignore"):
         return RealMap(np.exp(hi if maximum else lo), full, f.m)
 
@@ -283,11 +271,11 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
             vals = np.log(lam / mu)
         full = full_overlap_mask(f.shape, b)
     elif path == "morpho":
-        hi, lo, full = _extrema(f, b, additive=False)
+        hi, lo, full = _extrema(f, b, hat)
         vals = hi - lo
     else:
         raise ValueError(f"unknown path {path!r}")
-    return RealMap(_clamp_noise(vals), full, f.m)
+    return RealMap(vals, full, f.m)
 
 
 def mlub_add(f: GreyImage, b: Probe) -> FmMap:
@@ -297,16 +285,15 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     probe must have values strictly below ``m``.
     """
     _require_add(f, b)
-    hi, _, full = _extrema(f, b, additive=True, lo=False)
-    return FmMap(hi, full, f.m)
+    hi, _, full = _extrema(f, b, xi, lo=False)
+    return FmMap(xi_inv(hi, f.m), full, f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b)
-    _, lo, full = _extrema(f, b, additive=True, hi=False)
-    lo[lo == np.inf] = f.m
-    return FmMap(lo, full, f.m)
+    _, lo, full = _extrema(f, b, xi, hi=False)
+    return FmMap(xi_inv(lo, f.m), full, f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -317,9 +304,8 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     """
     _require_add(f, b)
     require_regime(f.values, f.m, "FM")
-    c1, c2, full = _extrema(f, b, additive=True)
-    c2[c2 == np.inf] = 0.0  # empty window: -inf (-) 0 keeps the -inf marker
-    return FmMap(_lip_distance(c1, c2, f.m), full, f.m)
+    hi, lo, full = _extrema(f, b, xi)
+    return FmMap(_lip_distance(hi, lo, f.m), full, f.m)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +326,19 @@ def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
     b2 = b.with_values(complement(xi(b.values, m), m))
     inner = map_add(f2, b2)
     vals = xi(inner.values, m) / m
-    return RealMap(_clamp_noise(vals), inner.full_mask, m)
+    return RealMap(vals, inner.full_mask, m)
+
+
+def _to_strict(values, m, what, mask=True):
+    """``xi_inv(complement(values))``; a cell whose transform rounds to ``m`` raises, named as the caller gave it."""
+    out = xi_inv(complement(values, m), m)
+    bad = (out == m) & mask
+    if bad.any():
+        r, c = _first_bad_cell(bad)
+        raise RegimeError(
+            f"{what} value {values[r, c]} at cell ({r}, {c}) is too far below -m={m}: xi_inv(m - value) rounds to m"
+        )
+    return out
 
 
 def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
@@ -349,13 +347,14 @@ def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
     Evaluates ``xi_inv( m * map_mult(xi_inv(complement(f1)), xi_inv(complement(b1))) )``,
     which must equal :func:`map_add` to rounding error.  Requires finite
     inputs below ``m``; a ``-inf`` cell has no strict-regime transform and
-    is rejected.
+    is rejected, and so is a cell so far below ``-m`` that its transform
+    rounds to ``m``.
     """
     _require_add(f1, b1)
     require_regime(f1.values, f1.m, "FM")
     m = f1.m
-    f2 = GreyImage(xi_inv(complement(f1.values, m), m), m)
-    b2 = b1.with_values(xi_inv(complement(b1.values, m), m))
+    f2 = GreyImage(_to_strict(f1.values, m, "image"), m)
+    b2 = b1.with_values(_to_strict(b1.values, m, "probe", b1.mask))
     inner = map_mult(f2, b2)
     vals = xi_inv(m * inner.values, m)
     return FmMap(vals, inner.full_mask, m)

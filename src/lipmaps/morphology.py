@@ -7,48 +7,48 @@ empty yields ``-inf`` (dilation, empty supremum) or ``+inf`` (erosion,
 empty infimum).
 
 Every sliding extremum in the package goes through one kernel,
-:func:`spread`, except the ratio path of :mod:`lipmaps.asplund`, which
-keeps a per-offset loop as an independent reference.  The kernel pads
-the raster with NaN, read as "no value here", and reduces and folds with
-``np.fmax``/``np.fmin``, which skip NaN, so every window is exactly the
-clipped one; each output starts at the lattice neutral of its side
-(``-inf`` for the max, ``+inf`` for the min), which an empty window
-leaves in place.  A combine must therefore map NaN to NaN, and the image
-itself must be NaN-free (:func:`dilate` and :func:`erode` reject a NaN
+:func:`spread`, the window max and min of ``f(x + h) - b(h)``, except the
+ratio path of :mod:`lipmaps.asplund`, which keeps a per-offset loop as an
+independent reference.  Erosion is its min side; dilation is its max side
+on the reflected probe with negated values, since ``x - (-v)`` is ``x + v``
+bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
+as "no value here", and reduces and folds with ``np.fmax``/``np.fmin``,
+which skip NaN, so every window is exactly the clipped one; each output
+starts at the lattice neutral of its side (``-inf`` for the max, ``+inf``
+for the min), which an empty window leaves in place.  The image itself
+must therefore be NaN-free (:func:`dilate` and :func:`erode` reject a NaN
 cell).  The kernel splits the probe into horizontal runs of equal value
 (the chord decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The
 running max/min of the image along a run comes from a log-step table
 (van Herk 1992): level ``k`` holds the max/min over ``2**k`` consecutive
 columns, and a run of length ``n`` with ``2**k <= n < 2**(k+1)`` is the
-max/min of two shifted level-``k`` slices.  Every combine is
-non-decreasing in the image value, so
-``max_h combine(f(x+h), v) = combine(max_h f(x+h), v)`` over all the runs
-that share the probe value ``v``: the runs of one value are reduced into
-one accumulator and the combine runs once per distinct value.
+max/min of two shifted level-``k`` slices.  Rounded subtraction of a
+fixed ``v`` is non-decreasing, so
+``max_h (f(x+h) - v) = max_h f(x+h) - v`` over all the runs that share the
+probe value ``v``: the runs of one value are reduced into one accumulator
+and ``v`` is subtracted once per distinct value.
 
 The work is done per fixed strip of output rows.  Level 0, the padded
 image, is built once per strip and shared by both sides.  A probe value
 held by a single cell (one run of length 1 after clipping) reads one
 level-0 slice, which is both its window max and its window min, so it
-gets one combine whose result is folded into both outputs; on a probe cut
-from a real image, with no two equal neighbours, that is every value.
-The other values are then reduced and combined one side at a time, over
+gets one subtraction whose result is folded into both outputs; on a probe
+cut from a real image, with no two equal neighbours, that is every value.
+The other values are then reduced and subtracted one side at a time, over
 levels ``1..top`` rebuilt in place above level 0, so the scratch memory,
 one table of ``top + 1`` levels plus the accumulator, stays
 O(levels x strip x width) whatever the number of values.  Map cost
 therefore grows with the probe's number of runs, not its number of
 cells.
 
-Max/min accumulation is order-independent and every combine used here is
-non-decreasing in the image value under IEEE rounding, so the result
-equals the literal per-cell, per-offset loop bit for bit, up to the sign
-of a zero result: max/min ties keep one operand and ``-0.0 == 0.0``, so
-that sign still depends on the order in which ties are met.
+Max/min accumulation is order-independent and subtraction is
+non-decreasing under IEEE rounding, so the result equals the literal
+per-cell, per-offset loop bit for bit, up to the sign of a zero result:
+max/min ties keep one operand and ``-0.0 == 0.0``, so that sign still
+depends on the order in which ties are met.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -80,26 +80,23 @@ def probe_runs(b: Probe):
     return rows - b.anchor[0], first - b.anchor[1], last - first + 1, vals[rows, first]
 
 
-def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
-    """Sliding extrema of ``combine(f(x + h), b(h))`` over the probe domain.
+def spread(f, b: Probe, hi: bool = True, lo: bool = True):
+    """Sliding extrema of ``f(x + h) - b(h)`` over the probe domain.
 
     Returns ``(hi, lo)``: per cell the max and the min over the offsets
     ``h`` whose partner ``x + h`` lies inside the raster; a side not asked
     for is ``None``.  A cell with an empty clipped window keeps the neutral
     value, ``-inf`` for the max and ``+inf`` for the min.
 
-    ``combine(x, v)`` takes an array of image values and a probe value.  It
-    must be non-decreasing in ``x`` under rounding, so that applying it once
-    per distinct probe value (per strip) to the window extremum equals
-    applying it per cell, and it must map NaN to NaN: the table is padded
-    with NaN ("no value here") and every reduce and fold is an
-    ``np.fmax``/``np.fmin``, which skip NaN.  For the same reason ``f``
-    must be NaN-free; a NaN cell would be read as lying outside the raster.
+    The table is padded with NaN ("no value here") and every reduce and
+    fold is an ``np.fmax``/``np.fmin``, which skip NaN, so ``f`` must be
+    NaN-free; a NaN cell would be read as lying outside the raster.
 
     Per strip, table level 0 (the padded image) is built once.  A probe
-    value held by a single cell gets one combine of its level-0 slice,
-    folded into both outputs; the other values are reduced and combined
-    per side over levels ``1..top``, rebuilt in place above level 0.
+    value held by a single cell is subtracted once from its level-0 slice,
+    and the difference is folded into both outputs; the other values are
+    reduced per side over levels ``1..top``, rebuilt in place above level
+    0, and subtracted once per value.
     """
     f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
@@ -142,10 +139,9 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
             tables[0, s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
             strips = [out[r0:r1] for out in outs]
             for v, (_, ty, (c,)) in cells.items():
-                part = combine(tables[0, ty : ty + r1 - r0, c : c + w], v)
+                part = np.subtract(tables[0, ty : ty + r1 - r0, c : c + w], v, out=acc[: r1 - r0])
                 for (reduce, _), strip in zip(sides, strips):
                     reduce(strip, part, out=strip)
-                del part  # one combine result alive at a time
             if not groups:
                 continue
             for (reduce, _), strip in zip(sides, strips):
@@ -160,19 +156,19 @@ def spread(f, b: Probe, combine, hi: bool = True, lo: bool = True):
                         for c in cols:
                             part = tables[k, ty : ty + r1 - r0, c : c + w]
                             win = part if win is None else reduce(win, part, out=acc[: r1 - r0])
-                    reduce(strip, combine(win, v), out=strip)
+                    reduce(strip, np.subtract(win, v, out=acc[: r1 - r0]), out=strip)
     done = iter(outs)
     return (next(done) if hi else None, next(done) if lo else None)
 
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level dilation ``(f (+) b)(x) = sup { f(x-h) + b(h) : h in D_b }``."""
-    return spread(_nan_free(f), reflect(b), operator.add, lo=False)[0]
+    return spread(_nan_free(f), reflect(b.with_values(-b.values)), lo=False)[0]
 
 
 def erode(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level erosion ``(f (-) b)(x) = inf { f(x+h) - b(h) : h in D_b }``."""
-    return spread(_nan_free(f), b, operator.sub, hi=False)[1]
+    return spread(_nan_free(f), b, hi=False)[1]
 
 
 def _nan_free(f):

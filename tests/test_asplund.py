@@ -6,6 +6,7 @@ closed forms on the documented two-cell instance (f=(100,200) probed by
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,15 @@ class TestAdditiveBoundMaps:
                 rhs = lip_add(fn(f, b).values, k)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-9 * M
 
+    @pytest.mark.parametrize("m", [1e-6, 1e200])
+    def test_m_cell_gives_m_exactly(self, rng, m):
+        # m (-) v = m; the direct (m - v)/(1 - v/m) can round one ulp above m
+        f = GreyImage([[m]], m)
+        for v in rng.uniform(-m, m, size=200):
+            b = full_probe([[v]], m=m)
+            assert mlub_add(f, b).values[0, 0] == m
+            assert mglb_add(f, b).values[0, 0] == m
+
     def test_probe_value_m_singular(self, instance_1x2):
         f, _, _ = instance_1x2
         bad = full_probe([[150.0, 256.0]], anchor=(0, 0))
@@ -253,9 +263,12 @@ class TestMapMult:
 
         planted = plant_target(canvas, b, (8, 8), transform=lambda v: lip_mult(2.0, v))
         out = map_mult(planted, b)
-        assert out.values[8, 8] <= 1e-9
         masked = np.where(out.full_mask, out.values, np.inf)
         assert np.unravel_index(np.argmin(masked), masked.shape) == (8, 8)
+        # rounding near the exact match never takes a distance below 0
+        for out in (out, map_mult(planted, b, path="ratio"), map_mult_via_add(planted, b)):
+            assert 0.0 <= out.values[8, 8] <= 1e-9
+            assert out.values.min() >= 0.0
 
     def test_two_paths_within_1e9(self, rng):
         for _ in range(10):
@@ -447,6 +460,17 @@ class TestLink:
             g = random_image(4, 4, rng)
             d1, d2 = dist_metric_link(f, g)
             assert abs(d1 - d2) <= 1e-9
+
+    def test_via_mult_names_the_cell_far_below_minus_m(self):
+        # xi_inv(m - f) rounds to m there; the error names the caller's value, not m
+        far = -M * np.exp(40.0)
+        f = GreyImage([[10.0, far, 20.0], [30.0, 40.0, 50.0]])
+        b = full_probe([[10.0]], anchor=(0, 0))
+        with pytest.raises(RegimeError, match=rf"image value {re.escape(str(far))} at cell \(0, 1\)"):
+            map_add_via_mult(f, b)
+        with pytest.raises(RegimeError, match=rf"probe value {re.escape(str(far))} at cell \(0, 1\)"):
+            map_add_via_mult(GreyImage(f.values[:, ::2]), full_probe([[10.0, far]], anchor=(0, 0)))
+        assert np.all(np.isfinite(map_add(f, b).values))
 
     def test_via_mult_rejects_minus_inf(self):
         f = GreyImage([[-np.inf, 10.0]])

@@ -3,24 +3,23 @@
 Random probes have no two equal neighbours, so every run has length 1 and
 :func:`lipmaps.morphology.spread` reads only table level 0, the padded image,
 which it builds once per strip for both sides; each of those single-cell
-values gets one combine, folded into both the max and the min.  The other
-probes here are piecewise flat: runs of length ``2**k`` and ``2**k + 1`` (a
-table level read as one slice, and as two overlapping slices), runs wider
-than the raster, rings, probes taller than one row strip, anchors outside
-the mask, a few values shared by many runs, which the kernel reduces together
-before one combine, and single cells mixed in among such runs.  Every map
-must match the loop below bit for bit; the loop reads the raster one cell at
-a time and does not go through the kernel.
+values gets one subtraction, folded into both the max and the min.  The
+other probes here are piecewise flat: runs of length ``2**k`` and
+``2**k + 1`` (a table level read as one slice, and as two overlapping
+slices), runs wider than the raster, rings, probes taller than one row
+strip, anchors outside the mask, a few values shared by many runs, which the
+kernel reduces together before one subtraction, and single cells mixed in
+among such runs.  Every map must match the loop below bit for bit; the loop
+reads the raster one cell at a time and does not go through the kernel.
 """
 
-import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lipmaps import GreyImage, Probe, make_ring_probe, map_add, map_mult, mglb_add, mlub_add
-from lipmaps.lip import hat, lip_sub
+from lipmaps.lip import hat, xi, xi_inv
 from lipmaps.morphology import _STRIP, dilate, erode, probe_runs, spread
 
 M = 256.0
@@ -90,16 +89,12 @@ def assert_all_maps(f_mult, f_add, b):
     lo = loop_reduce(shape, wins, lambda x, v: x - v, min, np.inf)
     assert np.array_equal(map_mult(f_mult, b, path="morpho").values, hi - lo)
 
-    wins = windows(f_add.values, b)
-    lip_diff = lambda x, v: (x - v) / (1.0 - v / m)
-    c1 = loop_reduce(shape, wins, lip_diff, max, -np.inf)
-    c2 = loop_reduce(shape, wins, lip_diff, min, np.inf)
-    cov = np.array([[bool(wins[r, c]) for c in range(shape[1])] for r in range(shape[0])])
-    assert np.array_equal(mlub_add(f_add, b).values, c1)
-    assert np.array_equal(mglb_add(f_add, b).values, np.where(cov, c2, m))
-    expect = np.full(shape, -np.inf)
-    expect[cov] = lip_sub(c1[cov], c2[cov], m)
-    assert np.array_equal(map_add(f_add, b).values, expect)
+    wins = windows(xi(f_add.values, m), b.with_values(xi(b.values, m)))
+    hi = loop_reduce(shape, wins, lambda x, v: x - v, max, -np.inf)
+    lo = loop_reduce(shape, wins, lambda x, v: x - v, min, np.inf)
+    assert np.array_equal(mlub_add(f_add, b).values, xi_inv(hi, m))
+    assert np.array_equal(mglb_add(f_add, b).values, xi_inv(lo, m))
+    assert np.array_equal(map_add(f_add, b).values, xi_inv(hi - lo, m))
 
 
 def assert_dilate_erode(f, b):
@@ -176,7 +171,7 @@ class TestDilateErodeRuns:
 
 
 class TestSharedValues:
-    """Probes with 2 to 4 values: the runs of one value are reduced together, then combined once."""
+    """Probes with 2 to 4 values: the runs of one value are reduced together, then subtracted once."""
 
     @pytest.mark.parametrize("n_values, height", [(2, _STRIP - 1), (3, _STRIP), (4, _STRIP + 1)])
     def test_few_values_many_runs(self, rng, n_values, height):
@@ -234,7 +229,7 @@ class TestSharedValues:
         def peak(b):
             tracemalloc.start()
             try:
-                spread(f, b, operator.sub)
+                spread(f, b)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -248,7 +243,7 @@ def mixed_probe(rng, rows, holes=False):
     """Rows of single cells with values of their own among runs of two shared values.
 
     Per row, value ``u`` sits on two separate cells (one value, two runs of
-    length 1), so it is reduced like a shared value, not combined as a single
+    length 1), so it is reduced like a shared value, not subtracted as a single
     cell.
     """
     s, t, u = rng.uniform(5.0, 250.0, size=3)
@@ -271,7 +266,7 @@ def single_cells(b):
 def assert_one_side(f, b, hi, lo):
     """``spread`` asked for one side returns it as the loop does, and ``None`` for the other."""
     wins = windows(f, b)
-    got = spread(f, b, operator.sub, hi=hi, lo=lo)
+    got = spread(f, b, hi=hi, lo=lo)
     for asked, side, pick, empty in ((hi, got[0], max, -np.inf), (lo, got[1], min, np.inf)):
         if asked:
             assert np.array_equal(side, loop_reduce(f.shape, wins, lambda x, v: x - v, pick, empty))
@@ -280,7 +275,7 @@ def assert_one_side(f, b, hi, lo):
 
 
 class TestSingleCells:
-    """Values held by one cell: one combine per strip, folded into both the max and the min."""
+    """Values held by one cell: one subtraction per strip, folded into both the max and the min."""
 
     @pytest.mark.parametrize("shape", [(5, 5), (1, 7), (7, 1)])
     @pytest.mark.parametrize("height", [1, _STRIP - 1, _STRIP, _STRIP + 1])
@@ -335,6 +330,49 @@ class TestSingleCells:
             assert_dilate_erode(f, Probe(*with_mask(rng, rng.uniform(-20.0, 20.0, size=shape), True), M))
         values, mask, anchor = mixed_probe(rng, 3, holes=True)
         assert_dilate_erode(f, Probe(values - 120.0, mask, anchor, M))
+
+
+class TestAdditiveAgainstLipDifference:
+    """The additive maps, read through ``xi``, against the direct LIP difference ``(x - v)/(1 - v/m)``.
+
+    The two differ by rounding only: within ``1e-12 * max(m, |value|)``,
+    and exactly on the infinite markers and the ``m`` of an empty window or
+    of an ``m`` cell.
+    """
+
+    @staticmethod
+    def assert_close(got, want, m):
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        err = np.abs(got[finite] - want[finite])
+        assert np.all(err <= 1e-12 * np.maximum(m, np.abs(want[finite])))
+
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
+    def test_scales(self, rng, m):
+        lip_diff = lambda x, v: (x - v) / (1.0 - v / m)
+        for _ in range(4):
+            # uniform in [-m, m[, with cells log-uniform down to -m e^40
+            f = rng.uniform(-m, m, size=(9, 11))
+            far = rng.random(f.shape) < 0.3
+            f[far] = -m * np.exp(rng.uniform(0.0, 40.0, size=far.sum()))
+            values, mask, _ = with_mask(rng, rng.uniform(-m, m, size=(3, 4)), holes=True)
+            mask[:, 3] = False  # no offset with dx >= 0: the first column's windows are empty
+            b = Probe(values, mask, (1, 3), m)
+            wins = windows(f, b)
+            c1 = loop_reduce(f.shape, wins, lip_diff, max, -np.inf)
+            c2 = loop_reduce(f.shape, wins, lip_diff, min, np.inf)
+            empty = c2 == np.inf
+            assert empty.any() and not empty.all()
+            d = np.minimum(lip_diff(c1, np.where(empty, 0.0, c2)), np.nextafter(m, -np.inf))
+            self.assert_close(map_add(GreyImage(f, m), b).values, d, m)
+            # the bounds also take -inf cells and m cells, whose difference is m
+            f[rng.random(f.shape) < 0.1] = -np.inf
+            f[rng.random(f.shape) < 0.1] = m
+            wins = windows(f, b)
+            c1 = loop_reduce(f.shape, wins, lip_diff, max, -np.inf)
+            c2 = loop_reduce(f.shape, wins, lip_diff, min, np.inf)
+            self.assert_close(mlub_add(GreyImage(f, m), b).values, c1, m)
+            self.assert_close(mglb_add(GreyImage(f, m), b).values, np.where(empty, m, c2), m)
 
 
 class TestRunDecomposition:
