@@ -266,9 +266,9 @@ class TestMapMult:
         masked = np.where(out.full_mask, out.values, np.inf)
         assert np.unravel_index(np.argmin(masked), masked.shape) == (8, 8)
         # rounding near the exact match never takes a distance below 0
-        for out in (out, map_mult(planted, b, path="ratio"), map_mult_via_add(planted, b)):
-            assert 0.0 <= out.values[8, 8] <= 1e-9
-            assert out.values.min() >= 0.0
+        for dist in (out, map_mult(planted, b, path="ratio"), map_mult_via_add(planted, b)):
+            assert 0.0 <= dist.values[8, 8] <= 1e-9
+            assert dist.values.min() >= 0.0
 
     def test_two_paths_within_1e9(self, rng):
         for _ in range(10):

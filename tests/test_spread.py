@@ -350,6 +350,11 @@ class TestAdditiveAgainstLipDifference:
     @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
     def test_scales(self, rng, m):
         lip_diff = lambda x, v: (x - v) / (1.0 - v / m)
+
+        def bounds(f, b):
+            wins = windows(f, b)
+            return loop_reduce(f.shape, wins, lip_diff, max, -np.inf), loop_reduce(f.shape, wins, lip_diff, min, np.inf)
+
         for _ in range(4):
             # uniform in [-m, m[, with cells log-uniform down to -m e^40
             f = rng.uniform(-m, m, size=(9, 11))
@@ -358,9 +363,7 @@ class TestAdditiveAgainstLipDifference:
             values, mask, _ = with_mask(rng, rng.uniform(-m, m, size=(3, 4)), holes=True)
             mask[:, 3] = False  # no offset with dx >= 0: the first column's windows are empty
             b = Probe(values, mask, (1, 3), m)
-            wins = windows(f, b)
-            c1 = loop_reduce(f.shape, wins, lip_diff, max, -np.inf)
-            c2 = loop_reduce(f.shape, wins, lip_diff, min, np.inf)
+            c1, c2 = bounds(f, b)
             empty = c2 == np.inf
             assert empty.any() and not empty.all()
             d = np.minimum(lip_diff(c1, np.where(empty, 0.0, c2)), np.nextafter(m, -np.inf))
@@ -368,9 +371,7 @@ class TestAdditiveAgainstLipDifference:
             # the bounds also take -inf cells and m cells, whose difference is m
             f[rng.random(f.shape) < 0.1] = -np.inf
             f[rng.random(f.shape) < 0.1] = m
-            wins = windows(f, b)
-            c1 = loop_reduce(f.shape, wins, lip_diff, max, -np.inf)
-            c2 = loop_reduce(f.shape, wins, lip_diff, min, np.inf)
+            c1, c2 = bounds(f, b)
             self.assert_close(mlub_add(GreyImage(f, m), b).values, c1, m)
             self.assert_close(mglb_add(GreyImage(f, m), b).values, np.where(empty, m, c2), m)
 
