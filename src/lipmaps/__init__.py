@@ -15,8 +15,9 @@ The package provides, in dependency order:
   between the families, and definitional scan oracles;
 * :mod:`lipmaps.probing` -- lighting-change simulation, ring probes, and
   detection of map minima;
-* :mod:`lipmaps.raster_io` -- PGM input plus the exact ``fmap``/``probe``
-  text formats;
+* :mod:`lipmaps.raster_io` -- PGM input, the bit-exact binary ``fmap``
+  container (earlier text ``fmap`` files still read) and the ``probe``
+  text format;
 * :mod:`lipmaps.cli` -- the ``lipmaps`` command-line tool.
 """
 

@@ -83,12 +83,8 @@ def cmd_lighting(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    dist_map = raster_io.read_map(args.map)
-    if args.probe is not None:
-        probe = raster_io.read_probe(args.probe)
-        dist_map = type(dist_map)(
-            dist_map.values, full_overlap_mask(dist_map.shape, probe), dist_map.m
-        )
+    probe = None if args.probe is None else raster_io.read_probe(args.probe)
+    dist_map = raster_io.read_map(args.map, probe)
     hits = probing.detect_minima(dist_map, args.threshold)
     for d in hits:
         print(f"{d.col} {d.row} {format(d.value, '.17g')}")
@@ -202,7 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--probe", default=None,
-                   help="restrict detections to this probe's full-overlap region")
+                   help="probe whose full-overlap region detections are restricted to; "
+                   "optional for maps that store their region, which must then match it")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("verify-link", help="check the metric/map link identities")

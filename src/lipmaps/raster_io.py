@@ -1,30 +1,45 @@
 """File formats: PGM grey rasters, ``fmap`` value maps, and ``probe`` files.
 
-Three small formats, all defined bit-exact:
+Small formats, all defined bit-exact:
 
 * PGM ``P2``/``P5`` with ``maxval <= 255`` for 8-bit grey input; pixel
   values become grey reals on the ``m = 256`` scale.
-* ``fmap``: text container for real-valued maps (and transformed images).
-  Header ``fmap <width> <height> <m>``, then one line per row with cells
-  printed to 17 significant digits (``inf``/``-inf`` for infinities), one
-  space between cells.  17 digits round-trip float64 exactly.  The body is
-  parsed and written in bulk, one row at a time; a per-token scan of a row
-  runs only to locate an error in it, so a ``ParseError`` names the first
-  bad row or cell in row-major order.
+* ``fmap``: binary container for real-valued maps (and transformed
+  images).  Header line ``fmap <width> <height> <m> f8le``, then exactly
+  ``8 * width * height`` bytes: the cells as little-endian IEEE float64 in
+  row-major order, so every bit round-trips, signs of zero included.  A
+  map written by :func:`write_map` appends its full-overlap mask to the
+  header as the half-open rectangle ``r0 r1 c0 c1`` (``0 0 0 0`` when the
+  mask is empty); :func:`write_image` writes no rectangle.  The body is
+  written with one ``tofile`` call and read with one ``readinto`` once its
+  byte count matches the header, so a header the file does not back
+  allocates nothing.  A NaN cell is a ``ParseError`` naming the first one
+  in row-major order.
+* ``fmap`` text, the earlier format, is still read but no longer written:
+  header ``fmap <width> <height> <m>``, then one line per row of cells
+  (17 significant digits, ``inf``/``-inf`` for infinities).  Rows are
+  parsed in bulk; a per-token scan of a row runs only to locate an error
+  in it, so a ``ParseError`` names the first bad row or cell in row-major
+  order.  The reader picks the format from the header line.
 * ``probe``: header ``probe <width> <height> <anchor_x> <anchor_y> <m>``,
   then one line per row whose tokens are either a value (cell inside the
   probe domain) or ``_`` (outside).
 
-The ``fmap`` format does not carry the full-overlap mask, so maps read
-back from disk get an all-cells mask.  The ``pgm8`` writing mode is a
-lossy min-max normalised view for eyeballing only.
+A map read from a file without a rectangle (text, or an image) gets an
+all-cells mask, or the probe's full-overlap mask when a probe is given.
+The ``pgm8`` writing mode is a lossy min-max normalised view for eyeballing
+only.
 """
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
+from .morphology import full_overlap_mask
 from .rasters import DistanceMap, GreyImage, Probe, require_regime
 
 __all__ = [
@@ -38,6 +53,15 @@ __all__ = [
 ]
 
 _WS = b" \t\r\n\f\v"
+
+_ENCODING = b"f8le"  # fmap body: little-endian IEEE float64, row-major
+#: A binary fmap header line must end within this many bytes; one is
+#: under 100 bytes long, and the bound keeps a file without a newline
+#: from being read whole in search of one.
+_HEADER_MAX = 4096
+#: The ASCII line breaks of ``str.splitlines``, where the text reader ends
+#: the header line; a binary header is told apart by its tokens up to there.
+_LINE_BREAK = re.compile(rb"[\n\r\v\f\x1c-\x1e]")
 
 
 def _f17(v: float) -> str:
@@ -153,7 +177,7 @@ def _parse_float(tok: str, where: str) -> float:
     return v
 
 
-def _read_fmap(path):
+def _read_fmap_text(path):
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -187,30 +211,110 @@ def _read_fmap(path):
     return values, m
 
 
-def _write_fmap(values: np.ndarray, m: float, path):
+def _read_fmap_binary(fh, line, head):
+    """Body of a binary ``fmap`` whose header line ``line`` splits into ``head``."""
+    if not line.endswith(b"\n"):
+        raise ParseError(f"map header has no newline within its first {_HEADER_MAX} bytes", 0)
+    text = line.decode("latin-1").rstrip()
+    if head[4] != _ENCODING:
+        raise ParseError(f"unknown fmap body encoding {head[4].decode('latin-1')!r}", 0)
+    if len(head) not in (5, 9):
+        raise ParseError(f"bad map header {text!r}", 0)
+    try:
+        width, height, *rect = (int(tok) for tok in head[1:3] + head[5:])
+    except ValueError:
+        raise ParseError(f"bad integer field in map header {text!r}", 0) from None
+    m = _parse_float(head[3].decode("latin-1"), "in map header")
+    if width <= 0 or height <= 0:
+        raise ParseError(f"invalid dimensions {width}x{height}", 0)
+    if rect:
+        r0, r1, c0, c1 = rect
+        if not (0 <= r0 <= r1 <= height and 0 <= c0 <= c1 <= width):
+            raise ParseError(
+                f"full-overlap rectangle {r0} {r1} {c0} {c1} does not fit a {width}x{height} map", 0
+            )
+    expected = 8 * width * height
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != expected:  # checked before anything is allocated
+        raise ParseError(f"binary body: expected {expected} bytes, found {found}", len(line))
+    values = np.empty((height, width), dtype="<f8")
+    got = fh.readinto(values)
+    if got != expected:  # the file shrank after the size check
+        raise ParseError(f"binary body: expected {expected} bytes, found {got}", len(line))
+    nan = np.isnan(values)
+    if nan.any():
+        r, c = divmod(int(np.argmax(nan)), width)
+        raise ParseError(f"NaN not allowed at row {r}, column {c}")
+    return values, m, tuple(rect) or None
+
+
+def _read_fmap(path):
+    """``(values, m, rect)``; ``rect`` is the stored full-overlap rectangle or ``None``."""
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX)
+        head = _LINE_BREAK.split(line, maxsplit=1)[0].split()
+        if len(head) > 4 and head[0] == b"fmap":
+            return _read_fmap_binary(fh, line, head)
+    return (*_read_fmap_text(path), None)
+
+
+def _write_fmap(values: np.ndarray, m: float, path, rect=None):
     h, w = values.shape
-    # "%.17g" % x gives the bytes of format(x, ".17g") for every float64
-    row_format = " ".join(["%.17g"] * w) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"fmap {w} {h} {_f17(m)}\n")
-        for row in values:
-            fh.write(row_format % tuple(row.tolist()))
+    head = f"fmap {w} {h} {_f17(m)} {_ENCODING.decode()}"
+    if rect is not None:
+        head += " %d %d %d %d" % rect
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii") + b"\n")
+        np.ascontiguousarray(values, dtype="<f8").tofile(fh)
 
 
-def read_map(path) -> DistanceMap:
-    """Read an exact-mode map file; the full-overlap mask is not stored."""
-    values, m = _read_fmap(path)
-    return DistanceMap(values, None, m)
+def _mask_rectangle(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """The half-open rectangle ``(r0, r1, c0, c1)`` that ``mask`` is; all 0 when empty."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return 0, 0, 0, 0
+    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    if not mask[r0:r1, c0:c1].all():
+        raise ValueError("full_mask is not one rectangle, the only shape an fmap header stores")
+    return r0, r1, c0, c1
+
+
+def read_map(path, probe: Probe | None = None) -> DistanceMap:
+    """Read a map file, with the full-overlap mask its header stores.
+
+    A file that stores no rectangle (text, or an image from
+    :func:`write_image`) gets ``probe``'s full-overlap mask, or an all-cells
+    mask without a probe.  A stored rectangle that differs from ``probe``'s
+    raises :class:`DomainError` naming both.
+    """
+    values, m, rect = _read_fmap(path)
+    mask = None
+    if rect is not None:
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[rect[0] : rect[1], rect[2] : rect[3]] = True
+    if probe is not None:
+        expected = full_overlap_mask(values.shape, probe)
+        if mask is None:
+            mask = expected
+        elif not np.array_equal(mask, expected):
+            raise DomainError(
+                "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % rect
+                + "but the probe's is %d %d %d %d" % _mask_rectangle(expected)
+            )
+    return DistanceMap(values, mask, m)
 
 
 def write_map(dist_map, path, mode: str = "exact"):
-    """Write a map, either bit-exact text (``exact``) or an 8-bit view (``pgm8``).
+    """Write a map, either bit-exact ``fmap`` (``exact``) or an 8-bit view (``pgm8``).
 
-    ``pgm8`` min-max normalises the finite cells to 0..255 (infinite cells
-    clamp to the ends) and is lossy; use it for viewing only.
+    ``exact`` stores the full-overlap mask as a rectangle in the header and
+    raises :class:`ValueError` if the mask is not one.  ``pgm8`` min-max
+    normalises the finite cells to 0..255 (infinite cells clamp to the
+    ends) and is lossy; use it for viewing only.
     """
     if mode == "exact":
-        _write_fmap(dist_map.values, dist_map.m, path)
+        _write_fmap(dist_map.values, dist_map.m, path, _mask_rectangle(dist_map.full_mask))
     elif mode == "pgm8":
         v = dist_map.values
         finite = np.isfinite(v)
@@ -231,7 +335,7 @@ def write_map(dist_map, path, mode: str = "exact"):
 
 
 def write_image(image: GreyImage, path):
-    """Write an image in the exact ``fmap`` container (lighting output etc.)."""
+    """Write an image in the exact ``fmap`` container, with no mask rectangle."""
     _write_fmap(image.values, image.m, path)
 
 
@@ -242,7 +346,7 @@ def read_image(path) -> GreyImage:
     if magic[:2] in (b"P2", b"P5"):
         return read_pgm(path)
     if magic == b"fmap":
-        values, m = _read_fmap(path)
+        values, m, _ = _read_fmap(path)
         return GreyImage(values, m)
     raise ParseError(f"unrecognised image format (magic {magic!r})", 0)
 

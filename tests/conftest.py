@@ -15,6 +15,21 @@ def grey(values, m=M):
     return GreyImage(np.atleast_2d(np.asarray(values, dtype=np.float64)), m)
 
 
+def reference_fmap(values, m):
+    """The earlier text ``fmap`` bytes, one ``format(v, ".17g")`` per cell."""
+    lines = [f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')}"]
+    lines += [" ".join(format(float(v), ".17g") for v in row) for row in values]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def binary_fmap(values, m, rect=None):
+    """The documented binary ``fmap`` bytes, built by hand from the format description."""
+    head = f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')} f8le"
+    if rect is not None:
+        head += " %d %d %d %d" % rect
+    return (head + "\n").encode("ascii") + np.asarray(values, dtype="<f8").tobytes()
+
+
 def full_probe(values, anchor=None, m=M):
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if anchor is None:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import reference_fmap
 
 import lipmaps
 from lipmaps import cli
 from lipmaps import (
+    Probe,
     make_canvas,
     make_ring_probe,
     plant_target,
@@ -186,11 +188,36 @@ class TestDetect:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == (24 - 6) * (24 - 6)  # ring radius 3 trims 3 per side
 
+    def make_text_map_file(self, tmp_path, scene_files):
+        """The map in the earlier text format, which stores no full-overlap rectangle."""
+        out, probe = self.make_map_file(tmp_path, scene_files)
+        text = tmp_path / "map.txt"
+        text.write_bytes(reference_fmap(read_map(out).values, M))
+        return str(text), probe
+
     def test_without_probe_all_cells_eligible(self, scene_files, tmp_path, capsys):
-        out, _ = self.make_map_file(tmp_path, scene_files)
+        out, _ = self.make_text_map_file(tmp_path, scene_files)
         rc = cli.main(["detect", "--map", out, "--threshold", "inf"])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 24 * 24
+
+    @pytest.mark.parametrize("text", [False, True], ids=["stored-rectangle", "text-with-probe"])
+    def test_full_overlap_from_file_or_probe(self, scene_files, tmp_path, capsys, text):
+        """A map from map-add brings its own region; a text map takes the probe's."""
+        make = self.make_text_map_file if text else self.make_map_file
+        out, probe = make(tmp_path, scene_files)
+        argv = ["detect", "--map", out, "--threshold", "inf"]
+        assert cli.main(argv + (["--probe", probe] if text else [])) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == (24 - 6) * (24 - 6)
+
+    def test_probe_disagreeing_with_stored_rectangle_exits_2(self, scene_files, tmp_path, capsys):
+        out, _ = self.make_map_file(tmp_path, scene_files)
+        other = tmp_path / "small.probe"
+        write_probe(Probe(np.full((3, 3), 100.0), np.ones((3, 3), dtype=bool), (1, 1), M), other)
+        rc = cli.main(["detect", "--map", out, "--threshold", "inf", "--probe", str(other)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rectangle r0 r1 c0 c1 = 3 21 3 21, but the probe's is 1 23 1 23" in err
 
 
 class TestVerifyLink:

@@ -1,10 +1,14 @@
 """File formats: PGM parsing, fmap/probe round trips, error positions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import binary_fmap, full_probe, reference_fmap
 
 from lipmaps import (
     DistanceMap,
+    DomainError,
     FmMap,
     GreyImage,
     ParseError,
@@ -25,13 +29,6 @@ from lipmaps import (
     write_probe,
 )
 from lipmaps import cli
-
-
-def reference_fmap(values, m):
-    """The ``fmap`` bytes, one ``format(v, ".17g")`` per cell."""
-    lines = [f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')}"]
-    lines += [" ".join(format(float(v), ".17g") for v in row) for row in values]
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def edge_floats(rng, shape):
@@ -131,8 +128,8 @@ class TestPgm:
 class TestFmap:
     def test_documented_single_cell(self, tmp_path):
         p = tmp_path / "m.fmap"
-        write_map(DistanceMap(np.zeros((1, 1)), None, 256.0), p)
-        assert p.read_text() == "fmap 1 1 256\n0\n"
+        write_map(DistanceMap(np.ones((1, 1)), None, 256.0), p)
+        assert p.read_bytes() == b"fmap 1 1 256 f8le 0 1 0 1\n" + bytes.fromhex("000000000000f03f")
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
         vals = rng.uniform(-1e3, 1e3, size=(4, 6))
@@ -149,8 +146,8 @@ class TestFmap:
         vals = np.array([[np.inf, -np.inf, 0.5]])
         p = tmp_path / "m.fmap"
         write_map(DistanceMap(vals, None, 256.0), p)
-        text = p.read_text()
-        assert "inf" in text and "-inf" in text
+        body = bytes.fromhex("000000000000f07f" "000000000000f0ff" "000000000000e03f")
+        assert p.read_bytes() == b"fmap 3 1 256 f8le 0 1 0 3\n" + body
         assert np.array_equal(read_map(p).values, vals)
 
     def test_write_image_read_image(self, tmp_path, rng):
@@ -271,17 +268,23 @@ class TestProbeFormat:
 
 
 class TestFmapBulkAgreesWithScan:
-    """The bulk row parser and writer against per-cell references."""
+    """The binary body and the bulk text row parser against per-cell references."""
 
     @pytest.mark.parametrize("m", [256.0, 1e200])
     def test_write_map_bytes_match_format_17g(self, tmp_path, rng, m):
         vals = edge_floats(rng, (7, 9))
         p = tmp_path / "m.fmap"
         write_map(DistanceMap(vals, None, m), p)
-        assert p.read_bytes() == reference_fmap(vals, m)
+        assert p.read_bytes() == binary_fmap(vals, m, (0, 7, 0, 9))
         back = read_map(p)
         assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
         assert back.m == m
+        # the same values as 17-digit text read back to the same bits
+        t = tmp_path / "m.txt"
+        t.write_bytes(reference_fmap(vals, m))
+        text = read_map(t)
+        assert np.array_equal(text.values.view(np.uint64), vals.view(np.uint64))
+        assert text.m == m and text.full_mask.all()
 
     def test_write_image_bytes_match_format_17g(self, tmp_path, rng):
         m = 1e200
@@ -289,9 +292,12 @@ class TestFmapBulkAgreesWithScan:
         vals = np.where(vals > m, m, vals)  # GreyImage holds values <= m only
         p = tmp_path / "i.fmap"
         write_image(GreyImage(vals, m), p)
-        assert p.read_bytes() == reference_fmap(vals, m)
+        assert p.read_bytes() == binary_fmap(vals, m)
         back = read_image(p)
         assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
+        t = tmp_path / "i.txt"
+        t.write_bytes(reference_fmap(vals, m))
+        assert np.array_equal(read_image(t).values.view(np.uint64), vals.view(np.uint64))
 
     @pytest.mark.parametrize(
         "body, message",
@@ -316,6 +322,115 @@ class TestFmapBulkAgreesWithScan:
         p.write_bytes(b"fmap 2 2 256\r\n1 -inf\r\n\r\n  \r\n1e400 1_0\r\n")
         assert read_map(p).values.tolist() == [[1.0, -np.inf], [np.inf, 10.0]]
 
+    @pytest.mark.parametrize("brk", [b"\r", b"\v", b"\f", b"\x1c"])
+    def test_text_line_breaks_other_than_newline(self, tmp_path, brk):
+        # a header line of five tokens up to the first newline is still text
+        p = tmp_path / "m.fmap"
+        p.write_bytes(brk.join([b"fmap 2 2 256", b"1 2", b"3 4", b""]))
+        assert read_map(p).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestFmapBinary:
+    """Malformed binary bodies and headers, and the stored full-overlap rectangle."""
+
+    def write(self, tmp_path, head, body):
+        p = tmp_path / "bad.fmap"
+        p.write_bytes(head + body)
+        return p
+
+    @pytest.mark.parametrize("cut, found", [(-1, 47), (1, 49)])
+    def test_body_byte_count(self, tmp_path, cut, found):
+        head = b"fmap 3 2 256 f8le\n"
+        body = np.arange(6.0).tobytes()
+        p = self.write(tmp_path, head, body[:cut] if cut < 0 else body + bytes(cut))
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert str(exc.value) == f"binary body: expected 48 bytes, found {found} (at byte offset 18)"
+
+    def test_huge_header_rejected_before_allocation(self, tmp_path):
+        p = self.write(tmp_path, b"fmap 1000000 1000000 256 f8le\n", bytes(20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="expected 8000000000000 bytes, found 20"):
+                read_map(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unknown_encoding(self, tmp_path):
+        p = self.write(tmp_path, b"fmap 1 1 256 f4be\n", bytes(8))
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert str(exc.value) == "unknown fmap body encoding 'f4be' (at byte offset 0)"
+
+    def test_first_nan_cell_named(self, tmp_path):
+        vals = np.zeros((3, 4))
+        vals[1, 2] = vals[2, 0] = np.nan
+        p = self.write(tmp_path, b"fmap 4 3 256 f8le\n", vals.tobytes())
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert str(exc.value) == "NaN not allowed at row 1, column 2"
+
+    def test_header_without_newline(self, tmp_path):
+        p = self.write(tmp_path, b"fmap 2 2 256 f8le", b" 0" * 4000)
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert str(exc.value) == (
+            "map header has no newline within its first 4096 bytes (at byte offset 0)"
+        )
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            (b"fmap 2 1 256 f8le 0 1 0\n", "bad map header 'fmap 2 1 256 f8le 0 1 0'"),
+            (b"fmap 2 1 256 f8le 0 1 0 x\n", "bad integer field in map header"),
+            (b"fmap 2 1 256 f8le 0 2 0 2\n", "rectangle 0 2 0 2 does not fit a 2x1 map"),
+            (b"fmap 2 1 256 f8le 1 0 0 2\n", "rectangle 1 0 0 2 does not fit a 2x1 map"),
+            (b"fmap 0 1 256 f8le\n", "invalid dimensions 0x1"),
+        ],
+    )
+    def test_bad_header_fields(self, tmp_path, head, message):
+        p = self.write(tmp_path, head, bytes(16))
+        with pytest.raises(ParseError, match=message):
+            read_map(p)
+
+    def test_rectangle_round_trip(self, tmp_path):
+        probe = make_ring_probe(2, 1)
+        dist = map_add(GreyImage(np.full((6, 9), 100.0)), probe)
+        p = tmp_path / "m.fmap"
+        write_map(dist, p)
+        assert p.read_bytes().startswith(b"fmap 9 6 256 f8le 2 4 2 7\n")
+        back = read_map(p)
+        assert np.array_equal(back.full_mask, dist.full_mask)
+        assert np.array_equal(read_map(p, probe).full_mask, dist.full_mask)
+        assert np.array_equal(read_image(p).values, dist.values)
+
+    def test_empty_mask_is_zero_rectangle(self, tmp_path):
+        dist = map_add(GreyImage(np.full((3, 3), 100.0)), make_ring_probe(2, 1))
+        assert not dist.full_mask.any()
+        p = tmp_path / "m.fmap"
+        write_map(dist, p)
+        assert p.read_bytes().startswith(b"fmap 3 3 256 f8le 0 0 0 0\n")
+        assert not read_map(p).full_mask.any()
+
+    def test_non_rectangular_mask_rejected(self, tmp_path):
+        mask = np.ones((3, 3), dtype=bool)
+        mask[1, 1] = False
+        p = tmp_path / "m.fmap"
+        with pytest.raises(ValueError, match="not one rectangle"):
+            write_map(DistanceMap(np.zeros((3, 3)), mask, 256.0), p)
+        assert not p.exists()
+
+    def test_probe_disagreeing_with_rectangle(self, tmp_path):
+        p = tmp_path / "m.fmap"
+        write_map(map_add(GreyImage(np.full((6, 9), 100.0)), make_ring_probe(2, 1)), p)
+        with pytest.raises(DomainError) as exc:
+            read_map(p, full_probe(np.full((3, 3), 100.0)))
+        assert str(exc.value) == (
+            "map stores full-overlap rectangle r0 r1 c0 c1 = 2 4 2 7, but the probe's is 1 5 1 8"
+        )
+
 
 def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
     """lighting, map-add and detect through the CLI, as the benchmark runs them."""
@@ -337,7 +452,18 @@ def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
         assert cli.main([str(a) for a in argv]) == 0
 
     dark = darken(GreyImage(pixels.astype(np.float64)), 200.0)
-    assert dark_fmap.read_bytes() == reference_fmap(dark.values, 256.0)
-    assert map_fmap.read_bytes() == reference_fmap(map_add(dark, probe).values, 256.0)
+    expected = map_add(dark, probe)
+    assert dark_fmap.read_bytes() == binary_fmap(dark.values, 256.0)
+    assert map_fmap.read_bytes() == binary_fmap(expected.values, 256.0, (6, 58, 6, 58))
+    back = read_map(map_fmap)
+    assert np.array_equal(back.values.view(np.uint64), expected.values.view(np.uint64))
+    assert np.array_equal(back.full_mask, expected.full_mask)
     first = capsys.readouterr().out.split("\n", 1)[0].split()
     assert first[:2] == [str(anchor[1]), str(anchor[0])]
+
+    # the earlier text format of the same image gives the same map file
+    text_fmap, text_map = tmp_path / "dark.txt", tmp_path / "text_map.fmap"
+    text_fmap.write_bytes(reference_fmap(dark.values, 256.0))
+    argv = ["map-add", "--image", text_fmap, "--probe", ring, "--out", text_map]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert text_map.read_bytes() == map_fmap.read_bytes()
