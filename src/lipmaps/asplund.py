@@ -195,10 +195,10 @@ def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
 
 def _require_add(f: GreyImage, b: Probe):
     check_same_scale(f, b)
-    masked = b.masked_values()
-    if np.any(masked == b.m):
-        i = int(np.argwhere(masked == b.m)[0][0])
-        raise SingularityError(f"probe value equals m={b.m} (domain cell {i}): LIP difference is singular there")
+    at_m = b.mask & (b.values == b.m)
+    if at_m.any():
+        r, c = _first_bad_cell(at_m)
+        raise SingularityError(f"probe value equals m={b.m} at cell ({r}, {c}): LIP difference is singular there")
     require_regime(b.values, b.m, "FM", what="probe", mask=b.mask)
 
 
@@ -367,11 +367,8 @@ def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     complement(xi(g)))))`` and raises :class:`VerificationError` if they
     differ by more than ``1e-9`` (scale-relative).
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "I*")
-    require_regime(g.values, g.m, "I*")
+    direct = dist_mult(f, g)  # checks f and g
     m = f.m
-    direct = dist_mult(f, g)
     fc = GreyImage(complement(xi(f.values, m), m), m)
     gc = GreyImage(complement(xi(g.values, m), m), m)
     linked = float(xi(dist_add(fc, gc), m) / m)

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import asplund, probing, raster_io
 from .errors import DomainError, LipError, VerificationError
-from .lip import lip_add, lip_mult
+from .lip import lip_mult
 from .morphology import full_overlap_mask
-from .rasters import GreyImage, clamp_strict, require_regime
+from .rasters import GreyImage, clamp_strict
 
 LINK_TOL = asplund.LINK_TOL
 
@@ -45,9 +45,7 @@ def _max_dev(a, b, scale):
 
 def cmd_map_mult(args) -> int:
     image = _load_image(args)
-    probe = raster_io.read_probe(args.probe, strict=args.strict)
-    if args.strict:
-        require_regime(image.values, image.m, "I*")
+    probe = raster_io.read_probe(args.probe)
     result = asplund.map_mult(image, probe, path=args.path)
     raster_io.write_map(result, args.out, mode="exact")
     return 0
@@ -69,16 +67,13 @@ def cmd_map_add(args) -> int:
 def cmd_lighting(args) -> int:
     image = _load_image(args)
     if args.add is not None:
-        k = args.add
-        if not 0 <= k < image.m:
-            raise DomainError(f"--add constant must lie in [0, m={image.m}[, got {k}")
-        values = lip_add(image.values, k, image.m)
+        image = probing.darken(image, args.add)
     else:
         a = args.mult
         if not a > 0:
             raise DomainError(f"--mult factor must be positive, got {a}")
-        values = lip_mult(a, image.values, image.m)
-    raster_io.write_image(image.with_values(values), args.out)
+        image = image.with_values(lip_mult(a, image.values, image.m))
+    raster_io.write_image(image, args.out)
     return 0
 
 
@@ -172,8 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--path", choices=("ratio", "morpho"), default="morpho",
                    help="bound-ratio closed form or dilation/erosion path (default)")
-    p.add_argument("--strict", action="store_true",
-                   help="validate the strict regime ]0, m[ at load time")
     p.set_defaults(func=cmd_map_mult)
 
     p = sub.add_parser("map-add", help="map of LIP-additive Asplund distances")

@@ -191,9 +191,7 @@ def xi(f, m=DEFAULT_M):
     Equals ``-m * tilde(f)`` on ``[0, m]`` but also accepts negative values.
     """
     m = _check_m(m)
-    fa = np.asarray(f, dtype=np.float64)
-    if np.isnan(fa).any():
-        raise DomainError("f contains NaN")
+    fa = _asvalues(f, "f")
     if np.any(fa > m):
         raise DomainError(f"xi requires f <= m = {m}")
     with np.errstate(divide="ignore"):
@@ -203,9 +201,7 @@ def xi(f, m=DEFAULT_M):
 def xi_inv(f, m=DEFAULT_M):
     """Inverse isomorphism ``xi_inv(f) = m * (1 - exp(-f/m))``; ``xi_inv(xi(f)) = f``."""
     m = _check_m(m)
-    fa = np.asarray(f, dtype=np.float64)
-    if np.isnan(fa).any():
-        raise DomainError("f contains NaN")
+    fa = _asvalues(f, "f")
     with np.errstate(over="ignore"):
         return _ret(-m * np.expm1(-fa / m), f)
 
@@ -218,9 +214,7 @@ def complement(f, m=DEFAULT_M):
     upper bound is imposed on the input.
     """
     m = _check_m(m)
-    fa = np.asarray(f, dtype=np.float64)
-    if np.isnan(fa).any():
-        raise DomainError("f contains NaN")
+    fa = _asvalues(f, "f")
     return _ret(m - fa, f)
 
 

@@ -131,8 +131,8 @@ def detect_minima(dist_map, threshold: float) -> list[Detection]:
 
     Sorted by ascending value, ties broken in row-major cell order.  An
     empty list is a valid result.  Cells outside the map's full-overlap
-    mask are never reported (for maps loaded from files the mask is all
-    cells, since the file format does not carry it).
+    mask are never reported; a map read from a file has the mask its
+    header stores, or all cells when it stores none and no probe is given.
     """
     threshold = float(threshold)
     vals = dist_map.values

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .morphology import full_overlap_mask
-from .rasters import DistanceMap, GreyImage, Probe, require_regime
+from .rasters import DistanceMap, GreyImage, Probe
 
 __all__ = [
     "read_pgm",
@@ -73,41 +73,24 @@ def _f17(v: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _ByteScanner:
-    """Token scanner over header bytes, tracking the current byte offset."""
+#: One PGM token after any run of whitespace and ``#`` comments; group 1 is
+#: the token, empty only at the end of the data.
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n\f\v]|#[^\n]*)*([^ \t\r\n\f\v#]*)")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            c = self.data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                while self.pos < n and data[self.pos : self.pos + 1] != b"\n":
-                    self.pos += 1
-            elif c in _WS:
-                self.pos += 1
-            else:
-                return
+def _pgm_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
+    """``(token, its offset, position after it)`` for the next token at or after ``pos``."""
+    match = _PGM_TOKEN.match(data, pos)
+    if not match.group(1):
+        raise ParseError(f"unexpected end of file while reading {what}", match.start(1))
+    return match.group(1), match.start(1), match.end(1)
 
-    def token(self, what: str) -> tuple[bytes, int]:
-        self.skip_separators()
-        if self.pos >= len(self.data):
-            raise ParseError(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _WS:
-            if self.data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        return self.data[start : self.pos], start
 
-    def unsigned(self, what: str) -> int:
-        tok, start = self.token(what)
-        if not tok.isdigit():
-            raise ParseError(f"expected unsigned integer for {what}, got {tok!r}", start)
-        return int(tok)
+def _pgm_unsigned(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    tok, at, pos = _pgm_token(data, pos, what)
+    if not tok.isdigit():
+        raise ParseError(f"expected unsigned integer for {what}, got {tok!r}", at)
+    return int(tok), pos
 
 
 def read_pgm(path) -> GreyImage:
@@ -117,25 +100,24 @@ def read_pgm(path) -> GreyImage:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    sc = _ByteScanner(data)
-    magic, at = sc.token("magic number")
+    magic, at, pos = _pgm_token(data, 0, "magic number")
     if magic not in (b"P2", b"P5"):
         raise ParseError(f"not a PGM file: magic {magic!r}", at)
-    width = sc.unsigned("width")
-    height = sc.unsigned("height")
+    width, pos = _pgm_unsigned(data, pos, "width")
+    height, pos = _pgm_unsigned(data, pos, "height")
     if width <= 0 or height <= 0:
-        raise ParseError(f"invalid dimensions {width}x{height}", sc.pos)
-    maxval_at = sc.pos
-    maxval = sc.unsigned("maxval")
+        raise ParseError(f"invalid dimensions {width}x{height}", pos)
+    maxval_at = pos
+    maxval, pos = _pgm_unsigned(data, pos, "maxval")
     if not 0 < maxval <= 255:
         raise ParseError(f"maxval {maxval} outside ]0, 255]", maxval_at)
 
     n = width * height
     if magic == b"P5":
         # exactly one separator byte between maxval and the raster
-        if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WS:
-            raise ParseError("missing separator after maxval", sc.pos)
-        start = sc.pos + 1
+        if pos >= len(data) or data[pos : pos + 1] not in _WS:
+            raise ParseError("missing separator after maxval", pos)
+        start = pos + 1
         raster = data[start : start + n]
         if len(raster) < n:
             raise ParseError(
@@ -149,16 +131,16 @@ def read_pgm(path) -> GreyImage:
     else:
         values = np.empty(n, dtype=np.float64)
         for i in range(n):
-            tok, at = sc.token(f"pixel {i}")
+            tok, at, pos = _pgm_token(data, pos, f"pixel {i}")
             if not tok.isdigit():
                 raise ParseError(f"expected pixel value, got {tok!r}", at)
             v = int(tok)
             if v > maxval:
                 raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
             values[i] = v
-        sc.skip_separators()
-        if sc.pos < len(data):
-            raise ParseError("trailing data after raster", sc.pos)
+        at = _PGM_TOKEN.match(data, pos).start(1)
+        if at < len(data):
+            raise ParseError("trailing data after raster", at)
     return GreyImage(values.reshape(height, width), 256.0)
 
 
@@ -356,11 +338,11 @@ def read_image(path) -> GreyImage:
 # ---------------------------------------------------------------------------
 
 
-def read_probe(path, strict: bool = False) -> Probe:
-    """Read a probe file; ``strict`` validates values for multiplicative use.
+def read_probe(path) -> Probe:
+    """Read a probe file.
 
-    Grid tokens are values (inside the domain) or ``_`` (outside).  With
-    ``strict=True`` every domain value must lie in ``]0, m[``.
+    Grid tokens are values (inside the domain) or ``_`` (outside).  The
+    value regime is checked by the operation the probe is used in.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -394,10 +376,7 @@ def read_probe(path, strict: bool = False) -> Probe:
             mask[r, c] = True
     if not mask.any():
         raise ParseError("probe domain is empty (all tokens are '_')")
-    probe = Probe(values, mask, (ay, ax), m)
-    if strict:
-        require_regime(probe.values, probe.m, "I*", what="probe", mask=probe.mask)
-    return probe
+    return Probe(values, mask, (ay, ax), m)
 
 
 def write_probe(probe: Probe, path):

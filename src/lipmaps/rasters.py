@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError
-from .lip import DEFAULT_M
+from .lip import DEFAULT_M, _check_m
 
 __all__ = [
     "GreyImage",
@@ -51,6 +51,24 @@ def _first_bad_cell(bad):
     return int(r), int(c)
 
 
+def _raster(values, what):
+    """``values`` as a float64 array, checked to be a non-empty 2-D raster without NaN."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or v.size == 0:
+        raise DimensionError(f"{what} must be a non-empty 2-D raster, got shape {v.shape}")
+    nan = np.isnan(v)
+    if nan.any():
+        raise DomainError(f"NaN at cell {_first_bad_cell(nan)}")
+    return v
+
+
+def _check_at_most_m(v, m):
+    above = v > m
+    if above.any():
+        r, c = _first_bad_cell(above)
+        raise DomainError(f"value {v[r, c]} > m={m} at cell ({r}, {c})")
+
+
 @dataclass(frozen=True, eq=False)
 class GreyImage:
     """Rectangular raster of grey values with its scale bound ``m``.
@@ -64,19 +82,9 @@ class GreyImage:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise DimensionError(f"image must be a non-empty 2-D raster, got shape {v.shape}")
-        m = float(self.m)
-        if not (m > 0 and np.isfinite(m)):
-            raise DomainError(f"scale bound m must be positive and finite, got {m}")
-        if np.isnan(v).any():
-            raise DomainError(f"NaN at cell {_first_bad_cell(np.isnan(v))}")
-        if np.any(v == np.inf):
-            raise DomainError(f"+inf at cell {_first_bad_cell(v == np.inf)}")
-        if np.any(v > m):
-            r, c = _first_bad_cell(v > m)
-            raise DomainError(f"value {v[r, c]} > m={m} at cell ({r}, {c})")
+        v = _raster(self.values, "image")
+        m = _check_m(self.m)
+        _check_at_most_m(v, m)  # m is finite, so this rejects +inf too
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "m", m)
 
@@ -115,22 +123,18 @@ class Probe:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         mk = np.asarray(self.mask, dtype=bool)
-        if v.ndim != 2 or v.size == 0:
-            raise DimensionError(f"probe must be a non-empty 2-D grid, got shape {v.shape}")
         if mk.shape != v.shape:
             raise DimensionError(f"mask shape {mk.shape} != values shape {v.shape}")
+        v = _raster(np.where(mk, v, 0.0), "probe")
         if not mk.any():
             raise DomainError("probe mask is empty: at least one cell must belong to the domain")
         ar, ac = (int(x) for x in self.anchor)
         if not (0 <= ar < v.shape[0] and 0 <= ac < v.shape[1]):
             raise DomainError(f"anchor ({ar}, {ac}) outside probe bounds {v.shape}")
-        m = float(self.m)
-        if not (m > 0 and np.isfinite(m)):
-            raise DomainError(f"scale bound m must be positive and finite, got {m}")
-        bad = mk & ~np.isfinite(v)
-        if bad.any():
-            raise DomainError(f"non-finite probe value at cell {_first_bad_cell(bad)}")
-        v = np.where(mk, v, 0.0)
+        m = _check_m(self.m)
+        inf = np.isinf(v)
+        if inf.any():
+            raise DomainError(f"infinite probe value at cell {_first_bad_cell(inf)}")
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "mask", _frozen_array(mk, dtype=bool))
         object.__setattr__(self, "anchor", (ar, ac))
@@ -160,8 +164,9 @@ class DistanceMap:
 
     ``full_mask`` marks cells whose probe window lies entirely inside the
     image; lighting-invariance guarantees only apply there.  Border cells
-    still hold values, computed over the clipped window.  Maps read back
-    from files have no mask information and get an all-True mask.
+    still hold values, computed over the clipped window.  Without a mask,
+    every cell counts as full overlap; :func:`lipmaps.raster_io.read_map`
+    passes the rectangle a map file stores, or a probe's mask.
     """
 
     values: np.ndarray
@@ -169,18 +174,12 @@ class DistanceMap:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise DimensionError(f"map must be a non-empty 2-D raster, got shape {v.shape}")
-        if np.isnan(v).any():
-            raise DomainError(f"NaN at cell {_first_bad_cell(np.isnan(v))}")
+        v = _raster(self.values, "map")
         fm = self.full_mask
         fm = np.ones(v.shape, dtype=bool) if fm is None else np.asarray(fm, dtype=bool)
         if fm.shape != v.shape:
             raise DimensionError(f"full_mask shape {fm.shape} != values shape {v.shape}")
-        m = float(self.m)
-        if not (m > 0 and np.isfinite(m)):
-            raise DomainError(f"scale bound m must be positive and finite, got {m}")
+        m = _check_m(self.m)
         self._check_range(v, m)
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "full_mask", _frozen_array(fm, dtype=bool))
@@ -211,10 +210,7 @@ class RealMap(DistanceMap):
 class FmMap(DistanceMap):
     """Map with values in ``[-inf, m]``: additive bounds and distances."""
 
-    def _check_range(self, v, m):
-        if np.any(v > m):
-            r, c = _first_bad_cell(v > m)
-            raise DomainError(f"value {v[r, c]} > m={m} at cell ({r}, {c})")
+    _check_range = staticmethod(_check_at_most_m)
 
 
 def check_same_scale(a, b):
@@ -224,11 +220,11 @@ def check_same_scale(a, b):
 
 
 _REGIMES = {
-    # name: (low, low_open, high_is_m, high_open)
-    "I": (0.0, False, True, True),
-    "I*": (0.0, True, True, True),
-    "Ibar": (0.0, False, True, False),
-    "FM": (-np.inf, True, True, True),
+    # name: (low, low_open, high_open); the high end is always m
+    "I": (0.0, False, True),
+    "I*": (0.0, True, True),
+    "Ibar": (0.0, False, False),
+    "FM": (-np.inf, True, True),
 }
 
 
@@ -240,7 +236,7 @@ def require_regime(values, m, regime, what="image", mask=None):
     cells are checked (probe domains).  The first offending cell's
     coordinates appear in the error message.
     """
-    lo, lo_open, _, hi_open = _REGIMES[regime]
+    lo, lo_open, hi_open = _REGIMES[regime]
     v = np.asarray(values, dtype=np.float64)
     bad = (v <= lo) if lo_open else (v < lo)
     bad |= (v >= m) if hi_open else (v > m)

@@ -240,6 +240,16 @@ class TestAdditiveBoundMaps:
         with pytest.raises(SingularityError):
             mlub_add(f, bad)
 
+    def test_probe_value_m_names_its_cell(self):
+        # the off-mask cell (0, 0) comes first in row-major order, so the m
+        # cell (1, 0) is domain cell 1 but is named by its coordinates
+        f = GreyImage([[100.0, 120.0], [80.0, 60.0]])
+        bad = Probe([[0.0, 150.0], [256.0, 20.0]], [[False, True], [True, True]], (0, 1))
+        for fn in (mlub_add, mglb_add, map_add, map_add_via_mult):
+            with pytest.raises(SingularityError) as exc:
+                fn(f, bad)
+            assert str(exc.value) == "probe value equals m=256.0 at cell (1, 0): LIP difference is singular there"
+
 
 class TestMapMult:
     def test_documented_instance(self, instance_1x2):

@@ -88,15 +88,16 @@ class TestMapMult:
                        "--probe", str(probe), "--out", out])
         assert rc == 0
 
-    def test_strict_probe_load(self, tmp_path):
+    def test_strict_probe_load(self, tmp_path, capsys):
+        # the probe file loads; map_mult's regime check rejects its value m
         image = tmp_path / "i.fmap"
         image.write_text("fmap 1 1 256\n100\n")
         probe = tmp_path / "p.probe"
         probe.write_text("probe 1 1 0 0 256\n256\n")
         out = str(tmp_path / "o.fmap")
-        rc = cli.main(["map-mult", "--image", str(image), "--probe", str(probe),
-                       "--out", out, "--strict"])
+        rc = cli.main(["map-mult", "--image", str(image), "--probe", str(probe), "--out", out])
         assert rc == 2
+        assert "probe value 256.0 at cell (0, 0) outside regime ]0, 256.0[" in capsys.readouterr().err
 
 
 class TestMapAdd:

@@ -19,6 +19,7 @@ from lipmaps import (
     make_canvas,
     make_ring_probe,
     map_add,
+    map_mult,
     plant_target,
     read_image,
     read_map,
@@ -124,6 +125,23 @@ class TestPgm:
         with pytest.raises(ParseError, match="end of file"):
             read_pgm(p)
 
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P2\nx 1\n255\n0\n", "expected unsigned integer for width, got b'x'", 3),
+            (b"P2\n0 3\n255\n", "invalid dimensions 0x3", 6),
+            (b"P5 1 1 255#\x00", "missing separator after maxval", 10),
+            (b"P5 2 1 100\n\x05\xc8", "pixel value 200 exceeds maxval 100", 12),
+        ],
+    )
+    def test_header_and_p5_error_offsets(self, tmp_path, data, message, offset):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            read_pgm(p)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"{message} (at byte offset {offset})"
+
 
 class TestFmap:
     def test_documented_single_cell(self, tmp_path):
@@ -186,6 +204,22 @@ class TestFmap:
         p.write_text("fmap 1 1 256\nnan\n")
         with pytest.raises(ParseError, match="NaN"):
             read_map(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty map file"),
+            ("fmap x 2 256\n1\n2\n", "bad dimensions in map header 'fmap x 2 256'"),
+            ("fmap 0 2 256\n", "invalid dimensions 0x2"),
+        ],
+    )
+    def test_text_header_errors(self, tmp_path, text, message):
+        p = tmp_path / "bad.fmap"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_map(p)
+        assert exc.value.offset == 0
+        assert str(exc.value) == f"{message} (at byte offset 0)"
 
     def test_pgm8_mode(self, tmp_path):
         vals = np.array([[0.0, 5.0], [10.0, np.inf]])
@@ -259,12 +293,30 @@ class TestProbeFormat:
         with pytest.raises(ParseError, match="tokens"):
             read_probe(p)
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("", "empty probe file", 0),
+            ("prob 1 1 0 0 256\n1\n", "bad probe header 'prob 1 1 0 0 256'", 0),
+            ("probe 1 x 0 0 256\n1\n", "bad integer field in probe header 'probe 1 x 0 0 256'", 0),
+            ("probe 0 1 0 0 256\n", "invalid dimensions 0x1", 0),
+            ("probe 1 2 0 0 256\n1\n", "expected 2 grid lines, found 1", None),
+        ],
+    )
+    def test_header_errors(self, tmp_path, text, message, offset):
+        p = tmp_path / "p.probe"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_probe(p)
+        assert exc.value.offset == offset
+        assert str(exc.value) == (message if offset is None else f"{message} (at byte offset {offset})")
+
     def test_strict_flag_rejects_value_m(self, tmp_path):
         p = tmp_path / "p.probe"
         p.write_text("probe 2 1 0 0 256\n150 256\n")
-        read_probe(p)  # lenient load is fine
-        with pytest.raises(RegimeError):
-            read_probe(p, strict=True)
+        probe = read_probe(p)  # loading checks no regime
+        with pytest.raises(RegimeError, match=r"probe value 256.0 at cell \(0, 1\)"):
+            map_mult(GreyImage([[100.0, 100.0]]), probe)
 
 
 class TestFmapBulkAgreesWithScan:

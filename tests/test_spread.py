@@ -141,6 +141,16 @@ class TestLongRuns:
             assert not b.mask[anchor]
             assert_all_maps(*images(rng, (9, 11)), b)
 
+    def test_strips_below_the_probes_reach(self, rng):
+        # every probe cell lies 99 or 100 rows below the off-mask anchor, so no
+        # row of the raster is a source for the strips from row _STRIP down
+        values = rng.uniform(5.0, 250.0, size=(101, 4))
+        values[100] = 40.0
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[99:] = True
+        b = Probe(values, mask, (0, 1), M)
+        assert_all_maps(*images(rng, (2 * _STRIP + 3, 5)), b)
+
     def test_probe_larger_than_raster(self, rng):
         values, mask, anchor = flat_probe(rng, 9, RUN_LENGTHS, 5.0, 250.0, holes=True)
         b = Probe(values, mask, anchor, M)
