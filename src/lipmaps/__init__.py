@@ -4,7 +4,8 @@ The package provides, in dependency order:
 
 * :mod:`lipmaps.lip` -- the LIP grey-value algebra (addition, scalar
   multiplication, transmittance, the log transforms and the isomorphism
-  onto ordinary arithmetic);
+  onto ordinary arithmetic) and the table of value regimes that every
+  value check goes through;
 * :mod:`lipmaps.rasters` -- immutable image / probe / map containers that
   carry the grey-scale bound ``m`` and enforce value regimes;
 * :mod:`lipmaps.morphology` -- the run-length sliding max/min kernel

@@ -58,9 +58,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import complement, hat, lip_sub, tilde, xi, xi_inv
+from .lip import _first_bad, _require_not_m, complement, hat, lip_sub, require_regime, tilde, xi, xi_inv
 from .morphology import full_overlap_mask, spread
-from .rasters import FmMap, GreyImage, Probe, RealMap, _first_bad_cell, check_same_scale, require_regime
+from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
 __all__ = [
     "mult_bounds",
@@ -84,10 +84,13 @@ __all__ = [
 LINK_TOL = 1e-9
 
 
-def _check_pair(f: GreyImage, g: GreyImage):
+def _check_pair(f: GreyImage, g: GreyImage, regime, g_regime):
+    """Same scale and shape, then ``f`` in ``regime``, then the probe image ``g`` in ``g_regime``."""
     check_same_scale(f, g)
     if f.shape != g.shape:
         raise DimensionError(f"image shapes differ: {f.shape} vs {g.shape}")
+    require_regime(f.values, f.m, regime)
+    require_regime(g.values, g.m, g_regime, what="probe image")
 
 
 def _lip_distance(hi, lo, m):
@@ -104,6 +107,13 @@ def _lip_distance(hi, lo, m):
 # ---------------------------------------------------------------------------
 
 
+def _mult_bounds(f, g, regime):
+    """``(lam, mu)`` of ``f`` against ``g``, with ``f`` checked against ``regime``."""
+    _check_pair(f, g, regime, "I*")
+    ratios = tilde(f.values, f.m) / tilde(g.values, g.m)
+    return float(ratios.max()), float(ratios.min())
+
+
 def mult_bounds(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     """Closed-form bracket scalars ``(lam, mu)`` of ``f`` against probe image ``g``.
 
@@ -111,11 +121,7 @@ def mult_bounds(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     ``f`` may take edge values (``[0, m]``); ``g`` must be strictly inside
     ``]0, m[``.
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "Ibar")
-    require_regime(g.values, g.m, "I*", what="probe image")
-    ratios = tilde(f.values, f.m) / tilde(g.values, g.m)
-    return float(ratios.max()), float(ratios.min())
+    return _mult_bounds(f, g, "Ibar")
 
 
 def dist_mult(f: GreyImage, g: GreyImage) -> float:
@@ -124,17 +130,13 @@ def dist_mult(f: GreyImage, g: GreyImage) -> float:
     Both images must be in the strict regime ``]0, m[``.  Zero iff ``f``
     is a LIP-multiple of ``g``.
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "I*")
-    lam, mu = mult_bounds(f, g)
+    lam, mu = _mult_bounds(f, g, "I*")
     return float(np.log(lam / mu))
 
 
 def add_bounds(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     """Closed-form bracket scalars ``(c1, c2)``: extrema of ``f (-) g``."""
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "FM")
-    require_regime(g.values, g.m, "FM", what="probe image")
+    _check_pair(f, g, "FM", "FM")
     cs = lip_sub(f.values, g.values, f.m)
     return float(cs.max()), float(cs.min())
 
@@ -146,9 +148,7 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
     equals ``g`` LIP-shifted by a constant.  A distance that rounding
     carries to ``m`` is returned one ulp below ``m``.
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "FM")
-    require_regime(g.values, g.m, "FM", what="probe image")
+    _check_pair(f, g, "FM", "FM")
     d = xi(f.values, f.m) - xi(g.values, f.m)
     return float(_lip_distance(d.max(), d.min(), f.m))
 
@@ -158,58 +158,42 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
 # ---------------------------------------------------------------------------
 
 
-def offset_slices(shape, dy, dx):
-    """Destination/source slice pair realising ``out[x] op= arr[x + (dy, dx)]``.
-
-    Returns ``None`` when no cell of ``out`` has its offset partner inside
-    the raster.
-    """
-    h, w = shape
-    r0, r1 = max(0, -dy), min(h, h - dy)
-    c0, c1 = max(0, -dx), min(w, w - dx)
-    if r0 >= r1 or c0 >= c1:
-        return None
-    dst = (slice(r0, r1), slice(c0, c1))
-    src = (slice(r0 + dy, r1 + dy), slice(c0 + dx, c1 + dx))
-    return dst, src
-
-
-def _offset_reduce(arr, offs, combine, maximum, init):
-    """Accumulate ``combine(arr[x+h], v)`` over probe offsets, clipped to the raster."""
-    out = np.full(arr.shape, init)
-    acc = np.maximum if maximum else np.minimum
-    for dy, dx, v in offs:
-        sl = offset_slices(arr.shape, dy, dx)
-        if sl is None:
-            continue
-        dst, src = sl
-        acc(out[dst], combine(arr[src], v), out=out[dst])
-    return out
-
-
 def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
     check_same_scale(f, b)
     require_regime(f.values, f.m, "I*" if strict_image else "Ibar")
     require_regime(b.values, b.m, "I*", what="probe", mask=b.mask)
+    # the ratio tilde(f) / tilde(b) has a pole where ln(1 - b/m) is 0 and
+    # overflows where it is subnormal; hat(b) is -inf at 0
+    tb = tilde(b.values, b.m)
+    tiny = b.mask & (np.abs(tb) < np.finfo(np.float64).tiny)
+    if tiny.any():
+        idx, where = _first_bad(tiny)
+        raise SingularityError(
+            f"probe value {b.values[idx]}{where} too close to 0: ln(1 - value/m) = {tb[idx]} is not a normal float"
+        )
 
 
 def _require_add(f: GreyImage, b: Probe):
     check_same_scale(f, b)
-    at_m = b.mask & (b.values == b.m)
-    if at_m.any():
-        r, c = _first_bad_cell(at_m)
-        raise SingularityError(f"probe value equals m={b.m} at cell ({r}, {c}): LIP difference is singular there")
+    _require_not_m(b.values, b.m, "probe", b.mask)
     require_regime(b.values, b.m, "FM", what="probe", mask=b.mask)
 
 
 def _ratio_bound_mult(f, b, maximum):
+    """Per cell, the max (or min) of ``tilde(f)(x+h) / tilde(b)(h)`` over the offsets ``h`` whose partner lies inside."""
     tf = tilde(f.values, f.m)
+    h, w = tf.shape
+    out = np.full(tf.shape, 0.0 if maximum else np.inf)
+    acc = np.maximum if maximum else np.minimum
     dys, dxs, vals = b.offsets()
-    offs = [(int(dy), int(dx), float(v)) for dy, dx, v in zip(dys, dxs, tilde(vals, b.m))]
-    combine = lambda window, tb: window / tb
-    init = 0.0 if maximum else np.inf
     with np.errstate(invalid="ignore"):
-        return _offset_reduce(tf, offs, combine, maximum, init)
+        for dy, dx, tb in zip(dys.tolist(), dxs.tolist(), tilde(vals, b.m).tolist()):
+            r0, r1 = max(0, -dy), min(h, h - dy)
+            c0, c1 = max(0, -dx), min(w, w - dx)
+            if r0 < r1 and c0 < c1:
+                dst = out[r0:r1, c0:c1]
+                acc(dst, tf[r0 + dy : r1 + dy, c0 + dx : c1 + dx] / tb, out=dst)
+    return out
 
 
 def _extrema(f, b, t, hi=True, lo=True):
@@ -334,10 +318,8 @@ def _to_strict(values, m, what, mask=True):
     out = xi_inv(complement(values, m), m)
     bad = (out == m) & mask
     if bad.any():
-        r, c = _first_bad_cell(bad)
-        raise RegimeError(
-            f"{what} value {values[r, c]} at cell ({r}, {c}) is too far below -m={m}: xi_inv(m - value) rounds to m"
-        )
+        idx, where = _first_bad(bad)
+        raise RegimeError(f"{what} value {values[idx]}{where} is too far below -m={m}: xi_inv(m - value) rounds to m")
     return out
 
 
@@ -415,9 +397,7 @@ def oracle_scan_mult(f: GreyImage, g: GreyImage, step_ratio: float = 1.0001) -> 
     thresholds, so the true ``lam`` lies in ``[result/step_ratio, result]``
     and ``mu`` in ``[result, result*step_ratio]``.
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "I*")
-    require_regime(g.values, g.m, "I*")
+    _check_pair(f, g, "I*", "I*")
     step_ratio = float(step_ratio)
     if not step_ratio > 1.0:
         raise DomainError(f"step_ratio must exceed 1, got {step_ratio}")
@@ -474,9 +454,7 @@ def oracle_scan_add(f: GreyImage, g: GreyImage, step: float = 0.001, c_min: floa
     threshold) up to ``m`` in steps of ``step``, so ``c1`` lies in
     ``[result - step, result]`` and ``c2`` in ``[result, result + step]``.
     """
-    _check_pair(f, g)
-    require_regime(f.values, f.m, "FM")
-    require_regime(g.values, g.m, "FM", what="probe image")
+    _check_pair(f, g, "FM", "FM")
     step = float(step)
     if not step > 0:
         raise DomainError(f"step must be positive, got {step}")

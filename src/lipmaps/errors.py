@@ -14,7 +14,7 @@ class DomainError(LipError):
 
 
 class RegimeError(DomainError):
-    """Values violate the strict open-interval regime an operation requires."""
+    """Values outside the regime an operation or container requires; names the first offending cell."""
 
 
 class SingularityError(DomainError):

@@ -17,13 +17,30 @@ returns the same kind.  Extended reals are plain float64 with ``+-inf``;
 raising, so pointwise pipelines stay total.  They evaluate ``ln(1 - f/m)``
 as ``log1p(-f/m)`` and ``1 - exp(y)`` as ``-expm1(y)``, which keeps full
 relative precision for grey values near 0.  All functions are pure.
+
+Grey-value regimes
+------------------
+The algebra and the metrics are defined on nested value sets, named in
+one table and checked by :func:`require_regime`, which names the first
+offending cell:
+
+* ``I``     : ``[0, m[``      ordinary images
+* ``I*``    : ``]0, m[``      strictly positive images (multiplicative metric)
+* ``Ibar``  : ``[0, m]``      closure, edge values allowed
+* ``FM``    : ``]-inf, m[``   functions (additive metric; may be negative)
+* ``FMm``   : ``]-inf, m]``   ``FM`` with its absorbing element ``m`` (``lip_add``)
+* ``FMbar`` : ``[-inf, m]``   closure of ``FM`` (``xi``, images, additive maps)
+
+NaN lies outside every regime.  With ``m = inf`` the table also names the
+checks that have no grey-scale bound: ``FMbar`` admits every value but
+NaN, ``FM`` every finite value and ``I*`` every positive finite value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError
+from .errors import DimensionError, RegimeError, SingularityError
 
 #: Default grey-scale upper bound (8-bit data).
 DEFAULT_M = 256.0
@@ -42,21 +59,68 @@ __all__ = [
     "xi_inv",
     "complement",
     "complement_difference_identity",
+    "require_regime",
 ]
 
 
+_REGIMES = {
+    # name: (low, low_open, high_open); the high end is always m
+    "I": (0.0, False, True),
+    "I*": (0.0, True, True),
+    "Ibar": (0.0, False, False),
+    "FM": (-np.inf, True, True),
+    "FMm": (-np.inf, True, False),
+    "FMbar": (-np.inf, False, False),
+}
+
+
+def _first_bad(bad):
+    """Row-major index of the first true cell of ``bad``, and where it is as text."""
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), np.shape(bad)))
+    if not idx:
+        return idx, ""
+    return idx, f" at index {idx[0]}" if len(idx) == 1 else f" at cell {idx}"
+
+
+def require_regime(values, m, regime, what="image", mask=None):
+    """Check every value against a named regime and return the values as float64.
+
+    ``regime`` is a name from the table in the module docstring; NaN lies
+    outside every regime.  With ``mask`` given, only masked cells are
+    checked (probe domains).  The first offending cell (row-major) and its
+    value appear in the :class:`RegimeError` message.
+    """
+    lo, lo_open, hi_open = _REGIMES[regime]
+    v = np.asarray(values, dtype=np.float64)
+    ok = (v < m) if hi_open else (v <= m)  # NaN fails every comparison
+    if lo_open or lo > -np.inf:  # a closed -inf bound holds for every other value
+        ok &= (v > lo) if lo_open else (v >= lo)
+    if mask is not None:
+        ok |= ~np.asarray(mask, dtype=bool)
+    if not ok.all():
+        idx, where = _first_bad(~ok)
+        value = "NaN" if np.isnan(v[idx]) else v[idx]
+        lo_b, hi_b = "]" if lo_open else "[", "[" if hi_open else "]"
+        raise RegimeError(f"{what} value {value}{where} outside regime {lo_b}{lo:g}, {m}{hi_b}")
+    return v
+
+
+def _require_not_m(values, m, what, mask=None):
+    """Raise :class:`SingularityError` naming the first cell equal to ``m``, the pole of ``f (-) g`` in ``g``."""
+    at_m = values == m
+    if mask is not None:
+        at_m &= mask
+    if at_m.any():
+        raise SingularityError(f"{what} value equals m={m}{_first_bad(at_m)[1]}: LIP difference is singular there")
+
+
 def _check_m(m):
-    m = float(m)
-    if not m > 0 or not np.isfinite(m):
-        raise DomainError(f"grey-scale bound m must be positive and finite, got {m}")
-    return m
+    return float(require_regime(m, np.inf, "I*", "grey-scale bound m"))
 
 
 def _asvalues(x, name):
-    a = np.asarray(x, dtype=np.float64)
-    if np.isnan(a).any():
-        raise DomainError(f"{name} contains NaN")
-    return a
+    """``x`` as float64, checked to hold no NaN (``FMbar`` at ``m = inf``)."""
+    return require_regime(x, np.inf, "FMbar", name)
 
 
 def _check_shapes(fa, ga):
@@ -76,13 +140,14 @@ def lip_add(f, g, m=DEFAULT_M):
 
     Models the superimposition of two semi-transparent layers.  Commutative
     and associative; 0 is neutral, ``m`` is absorbing.  Both operands must
-    be ``<= m`` (the closure value ``m`` is allowed).
+    lie in ``]-inf, m]`` (the closure value ``m`` is allowed; ``-inf`` is
+    not, since ``-inf (+) g`` has no value).
     """
     m = _check_m(m)
     fa, ga = _asvalues(f, "f"), _asvalues(g, "g")
     _check_shapes(fa, ga)
-    if np.any(fa > m) or np.any(ga > m):
-        raise DomainError(f"lip_add operands must be <= m={m}")
+    require_regime(fa, m, "FMm", "f")
+    require_regime(ga, m, "FMm", "g")
     return _ret(fa + ga - fa * ga / m, f, g)
 
 
@@ -94,10 +159,8 @@ def lip_mult(lam, f, m=DEFAULT_M):
     ``lam (x) (mu (x) f) = (lam*mu) (x) f``.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa < 0) or np.any(fa > m):
-        raise DomainError(f"lip_mult requires f in [0, m={m}]")
-    lam = float(lam)
+    fa = require_regime(f, m, "Ibar", "f")
+    lam = float(_asvalues(lam, "lam"))
     with np.errstate(divide="ignore"):
         out = m - m * (1.0 - fa / m) ** lam
     return _ret(out, f)
@@ -106,31 +169,29 @@ def lip_mult(lam, f, m=DEFAULT_M):
 def lip_neg(f, m=DEFAULT_M):
     """LIP negation ``(-) f = -f / (1 - f/m)``, the inverse for ``lip_add``.
 
-    Singular at ``f = m``.  The result may be negative (it is a "function",
-    not an image); it satisfies ``f (+) (-)f = 0`` and is an involution.
+    Defined on ``]-inf, m[`` and singular at ``f = m``.  The result may be
+    negative (it is a "function", not an image); it satisfies
+    ``f (+) (-)f = 0`` and is an involution.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa == m):
-        raise SingularityError(f"lip_neg undefined at f = m = {m}")
-    if np.any(fa > m):
-        raise DomainError(f"lip_neg requires f < m = {m}")
+    fa = np.asarray(f, dtype=np.float64)
+    _require_not_m(fa, m, "f")
+    require_regime(fa, m, "FM", "f")
     return _ret((-fa) / (1.0 - fa / m), f)
 
 
 def lip_sub(f, g, m=DEFAULT_M):
     """LIP subtraction ``f (-) g = (f - g) / (1 - g/m)``.
 
-    Singular at ``g = m``.  ``f (-) g`` is an image iff ``f >= g``;
+    ``g`` must lie in ``]-inf, m[``; the difference is singular at
+    ``g = m``.  ``f (-) g`` is an image iff ``f >= g``;
     negative values are propagated, never clamped.
     """
     m = _check_m(m)
     fa, ga = _asvalues(f, "f"), _asvalues(g, "g")
     _check_shapes(fa, ga)
-    if np.any(ga == m):
-        raise SingularityError(f"lip_sub undefined at g = m = {m}")
-    if np.any(ga > m):
-        raise DomainError(f"lip_sub requires g < m = {m}")
+    _require_not_m(ga, m, "g")
+    require_regime(ga, m, "FM", "g")
     return _ret((fa - ga) / (1.0 - ga / m), f, g)
 
 
@@ -141,9 +202,7 @@ def transmittance(f, m=DEFAULT_M):
     transmittance(f) * transmittance(g)``.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa < 0) or np.any(fa >= m):
-        raise DomainError(f"transmittance requires f in [0, m={m}[")
+    fa = require_regime(f, m, "I", "f")
     return _ret(1.0 - fa / m, f)
 
 
@@ -153,9 +212,7 @@ def tilde(f, m=DEFAULT_M):
     Non-positive; ``tilde(0) = 0`` and ``tilde(m) = -inf``.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa < 0) or np.any(fa > m):
-        raise DomainError(f"tilde requires f in [0, m={m}]")
+    fa = require_regime(f, m, "Ibar", "f")
     with np.errstate(divide="ignore"):
         return _ret(np.log1p(-fa / m), f)
 
@@ -168,17 +225,15 @@ def hat(f, m=DEFAULT_M):
     bound maps be written as a grey-level dilation and erosion.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa < 0) or np.any(fa > m):
-        raise DomainError(f"hat requires f in [0, m={m}]")
+    fa = require_regime(f, m, "Ibar", "f")
     with np.errstate(divide="ignore"):
         return _ret(np.log(-np.log1p(-fa / m)), f)
 
 
 def hat_inv(y, m=DEFAULT_M):
-    """Inverse of :func:`hat`: ``m * (1 - exp(-exp(y)))``, total on extended reals."""
+    """Inverse of :func:`hat`: ``m * (1 - exp(-exp(y)))``, total on the extended reals."""
     m = _check_m(m)
-    ya = np.asarray(y, dtype=np.float64)
+    ya = _asvalues(y, "y")
     with np.errstate(over="ignore"):
         return _ret(-m * np.expm1(-np.exp(ya)), y)
 
@@ -191,9 +246,7 @@ def xi(f, m=DEFAULT_M):
     Equals ``-m * tilde(f)`` on ``[0, m]`` but also accepts negative values.
     """
     m = _check_m(m)
-    fa = _asvalues(f, "f")
-    if np.any(fa > m):
-        raise DomainError(f"xi requires f <= m = {m}")
+    fa = require_regime(f, m, "FMbar", "f")
     with np.errstate(divide="ignore"):
         return _ret(-m * np.log1p(-fa / m), f)
 
@@ -233,8 +286,8 @@ def complement_difference_identity(f, b, m=DEFAULT_M, tol=1e-9):
     _check_shapes(fa, ba)
     if np.any(ba == 0):
         raise SingularityError("identity undefined at b = 0")
-    if np.any(ba < 0) or np.any(ba > m) or np.any(fa < 0) or np.any(fa > m):
-        raise DomainError(f"identity requires f in [0, m], b in ]0, m], m={m}")
+    require_regime(ba, m, "Ibar", "b")
+    require_regime(fa, m, "Ibar", "f")
     lhs = lip_sub(complement(fa, m), complement(ba, m), m)
     rhs = m * (1.0 - fa / ba)
     err = float(np.max(np.abs(np.asarray(lhs) - rhs)))

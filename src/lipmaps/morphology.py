@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .rasters import Probe, _first_bad_cell
+from .lip import _asvalues
+from .rasters import Probe
 
 __all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask"]
 
@@ -163,21 +163,12 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level dilation ``(f (+) b)(x) = sup { f(x-h) + b(h) : h in D_b }``."""
-    return spread(_nan_free(f), reflect(b.with_values(-b.values)), lo=False)[0]
+    return spread(_asvalues(f, "image"), reflect(b.with_values(-b.values)), lo=False)[0]
 
 
 def erode(f: np.ndarray, b: Probe) -> np.ndarray:
     """Grey-level erosion ``(f (-) b)(x) = inf { f(x+h) - b(h) : h in D_b }``."""
-    return spread(_nan_free(f), b, hi=False)[1]
-
-
-def _nan_free(f):
-    """``f`` as a float64 array; a NaN cell raises :class:`DomainError`, as in :class:`GreyImage`."""
-    f = np.asarray(f, dtype=np.float64)
-    nan = np.isnan(f)
-    if nan.any():
-        raise DomainError(f"NaN at cell {_first_bad_cell(nan)}")
-    return f
+    return spread(_asvalues(f, "image"), b, hi=False)[1]
 
 
 def reflect(b: Probe) -> Probe:

@@ -7,16 +7,15 @@ binary operations go through :func:`check_same_scale`.
 
 Grey-value regimes
 ------------------
-The algebra is defined on nested value sets, checked at operation entry
-points rather than at construction time:
-
-* ``I``     : ``[0, m[``  ordinary images
-* ``I*``    : ``]0, m[``  strictly positive images (multiplicative metric)
-* ``Ibar``  : ``[0, m]``  closure, edge values allowed
-* ``F_M``   : ``]-inf, m[`` functions (additive metric; may be negative)
-
-A :class:`GreyImage` itself only guarantees ``values <= m`` and no NaN, so
-one container serves every regime.
+The value sets the algebra is defined on (``I``, ``I*``, ``Ibar``, ``FM``
+and their closures) are named in :mod:`lipmaps.lip`, and
+:func:`require_regime` checks them.  Operations check the regime they need
+at their entry points.  A container checks only its own invariant, with
+the same function: a :class:`GreyImage` holds ``FMbar`` (``[-inf, m]``: no
+NaN, nothing above ``m``), so one container serves every regime; a
+:class:`Probe` holds finite values on its domain, a :class:`DistanceMap`
+no NaN and an :class:`FmMap` ``FMbar``.  Every violation names its first
+offending cell.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, RegimeError
-from .lip import DEFAULT_M, _check_m
+from .errors import DimensionError, DomainError
+from .lip import DEFAULT_M, _asvalues, _check_m, _first_bad, require_regime
 
 __all__ = [
     "GreyImage",
@@ -46,27 +45,12 @@ def _frozen_array(a, dtype=np.float64):
     return a
 
 
-def _first_bad_cell(bad):
-    r, c = np.argwhere(bad)[0]
-    return int(r), int(c)
-
-
 def _raster(values, what):
-    """``values`` as a float64 array, checked to be a non-empty 2-D raster without NaN."""
+    """``values`` as a float64 array, checked to be a non-empty 2-D raster."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.size == 0:
         raise DimensionError(f"{what} must be a non-empty 2-D raster, got shape {v.shape}")
-    nan = np.isnan(v)
-    if nan.any():
-        raise DomainError(f"NaN at cell {_first_bad_cell(nan)}")
     return v
-
-
-def _check_at_most_m(v, m):
-    above = v > m
-    if above.any():
-        r, c = _first_bad_cell(above)
-        raise DomainError(f"value {v[r, c]} > m={m} at cell ({r}, {c})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +68,7 @@ class GreyImage:
     def __post_init__(self):
         v = _raster(self.values, "image")
         m = _check_m(self.m)
-        _check_at_most_m(v, m)  # m is finite, so this rejects +inf too
+        require_regime(v, m, "FMbar")
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "m", m)
 
@@ -132,9 +116,7 @@ class Probe:
         if not (0 <= ar < v.shape[0] and 0 <= ac < v.shape[1]):
             raise DomainError(f"anchor ({ar}, {ac}) outside probe bounds {v.shape}")
         m = _check_m(self.m)
-        inf = np.isinf(v)
-        if inf.any():
-            raise DomainError(f"infinite probe value at cell {_first_bad_cell(inf)}")
+        require_regime(v, np.inf, "FM", "probe")  # finite: ]-inf, inf[
         object.__setattr__(self, "values", _frozen_array(v))
         object.__setattr__(self, "mask", _frozen_array(mk, dtype=bool))
         object.__setattr__(self, "anchor", (ar, ac))
@@ -175,6 +157,7 @@ class DistanceMap:
 
     def __post_init__(self):
         v = _raster(self.values, "map")
+        _asvalues(v, "map")
         fm = self.full_mask
         fm = np.ones(v.shape, dtype=bool) if fm is None else np.asarray(fm, dtype=bool)
         if fm.shape != v.shape:
@@ -203,60 +186,21 @@ class RealMap(DistanceMap):
     def _check_range(self, v, m):
         bad = (v < 0) & (v != -np.inf)
         if bad.any():
-            r, c = _first_bad_cell(bad)
-            raise DomainError(f"negative value {v[r, c]} at cell ({r}, {c}) in a non-negative map")
+            idx, where = _first_bad(bad)
+            raise DomainError(f"negative value {v[idx]}{where} in a non-negative map")
 
 
 class FmMap(DistanceMap):
     """Map with values in ``[-inf, m]``: additive bounds and distances."""
 
-    _check_range = staticmethod(_check_at_most_m)
+    def _check_range(self, v, m):
+        require_regime(v, m, "FMbar", "map")
 
 
 def check_same_scale(a, b):
     """Raise :class:`DimensionError` unless the two rasters share the same ``m``."""
     if a.m != b.m:
         raise DimensionError(f"grey-scale bounds differ: {a.m} vs {b.m}")
-
-
-_REGIMES = {
-    # name: (low, low_open, high_open); the high end is always m
-    "I": (0.0, False, True),
-    "I*": (0.0, True, True),
-    "Ibar": (0.0, False, False),
-    "FM": (-np.inf, True, True),
-}
-
-
-def require_regime(values, m, regime, what="image", mask=None):
-    """Check every value against a named regime, reporting the first offender.
-
-    ``regime`` is one of ``"I"`` ([0,m[), ``"I*"`` (]0,m[), ``"Ibar"``
-    ([0,m]) or ``"FM"`` (]-inf,m[).  With ``mask`` given, only masked
-    cells are checked (probe domains).  The first offending cell's
-    coordinates appear in the error message.
-    """
-    lo, lo_open, hi_open = _REGIMES[regime]
-    v = np.asarray(values, dtype=np.float64)
-    bad = (v <= lo) if lo_open else (v < lo)
-    bad |= (v >= m) if hi_open else (v > m)
-    if mask is not None:
-        bad &= np.asarray(mask, dtype=bool)
-    if bad.any():
-        if v.ndim == 2:
-            r, c = _first_bad_cell(bad)
-            where = f"at cell ({r}, {c})"
-            offending = v[r, c]
-        else:
-            i = int(np.argwhere(bad)[0][0])
-            where = f"at index {i}"
-            offending = v[i]
-        lo_b = "]" if lo_open else "["
-        hi_b = "[" if hi_open else "]"
-        lo_s = "0" if lo == 0 else "-inf"
-        raise RegimeError(
-            f"{what} value {offending} {where} outside regime {lo_b}{lo_s}, {m}{hi_b}"
-        )
 
 
 def clamp_strict(image: GreyImage, eps: float = 0.5) -> GreyImage:

@@ -97,6 +97,12 @@ class TestDistMult:
         with pytest.raises(DimensionError):
             dist_mult(grey([[10.0]]), GreyImage([[10.0]], m=255.0))
 
+    @pytest.mark.parametrize("fn", [dist_mult, mult_bounds], ids=lambda fn: fn.__name__)
+    def test_pair_checked_before_regime(self, fn):
+        # mis-shaped and out of regime at once: the pair check comes first
+        with pytest.raises(DimensionError):
+            fn(grey([[0.0]]), grey([[256.0, 10.0]]))
+
 
 class TestDistAdd:
     def test_documented_instance(self, instance_1x2):
@@ -184,6 +190,20 @@ class TestBoundMaps:
         for path in ("ratio", "morpho"):
             got = mglb_mult(f, b, path=path).values
             assert got[0, 0] == 0.0 and got[0, 2] == np.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
+    @pytest.mark.parametrize("path", ["ratio", "morpho"])
+    @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
+    def test_subnormal_probe_cell_named(self, fn, path, m):
+        # ln(1 - 5e-324/m) is subnormal or 0 at every scale: the ratio path
+        # overflowed to NaN, the morpho path met hat(b) = -inf or went on;
+        # map_mult_via_add already raised SingularityError for the same cell
+        f = GreyImage([[m / 2, m / 4]], m)
+        for values, cell in (([[5e-324, m / 2]], r"\(0, 0\)"), ([[m / 2, 5e-324]], r"\(0, 1\)")):
+            b = Probe(values, [[True, True]], (0, 0), m)
+            with pytest.raises(SingularityError, match=rf"probe value 5e-324 at cell {cell} too close to 0"):
+                fn(f, b, path=path)
 
     @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
     def test_bad_path_name(self, instance_1x2, fn):

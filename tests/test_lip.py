@@ -175,6 +175,51 @@ class TestDomainErrors:
             lip_add(np.nan, 1.0)
 
 
+# every public function, with the operand an edge value is put into; the
+# other operands hold M / 2, which every function accepts
+HALF = np.array([[M / 2, M / 2]])
+EDGE_CALLS = {
+    "lip_add f": lambda v: lip_add(v, HALF),
+    "lip_add g": lambda v: lip_add(HALF, v),
+    "lip_mult lam": lambda v: lip_mult(v, HALF),
+    "lip_mult f": lambda v: lip_mult(2.0, v),
+    "lip_neg": lip_neg,
+    "lip_sub f": lambda v: lip_sub(v, HALF),
+    "lip_sub g": lambda v: lip_sub(HALF, v),
+    "transmittance": transmittance,
+    "tilde": tilde,
+    "hat": hat,
+    "hat_inv": hat_inv,
+    "xi": xi,
+    "xi_inv": xi_inv,
+    "complement": complement,
+    "identity f": lambda v: complement_difference_identity(v, HALF),
+    "identity b": lambda v: complement_difference_identity(HALF, v),
+}
+EDGES = {
+    "nan": np.nan,
+    "-inf": -np.inf,
+    "+inf": np.inf,
+    "m": M,
+    "above m": np.nextafter(M, np.inf),
+    "negative": -1.0,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("call", EDGE_CALLS)
+def test_edge_inputs_total(call, edge):
+    """A NaN-free result, or a domain error naming the first bad cell; never a NaN or a warning."""
+    v = np.array([[M / 2, EDGES[edge]]]) if call != "lip_mult lam" else EDGES[edge]
+    try:
+        out = EDGE_CALLS[call](v)
+    except DomainError as exc:
+        assert call == "lip_mult lam" or "at cell (0, 1)" in str(exc)
+        return
+    assert not np.isnan(out).any()
+
+
 class TestAdditionLaws:
     @given(grey_values, grey_values)
     def test_commutative(self, f, g):

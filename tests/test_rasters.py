@@ -128,6 +128,14 @@ class TestRegimes:
             ("FM", -1e9, True),
             ("FM", -np.inf, False),
             ("FM", 256.0, False),
+            ("FMm", 256.0, True),
+            ("FMm", -np.inf, False),
+            ("FMm", np.nextafter(256.0, np.inf), False),
+            ("FMbar", -np.inf, True),
+            ("FMbar", 256.0, True),
+            ("FMbar", np.inf, False),
+            ("FMbar", np.nan, False),
+            ("Ibar", np.nan, False),
         ],
     )
     def test_regime_table(self, regime, value, ok):
@@ -137,6 +145,13 @@ class TestRegimes:
         else:
             with pytest.raises(RegimeError, match=r"cell \(0, 1\)"):
                 require_regime(arr, 256.0, regime)
+
+    def test_one_require_regime(self):
+        # the benchmark's tracer wraps require_regime by identity, in every module
+        import lipmaps.lip
+        import lipmaps.rasters
+
+        assert lipmaps.rasters.require_regime is lipmaps.lip.require_regime
 
     def test_masked_check_skips_outside_cells(self):
         vals = np.array([[0.0, 128.0]])
