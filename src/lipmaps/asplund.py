@@ -158,18 +158,27 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Smallest |tilde(b)| of a probe cell.  An image cell f < m has f/m <= 1 - 2**-53
+# once rounded, so |tilde(f)| <= 53 ln 2 ~ 36.74 at every scale m; above this
+# bound the quotient tilde(f) / tilde(b) stays below 36.74/37 of the largest
+# float, far enough that rounding cannot carry it past.  Since 37/max is about
+# 9.2 tiny, the bound also rejects every subnormal |tilde(b)|.
+_PROBE_TILDE_MIN = 37.0 / np.finfo(np.float64).max
+
+
 def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
     check_same_scale(f, b)
     require_regime(f.values, f.m, "I*" if strict_image else "Ibar")
     require_regime(b.values, b.m, "I*", what="probe", mask=b.mask)
-    # the ratio tilde(f) / tilde(b) has a pole where ln(1 - b/m) is 0 and
-    # overflows where it is subnormal; hat(b) is -inf at 0
+    # the ratio tilde(f) / tilde(b) has a pole where ln(1 - b/m) is 0 (where
+    # hat(b) is -inf) and overflows where it is too small
     tb = tilde(b.values, b.m)
-    tiny = b.mask & (np.abs(tb) < np.finfo(np.float64).tiny)
-    if tiny.any():
-        idx, where = _first_bad(tiny)
+    small = b.mask & (np.abs(tb) < _PROBE_TILDE_MIN)
+    if small.any():
+        idx, where = _first_bad(small)
         raise SingularityError(
-            f"probe value {b.values[idx]}{where} too close to 0: ln(1 - value/m) = {tb[idx]} is not a normal float"
+            f"probe value {b.values[idx]}{where} too close to 0: |ln(1 - value/m)| = {abs(tb[idx])} "
+            f"is below {_PROBE_TILDE_MIN}, where tilde(f)/tilde(b) can overflow"
         )
 
 

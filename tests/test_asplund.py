@@ -39,6 +39,8 @@ from lipmaps import (
     random_probe,
     xi,
 )
+from lipmaps.asplund import _PROBE_TILDE_MIN
+from lipmaps.lip import tilde
 
 from conftest import M, full_probe, grey
 
@@ -204,6 +206,35 @@ class TestBoundMaps:
             b = Probe(values, [[True, True]], (0, 0), m)
             with pytest.raises(SingularityError, match=rf"probe value 5e-324 at cell {cell} too close to 0"):
                 fn(f, b, path=path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
+    def test_probe_bound_keeps_ratio_finite(self, m):
+        # an image cell below m has |tilde| <= 53 ln 2, so at the bound the
+        # quotient tilde(f)/tilde(b) stays below the largest float; with an
+        # image cell one ulp below m, both paths at the bound and one float
+        # above it return finite maps that agree, and the float below it raises
+        assert _PROBE_TILDE_MIN >= 53 * math.log(2) / np.finfo(np.float64).max
+
+        def tb(v):
+            return abs(float(tilde(v, m)))
+
+        at = _PROBE_TILDE_MIN * m
+        while tb(at) < _PROBE_TILDE_MIN:
+            at = np.nextafter(at, np.inf)
+        while tb(np.nextafter(at, 0.0)) >= _PROBE_TILDE_MIN:
+            at = np.nextafter(at, 0.0)
+        f = GreyImage([[np.nextafter(m, 0.0), m / 2]], m)
+        for v in (at, np.nextafter(at, np.inf)):
+            b = Probe([[v, m / 2]], [[True, True]], (0, 0), m)
+            for fn in (mlub_mult, mglb_mult, map_mult):
+                a, c = (fn(f, b, path=path).values for path in ("ratio", "morpho"))
+                assert np.all(np.isfinite(a)) and np.max(np.abs(a - c) / (1.0 + np.abs(a))) <= 1e-9
+        b = Probe([[np.nextafter(at, 0.0), m / 2]], [[True, True]], (0, 0), m)
+        for fn in (mlub_mult, mglb_mult, map_mult):
+            for path in ("ratio", "morpho"):
+                with pytest.raises(SingularityError, match=r"at cell \(0, 0\) too close to 0"):
+                    fn(f, b, path=path)
 
     @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
     def test_bad_path_name(self, instance_1x2, fn):

@@ -407,3 +407,134 @@ class TestRunDecomposition:
         for i in range(1, len(dy)):
             if dy[i] == dy[i - 1] and dx[i] == dx[i - 1] + n[i - 1]:
                 assert v[i] != v[i - 1]
+
+
+def with_infinities(rng, shape):
+    """Values in ``[-50, 50[`` with about a tenth of the cells ``+inf`` and a tenth ``-inf``."""
+    f = rng.uniform(-50.0, 50.0, size=shape)
+    f[rng.random(shape) < 0.1] = np.inf
+    f[rng.random(shape) < 0.1] = -np.inf
+    return f
+
+
+class TestFlatLayout:
+    """Edges of the flat table layout.
+
+    :func:`spread` reads every table slice as one flat range at the table's
+    row stride, padding columns included, and folds it into a padded
+    accumulator of the same stride.  These cases put a range's end on the
+    last valid column of its level, make the padding wider than the raster,
+    and leave a last strip of one row; every map must still match the loop.
+    """
+
+    def probes(self, rng):
+        flat = Probe(*flat_probe(rng, 3, RUN_LENGTHS, 5.0, 250.0, holes=True), M)
+        free = Probe(*with_mask(rng, rng.uniform(5.0, 250.0, size=(3, 3)), True), M)
+        return [flat, free, Probe(*mixed_probe(rng, 2, True), M), make_ring_probe(3, 1)]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("height", [1, 3, _STRIP + 1])
+    def test_narrow_rasters(self, rng, width, height):
+        for b in self.probes(rng):
+            assert_all_maps(*images(rng, (height, width)), b)
+            assert_dilate_erode(with_infinities(rng, (height, width)), b)
+
+    @pytest.mark.parametrize("last", [1, 5, 8])
+    @pytest.mark.parametrize("width", [1, 4, 9, 30])
+    def test_run_ends_at_last_table_column(self, rng, last, width):
+        # anchored at the top-left cell, the bottom probe row ends in a run of
+        # `last` cells at the rightmost offset: its last slice (level 0, or the
+        # second level-2 slice, or the one level-3 slice) ends at the last valid
+        # column of its level on the table's last row
+        values = rng.uniform(5.0, 250.0, size=(3, 6 + last))
+        values[2, 6:] = 40.0
+        values[0, 2:4] = 40.0  # the same value on another row: one group, not a single cell
+        b = Probe(values, np.ones(values.shape, dtype=bool), (0, 0), M)
+        dy, dx, n, _ = probe_runs(b)
+        end, bottom = dx + n - 1, dy == dy.max()
+        assert end[bottom][-1] == end.max() and n[bottom][-1] == last
+        for height in (3, _STRIP + 1):
+            assert_all_maps(*images(rng, (height, width)), b)
+            assert_dilate_erode(with_infinities(rng, (height, width)), b)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 7), (8, 2)])
+    def test_probe_wider_and_taller_than_raster(self, rng, shape):
+        values, mask, anchor = flat_probe(rng, 9, RUN_LENGTHS, 5.0, 250.0, holes=True)
+        for anchor in (anchor, (8, 64), (4, 30)):
+            b = Probe(values, mask, anchor, M)
+            assert_all_maps(*images(rng, shape), b)
+            assert_dilate_erode(with_infinities(rng, shape), b)
+
+    def test_last_strip_of_one_row(self, rng):
+        tall = Probe(*flat_probe(rng, _STRIP + 6, (1, 2, 3), 5.0, 250.0, holes=True), M)
+        for b in self.probes(rng) + [tall, make_ring_probe(6, 3)]:
+            assert_all_maps(*images(rng, (_STRIP + 1, 7)), b)
+            assert_dilate_erode(with_infinities(rng, (_STRIP + 1, 7)), b)
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_infinite_cells(self, rng, width):
+        f = with_infinities(rng, (_STRIP + 1, width))
+        for b in self.probes(rng):
+            assert_dilate_erode(f, b)
+            assert_one_side(f, b, True, False)
+            assert_one_side(f, b, False, True)
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_off_mask_anchors(self, rng, width):
+        ring = make_ring_probe(6, 3)
+        mixed, mask, _ = mixed_probe(rng, 2, True)
+        mask[1, 5] = False
+        for b in (Probe(ring.values, ring.mask, (0, 12), M), Probe(mixed, mask, (1, 5), M)):
+            assert not b.mask[b.anchor]
+            assert_all_maps(*images(rng, (_STRIP + 1, width)), b)
+            assert_dilate_erode(with_infinities(rng, (_STRIP + 1, width)), b)
+
+    def test_memory_layout(self, rng):
+        # a strided view and a Fortran-ordered array give the bytes of their C-ordered copy
+        g = with_infinities(rng, (_STRIP + 3, 26))
+        for b in self.probes(rng):
+            for f in (g[:, ::2], np.asfortranarray(g[:, ::2])):
+                want = spread(np.ascontiguousarray(f), b)
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(spread(f, b), want))
+
+    @pytest.mark.parametrize("sides", [1, 2])
+    def test_scratch_memory_bound(self, rng, sides):
+        # the table, the accumulator and one padded strip per side, and the outputs
+        ring = make_ring_probe(30, 15)
+        f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
+        dy, dx, n, _ = probe_runs(ring)
+        top = int(np.frexp(n.max())[1]) - 1
+        span = int(dy.max() - dy.min())
+        width = f.shape[1] + max(0, int((dx + n - 1).max())) - min(0, int(dx.min()))
+        floats = (top + 1) * (_STRIP + span) * width + (1 + sides) * _STRIP * width + sides * f.size
+        tracemalloc.start()
+        try:
+            spread(f, ring, lo=sides == 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < floats * f.itemsize + 64 * 1024
+
+
+class TestZeroSign:
+    """A zero result is ``+0.0``, whatever order the folds meet ``-0.0 == 0.0`` ties in."""
+
+    @staticmethod
+    def assert_no_negative_zero(*arrays):
+        for a in arrays:
+            if a is not None:
+                assert not np.any(np.signbit(a) & (a == 0))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (5, 5), (_STRIP + 1, 7)])
+    def test_signed_zero_inputs(self, rng, shape):
+        for _ in range(8):
+            f = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
+            b = Probe(*with_mask(rng, rng.choice([0.0, -0.0, 1.0], size=(3, 4)), True), M)
+            for hi, lo in ((True, True), (True, False), (False, True)):
+                self.assert_no_negative_zero(*spread(f, b, hi=hi, lo=lo))
+            self.assert_no_negative_zero(dilate(f, b), erode(f, b))
+            self.assert_no_negative_zero(map_add(GreyImage(f, M), b).values)
+            # the multiplicative maps need a strict image and probe: zeros come
+            # from windows whose max and min meet
+            g = GreyImage(np.where(f > 0, 100.0, 200.0), M)
+            self.assert_no_negative_zero(map_mult(g, b.with_values(np.where(b.values > 0, 100.0, 200.0))).values)
