@@ -131,7 +131,8 @@ def dist_mult(f: GreyImage, g: GreyImage) -> float:
     is a LIP-multiple of ``g``.
     """
     lam, mu = _mult_bounds(f, g, "I*")
-    return float(np.log(lam / mu))
+    # as map_mult's ratio path: lam / mu can overflow where ln(lam) - ln(mu) is finite
+    return float(np.log(lam) - np.log(mu))
 
 
 def add_bounds(f: GreyImage, g: GreyImage) -> tuple[float, float]:
@@ -260,8 +261,10 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
     if path == "ratio":
         lam = _ratio_bound_mult(f, b, maximum=True)
         mu = _ratio_bound_mult(f, b, maximum=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(lam / mu)
+        # log(lam) - log(mu), not log(lam / mu): the quotient can overflow where
+        # the difference is finite; an empty window gives log 0 - log inf = -inf
+        with np.errstate(divide="ignore"):
+            vals = np.log(lam) - np.log(mu)
         full = full_overlap_mask(f.shape, b)
     elif path == "morpho":
         hi, lo, full = _extrema(f, b, hat)

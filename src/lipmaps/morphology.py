@@ -21,9 +21,12 @@ cell).  The kernel splits the probe into horizontal runs of equal value
 (the chord decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The
 running max/min of the image along a run comes from a log-step table
 (van Herk 1992): level ``k`` holds the max/min over ``2**k`` consecutive
-columns, and a run of length ``n`` with ``2**k <= n < 2**(k+1)`` is the
-max/min of two shifted level-``k`` slices.  Rounded subtraction of a
-fixed ``v`` is non-decreasing, so
+columns.  A run whose length ``L`` is ``2**k`` reads level ``k``; for any
+other length, with ``2**k < L < 2**(k+1)``, a chord-length table ``H_L``
+(Urbach & Wilkinson's table per distinct chord length) is built once, the
+max/min of level ``k`` and of level ``k`` shifted by ``L - 2**k``, and
+every run of that length and value reads it.  Each run is then one slice,
+folded once.  Rounded subtraction of a fixed ``v`` is non-decreasing, so
 ``max_h (f(x+h) - v) = max_h f(x+h) - v`` over all the runs that share the
 probe value ``v``: the runs of one value are reduced into one accumulator
 and ``v`` is subtracted once per distinct value.
@@ -35,11 +38,18 @@ level-0 slice, which is both its window max and its window min, so it
 gets one subtraction whose result is folded into both outputs; on a probe
 cut from a real image, with no two equal neighbours, that is every value.
 The other values are then reduced and subtracted one side at a time, over
-levels ``1..top`` rebuilt in place above level 0, so the scratch memory,
-one table of ``top + 1`` levels plus one accumulator and one padded
-output strip per side, stays O(levels x strip x width) whatever the
-number of values.  Map cost therefore grows with the probe's number of
-runs, not its number of cells.
+levels ``1..top`` rebuilt in place above level 0.  Per value, the runs
+are grouped by clipped length, and each ``H_L`` is built into one shared
+buffer over just the flat range its runs read, from the first run's
+start to the last run's end.  The buffer is rebuilt for the value's next
+length, so no view into it may outlive its length: a value's first length,
+when it has a single run, is built straight into the accumulator.  The
+scratch memory, one table of ``top + 1`` levels, the ``H_L`` buffer (at
+most one level), one accumulator and one padded output strip per side,
+stays O(levels x strip x width) whatever the number of values or
+lengths.  Per strip and side, map cost is one fold per run plus one
+partial build per distinct non-power-of-two length of each value: it
+grows with the probe's number of runs, not its number of cells.
 
 Every operation of a strip runs on one contiguous 1-D range of the table
 at its row stride ``width`` (the raster width plus the probe's horizontal
@@ -91,6 +101,47 @@ def probe_runs(b: Probe):
     return rows - b.anchor[0], first - b.anchor[1], last - first + 1, vals[rows, first]
 
 
+def _chords(b: Probe, shape):
+    """The probe's runs clipped to a raster of ``shape``, grouped as :func:`spread` reads them.
+
+    Returns ``None`` when no run reaches the raster.  Otherwise
+    ``(y_lo, y_hi, c_lo, width, groups)``: a strip's table holds the source
+    rows from ``y_lo`` above its first output row to ``y_hi`` below its
+    last, and the columns from ``c_lo`` to ``w - 1`` plus the probe's
+    rightward reach, at row stride ``width``.  ``groups`` maps each probe
+    value to its chord lengths, one ``(k, d, base, rel)`` per distinct
+    clipped length ``2**k + d`` (``0 <= d < 2**k``): the chords of that
+    length start at the flat table offsets ``base + rel``, with ``rel``
+    ascending from 0.
+    """
+    h, w = shape
+    dy, x0, n, vals = probe_runs(b)
+    # clip each run to the columns that can reach the raster, drop the rest
+    x1 = np.minimum(x0 + n - 1, w - 1)
+    x0 = np.maximum(x0, 1 - w)
+    keep = (np.abs(dy) < h) & (x0 <= x1)
+    dy, x0, x1, vals = dy[keep], x0[keep], x1[keep], vals[keep]
+    if not dy.size:
+        return None
+    y_lo, y_hi = int(dy.min()), int(dy.max())
+    c_lo = min(0, int(x0.min()))
+    width = w + max(0, int(x1.max())) - c_lo
+    # runs grouped by probe value (the `==` of probe_runs), then by clipped
+    # length; a run at row y, column a starts at flat offset y * width + a
+    starts = {}
+    for y, a, z, v in zip(dy, x0, x1, vals):
+        at = int(y - y_lo) * width + int(a - c_lo)
+        starts.setdefault(float(v), {}).setdefault(int(z - a) + 1, []).append(at)
+    groups = {}
+    for v, by_length in starts.items():
+        # probe_runs lists runs in row-major order, so each `ats` is ascending
+        groups[v] = [
+            (n.bit_length() - 1, n - (1 << (n.bit_length() - 1)), ats[0], [at - ats[0] for at in ats])
+            for n, ats in sorted(by_length.items())
+        ]
+    return y_lo, y_hi, c_lo, width, groups
+
+
 def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     """Sliding extrema of ``f(x + h) - b(h)`` over the probe domain.
 
@@ -106,53 +157,44 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
 
     Per strip, table level 0 (the padded image) is built once.  A probe
     value held by a single cell is subtracted once from its level-0 slice,
-    and the difference is folded into both sides; the other values are
+    and the difference is folded into both sides.  The other values are
     reduced per side over levels ``1..top``, rebuilt in place above level
-    0, and subtracted once per value.  Every slice is read as one flat
-    range of the table at its row stride ``width``, padding columns
-    included, and folded into a padded accumulator of the same stride; the
-    output keeps the first ``w`` columns of each accumulator row.  Scratch
-    memory is the table, ``(top + 1) x (strip + row span) x width``
-    floats, plus one accumulator and one padded strip per side, each
+    0: per value and chord length ``L``, a power of two ``2**k`` reads
+    level ``k``, any other length first builds its chord-length table
+    ``H_L``, the reduce of level ``k`` with itself shifted by
+    ``L - 2**k``, over the flat range its chords read; each chord is then
+    one slice, folded once, and each value is subtracted once.  Every slice
+    is read as one flat range of the table at its row stride ``width``,
+    padding columns included, and folded into a padded accumulator of the
+    same stride; the output keeps the first ``w`` columns of each
+    accumulator row.  Scratch memory is the table, ``(top + 1) x (strip +
+    row span) x width`` floats, one ``H_L`` buffer of at most one level's
+    size, one accumulator and one padded strip per side, each
     ``strip x width``.
     """
     f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
     outs = [np.empty(f.shape) for _ in sides]
-    dy, x0, n, vals = probe_runs(b)
-    # clip each run to the columns that can reach the raster, drop the rest
-    x1 = np.minimum(x0 + n - 1, w - 1)
-    x0 = np.maximum(x0, 1 - w)
-    keep = (np.abs(dy) < h) & (x0 <= x1)
-    dy, x0, x1, vals = dy[keep], x0[keep], x1[keep], vals[keep]
-    if not dy.size:
+    plan = _chords(b, f.shape)
+    if plan is None:
         for out, (_, neutral) in zip(outs, sides):
             out.fill(neutral)
     else:
-        # table geometry: source rows r0 + y_lo .. r1 - 1 + y_hi, columns c_lo .. w - 1 + c_hi
-        y_lo, y_hi = int(dy.min()), int(dy.max())
-        c_lo, c_hi = min(0, int(x0.min())), max(0, int(x1.max()))
-        width = w + c_hi - c_lo
-        levels = np.frexp(x1 - x0 + 1)[1] - 1  # floor(log2(length))
-        # runs grouped by probe value (the `==` of probe_runs); a run of length n
-        # reads level k = floor(log2(n)) at columns a and z, one slice when n == 2**k;
-        # a slice at row ty, column c starts at flat offset ty * width + c
-        groups = {}
-        for k, y, a, z, v in zip(levels, dy, x0, x1, vals):
-            k, a, z = int(k), int(a - c_lo), int(z - c_lo) + 1 - (1 << int(k))
-            at = int(y - y_lo) * width
-            groups.setdefault(float(v), []).extend((k, at + c) for c in ((a,) if a == z else (a, z)))
-        # a value on one clipped cell (one run of length 1) reads one level-0 slice,
-        # and its window max and min are that slice
-        cells = {v: runs[0][1] for v, runs in groups.items() if len(runs) == 1 and runs[0][0] == 0}
+        y_lo, y_hi, c_lo, width, groups = plan
+        top = max(k for lengths in groups.values() for k, *_ in lengths)
+        # a value on one clipped cell (one length, level 0 so length 1, one chord)
+        # reads one level-0 slice, and its window max and min are that slice
+        cells = {v: ls[0][2] for v, ls in groups.items() if len(ls) == 1 and ls[0][0] == 0 and ls[0][3] == [0]}
         for v in cells:
             del groups[v]
-        # levels 0..top of one table, level 0 shared by both sides, one accumulator,
-        # and per side a padded strip at the table's row stride
-        top = int(levels.max())
+        # levels 0..top of one table, level 0 shared by both sides, one H_L
+        # buffer, one accumulator, and per side a padded strip at the table's row stride
         tables = np.empty((top + 1, _STRIP + y_hi - y_lo, width))
         flat = tables.reshape(top + 1, -1)
+        # H_L spans its chords' first start to last start plus one slice of the tallest strip
+        ns_max = (min(h, _STRIP) - 1) * width + w
+        hl = np.empty(max((rel[-1] + ns_max for ls in groups.values() for _, d, _, rel in ls if d), default=0))
         acc = np.empty(_STRIP * width)
         pads = [np.empty((_STRIP, width)) for _ in sides]
         for r0 in range(0, h, _STRIP):
@@ -182,11 +224,23 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
                     step = 1 << k
                     ne = rows * width - (2 << k) + 1
                     reduce(flat[k, :ne], flat[k, step : step + ne], out=flat[k + 1, :ne])
-                for v, runs in groups.items():
+                for v, lengths in groups.items():
                     win = None
-                    for k, at in runs:
-                        part = flat[k, at : at + ns]
-                        win = part if win is None else reduce(win, part, out=acc[:ns])
+                    for k, d, base, rel in lengths:
+                        src = flat[k, base:]
+                        if d:
+                            # H_L over the flat range of this length's chords; its last
+                            # read is the last cell of the last chord's second level-k
+                            # slice, inside the built range.  A value's first length, if
+                            # it has one chord, is built straight into the accumulator:
+                            # a view into H_L left as `win` would be overwritten by the
+                            # value's next length
+                            ne = rel[-1] + ns
+                            into = acc if win is None and len(rel) == 1 else hl
+                            src = reduce(src[:ne], flat[k, base + d : base + d + ne], out=into[:ne])
+                        for at in rel:
+                            part = src[at : at + ns]
+                            win = part if win is None else reduce(win, part, out=acc[:ns])
                     reduce(strip, np.subtract(win, v, out=acc[:ns]), out=strip)
             # + 0.0 turns a -0.0 into +0.0, whatever order the folds met the ties in
             for strip, pad, out in zip(strips, pads, outs):

@@ -354,6 +354,17 @@ class TestMapMult:
         assert np.all(np.isfinite(morpho))
         assert np.max(np.abs(morpho - map_mult(f, b, path="ratio").values)) <= 1e-9 * np.max(morpho)
 
+    def test_ratio_past_the_largest_quotient(self):
+        # at cell (0, 0) lam is about 9e6 and mu about 3e-308, so lam / mu
+        # overflows while ln(lam) - ln(mu) is 724.3, as on the morpho path;
+        # the window at (0, 0) is the whole image, so dist_mult gives the same
+        f = GreyImage([[np.nextafter(256.0, 0.0), 1e-305]])
+        b = full_probe([[1e-3, 200.0]], anchor=(0, 0))
+        ratio, morpho = (map_mult(f, b, path=path).values for path in ("ratio", "morpho"))
+        assert np.all(np.isfinite(ratio)) and 724.0 < ratio[0, 0] < 725.0
+        assert np.max(np.abs(ratio - morpho)) <= 1e-9 * ratio[0, 0]
+        assert dist_mult(f, GreyImage(b.values)) == ratio[0, 0]
+
     def test_strict_regime(self):
         f = GreyImage([[0.0, 100.0]])
         b = full_probe([[100.0]], anchor=(0, 0))

@@ -20,7 +20,7 @@ import pytest
 
 from lipmaps import GreyImage, Probe, make_ring_probe, map_add, map_mult, mglb_add, mlub_add
 from lipmaps.lip import hat, xi, xi_inv
-from lipmaps.morphology import _STRIP, dilate, erode, probe_runs, spread
+from lipmaps.morphology import _STRIP, _chords, dilate, erode, probe_runs, spread
 
 M = 256.0
 RUN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
@@ -499,14 +499,15 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("sides", [1, 2])
     def test_scratch_memory_bound(self, rng, sides):
-        # the table, the accumulator and one padded strip per side, and the outputs
+        # the table, the H_L buffer (at most one table level), the accumulator,
+        # one padded strip per side, and the outputs
         ring = make_ring_probe(30, 15)
         f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
         dy, dx, n, _ = probe_runs(ring)
         top = int(np.frexp(n.max())[1]) - 1
         span = int(dy.max() - dy.min())
         width = f.shape[1] + max(0, int((dx + n - 1).max())) - min(0, int(dx.min()))
-        floats = (top + 1) * (_STRIP + span) * width + (1 + sides) * _STRIP * width + sides * f.size
+        floats = (top + 2) * (_STRIP + span) * width + (1 + sides) * _STRIP * width + sides * f.size
         tracemalloc.start()
         try:
             spread(f, ring, lo=sides == 2)
@@ -514,6 +515,89 @@ class TestFlatLayout:
         finally:
             tracemalloc.stop()
         assert peak < floats * f.itemsize + 64 * 1024
+
+
+def offset_loop(f, b, pick, empty):
+    """Window max or min of ``f(x + h) - b(h)``, one clipped raster pass per probe offset, zeros as ``+0.0``."""
+    h, w = f.shape
+    out = np.full(f.shape, empty)
+    for dy, dx, v in zip(*b.offsets()):
+        r0, r1 = max(0, -dy), min(h, h - dy)
+        c0, c1 = max(0, -dx), min(w, w - dx)
+        if r0 < r1 and c0 < c1:
+            dst = out[r0:r1, c0:c1]
+            pick(dst, f[r0 + dy : r1 + dy, c0 + dx : c1 + dx] - v, out=dst)
+    return out + 0.0
+
+
+class TestChordLengths:
+    """Per value, runs grouped by clipped length: one table ``H_L`` per non-power-of-two length.
+
+    The tables of one value share one buffer, so the first length's table
+    must not be read after the next length rebuilds it.
+    """
+
+    @staticmethod
+    def probe(rng):
+        # 70 rows: taller than a strip.  Value 40 has four lone chords of
+        # non-power-of-two lengths, so its first length (in any order) is one
+        # lone chord followed by others; value 90 has length-5 chords 67 rows
+        # apart and a length-4 chord; the 9-cell runs of value 170 reach past
+        # the left and right borders of a 12-wide raster (offsets -15..-7 and
+        # 6..14, clipped to -11..-7 and 6..11); the other cells are single
+        values = rng.uniform(5.0, 250.0, size=(70, 30))
+        mask = rng.random(values.shape) < 0.05
+        for row, col, n, v in (
+            (0, 4, 3, 40.0), (5, 6, 5, 40.0), (9, 10, 6, 40.0), (12, 18, 7, 40.0),
+            (1, 8, 5, 90.0), (34, 5, 5, 90.0), (68, 20, 5, 90.0), (40, 12, 4, 90.0),
+            (20, 0, 9, 170.0), (21, 21, 9, 170.0),
+        ):
+            values[row, col : col + n] = v
+            mask[row, col : col + n] = True
+        return Probe(values, mask, (35, 15), M)
+
+    def test_groups(self, rng):
+        b = self.probe(rng)
+        _, _, _, width, groups = _chords(b, (_STRIP + 9, 12))
+
+        def lengths(groups, v):
+            return sorted((1 << k) + d for k, d, _, _ in groups[v])
+
+        assert lengths(groups, 40.0) == [3, 5, 6, 7]
+        assert all(d and len(rel) == 1 for _, d, _, rel in groups[40.0])
+        assert lengths(groups, 90.0) == [4, 5]
+        [far] = [rel for _, d, _, rel in groups[90.0] if d]
+        assert len(far) == 3 and far[-1] > 60 * width
+        assert lengths(groups, 170.0) == [5, 6]
+        assert lengths(_chords(b, (_STRIP + 9, 40))[4], 170.0) == [9]  # unclipped
+
+    @pytest.mark.parametrize("shape", [(_STRIP + 9, 12), (2 * _STRIP + 3, 12), (5, 31), (_STRIP, 40)])
+    def test_against_offset_loop(self, rng, shape):
+        b = self.probe(rng)
+        for f in (rng.uniform(-50.0, 50.0, size=shape), with_infinities(rng, shape)):
+            want = offset_loop(f, b, np.maximum, -np.inf), offset_loop(f, b, np.minimum, np.inf)
+            for hi, lo in ((True, True), (True, False), (False, True)):
+                got = spread(f, b, hi=hi, lo=lo)
+                for asked, side, ref in zip((hi, lo), got, want):
+                    assert side.tobytes() == ref.tobytes() if asked else side is None
+
+    @pytest.mark.parametrize(
+        "radii, runs, lengths, builds",
+        [
+            ((6, 3), (7, 20), (3, 5), (3, 4)),
+            ((15, 7), (15, 46), (5, 12), (5, 11)),
+            ((30, 15), (31, 92), (10, 19), (10, 18)),
+        ],
+    )
+    def test_benchmark_rings(self, radii, runs, lengths, builds):
+        # per value (disk, ring) on a 512x512 raster: runs, distinct lengths, and
+        # the non-power-of-two lengths that each build a table per strip and side
+        groups = _chords(make_ring_probe(*radii), (512, 512))[4]
+        got = [
+            (sum(len(rel) for *_, rel in groups[v]), len(groups[v]), sum(d > 0 for _, d, _, _ in groups[v]))
+            for v in (4.0, 161.0)
+        ]
+        assert list(zip(*got)) == [runs, lengths, builds]
 
 
 class TestZeroSign:
