@@ -5,8 +5,8 @@ Random probes have no two equal neighbours, so every run has length 1 and
 which it builds once per strip for both sides; each of those single-cell
 values gets one subtraction, folded into both the max and the min.  The
 other probes here are piecewise flat: runs of length ``2**k`` and
-``2**k + 1`` (a table level read as one slice, and as two overlapping
-slices), runs wider than the raster, rings, probes taller than one row
+``2**k + 1`` (a table level read as one slice, and a chord-length table
+built from two overlapping level slices), runs wider than the raster, rings, probes taller than one row
 strip, anchors outside the mask, a few values shared by many runs, which the
 kernel reduces together before one subtraction, and single cells mixed in
 among such runs.  Every map must match the loop below bit for bit; the loop
@@ -199,8 +199,9 @@ class TestSharedValues:
 
     @pytest.mark.parametrize("height, width", [(9, 5), (_STRIP + 1, 23), (9, 40)])
     def test_group_opens_with_a_plain_slice(self, rng, height, width):
-        # value a: runs 4 (level 2, one slice), then 9 and 17 (two slices), 3, 1;
-        # value c: runs 1 and 2 (one slice each), then 8 and 16
+        # value a: runs 4 (a level-2 slice), then 9, 17 and 3 (a slice of each
+        # length's chord-length table), 1; value c: runs 1 and 2 (level slices),
+        # then 8 and 16, and 5 (a chord-length table)
         a, c = 40.0, 170.0
         rows = [((a, 4), (c, 1), (a, 9), (c, 2), (a, 17)), ((c, 8), (a, 3), (c, 16), (a, 1), (c, 5))]
         values = np.array([np.concatenate([np.full(n, v) for v, n in row]) for row in rows])
