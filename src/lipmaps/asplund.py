@@ -49,7 +49,13 @@ subtraction into subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``,
 ``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m`` and ``-inf - (+inf) = -inf``;
 an ``m`` cell has ``xi = +inf`` and gives ``m`` back exactly.  ``xi_inv(hi - lo)`` is capped
 at the largest float below ``m``, which rounding reaches once ``hi - lo``
-passes about ``37 m``.  The ratio path keeps its own per-offset clipped
+passes about ``37 m``.  Each finish runs in place on the kernel's fresh
+``hi`` or ``lo``, and the map adopts the result without a copy, so a map
+call holds at most ``t(f)``, ``hi`` and ``lo`` at once, besides the
+kernel's strip scratch.  A two-sided finish writes into the buffer made
+later (``lo``, ``mu``): the result then lies above the freed one, which
+stays a hole for the next call rather than joining a heap top large
+enough for ``malloc`` to return to the system and fault back in.  The ratio path keeps its own per-offset clipped
 loop, so it stays an independent reference for the kernel.
 """
 
@@ -58,7 +64,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import _first_bad, _require_not_m, complement, hat, lip_sub, require_regime, tilde, xi, xi_inv
+from .lip import _first_bad, _require_not_m, _xi_inv, complement, hat, lip_sub, require_regime, tilde, xi, xi_inv
 from .morphology import full_overlap_mask, spread
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
@@ -93,13 +99,12 @@ def _check_pair(f: GreyImage, g: GreyImage, regime, g_regime):
     require_regime(g.values, g.m, g_regime, what="probe image")
 
 
-def _lip_distance(hi, lo, m):
-    """``c1 (-) c2`` from the extrema ``hi``, ``lo`` of ``xi(f) - xi(g)``: ``xi_inv(hi - lo)``, below ``m``."""
+def _lip_distance(d, m):
+    """``c1 (-) c2`` from ``d = xi(c1) - xi(c2)``: ``xi_inv(d)``, below ``m``, computed in place in ``d``."""
+    _xi_inv(d, m, d)
     # m - xi_inv(d) = m exp(-d/m) > 0, but once d/m passes about 37 it falls
     # under half an ulp of m and the result rounds to m
-    d = np.asarray(xi_inv(hi - lo, m))
-    np.minimum(d, np.nextafter(m, -np.inf), out=d)
-    return d
+    return np.minimum(d, np.nextafter(m, -np.inf), out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +156,7 @@ def dist_add(f: GreyImage, g: GreyImage) -> float:
     """
     _check_pair(f, g, "FM", "FM")
     d = xi(f.values, f.m) - xi(g.values, f.m)
-    return float(_lip_distance(d.max(), d.min(), f.m))
+    return float(_lip_distance(np.array(d.max() - d.min()), f.m))
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +226,13 @@ def _extrema(f, b, t, hi=True, lo=True):
 def _bound_mult(f, b, path, maximum):
     _require_mult(f, b, strict_image=False)
     if path == "ratio":
-        return RealMap(_ratio_bound_mult(f, b, maximum), full_overlap_mask(f.shape, b), f.m)
+        return RealMap._adopt(_ratio_bound_mult(f, b, maximum), full_overlap_mask(f.shape, b), f.m)
     if path != "morpho":
         raise ValueError(f"unknown path {path!r}")
     hi, lo, full = _extrema(f, b, hat, hi=maximum, lo=not maximum)
+    side = hi if maximum else lo
     with np.errstate(over="ignore"):
-        return RealMap(np.exp(hi if maximum else lo), full, f.m)
+        return RealMap._adopt(np.exp(side, out=side), full, f.m)
 
 
 def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
@@ -264,14 +270,14 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
         # log(lam) - log(mu), not log(lam / mu): the quotient can overflow where
         # the difference is finite; an empty window gives log 0 - log inf = -inf
         with np.errstate(divide="ignore"):
-            vals = np.log(lam) - np.log(mu)
+            vals = np.subtract(np.log(lam, out=lam), np.log(mu, out=mu), out=mu)
         full = full_overlap_mask(f.shape, b)
     elif path == "morpho":
         hi, lo, full = _extrema(f, b, hat)
-        vals = hi - lo
+        vals = np.subtract(hi, lo, out=lo)
     else:
         raise ValueError(f"unknown path {path!r}")
-    return RealMap(vals, full, f.m)
+    return RealMap._adopt(vals, full, f.m)
 
 
 def mlub_add(f: GreyImage, b: Probe) -> FmMap:
@@ -282,14 +288,14 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     """
     _require_add(f, b)
     hi, _, full = _extrema(f, b, xi, lo=False)
-    return FmMap(xi_inv(hi, f.m), full, f.m)
+    return FmMap._adopt(_xi_inv(hi, f.m, hi), full, f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b)
     _, lo, full = _extrema(f, b, xi, hi=False)
-    return FmMap(xi_inv(lo, f.m), full, f.m)
+    return FmMap._adopt(_xi_inv(lo, f.m, lo), full, f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -301,7 +307,7 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     _require_add(f, b)
     require_regime(f.values, f.m, "FM")
     hi, lo, full = _extrema(f, b, xi)
-    return FmMap(_lip_distance(hi, lo, f.m), full, f.m)
+    return FmMap._adopt(_lip_distance(np.subtract(hi, lo, out=lo), f.m), full, f.m)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +324,11 @@ def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
     """
     _require_mult(f, b, strict_image=True)
     m = f.m
-    f2 = GreyImage(complement(xi(f.values, m), m), m)
+    f2 = GreyImage._adopt(complement(xi(f.values, m), m), m)
     b2 = b.with_values(complement(xi(b.values, m), m))
     inner = map_add(f2, b2)
-    vals = xi(inner.values, m) / m
-    return RealMap(vals, inner.full_mask, m)
+    vals = xi(inner.values, m)
+    return RealMap._adopt(np.divide(vals, m, out=vals), inner.full_mask, m)
 
 
 def _to_strict(values, m, what, mask=True):
@@ -347,11 +353,11 @@ def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
     _require_add(f1, b1)
     require_regime(f1.values, f1.m, "FM")
     m = f1.m
-    f2 = GreyImage(_to_strict(f1.values, m, "image"), m)
+    f2 = GreyImage._adopt(_to_strict(f1.values, m, "image"), m)
     b2 = b1.with_values(_to_strict(b1.values, m, "probe", b1.mask))
     inner = map_mult(f2, b2)
-    vals = xi_inv(m * inner.values, m)
-    return FmMap(vals, inner.full_mask, m)
+    vals = np.multiply(m, inner.values)
+    return FmMap._adopt(_xi_inv(vals, m, vals), inner.full_mask, m)
 
 
 def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
@@ -363,8 +369,8 @@ def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     """
     direct = dist_mult(f, g)  # checks f and g
     m = f.m
-    fc = GreyImage(complement(xi(f.values, m), m), m)
-    gc = GreyImage(complement(xi(g.values, m), m), m)
+    fc = GreyImage._adopt(complement(xi(f.values, m), m), m)
+    gc = GreyImage._adopt(complement(xi(g.values, m), m), m)
     linked = float(xi(dist_add(fc, gc), m) / m)
     if abs(direct - linked) > LINK_TOL * (1.0 + abs(direct)):
         raise VerificationError(

@@ -16,7 +16,13 @@ returns the same kind.  Extended reals are plain float64 with ``+-inf``;
 ``tilde``/``hat``/``xi`` map edge grey values to infinities instead of
 raising, so pointwise pipelines stay total.  They evaluate ``ln(1 - f/m)``
 as ``log1p(-f/m)`` and ``1 - exp(y)`` as ``-expm1(y)``, which keeps full
-relative precision for grey values near 0.  All functions are pure.
+relative precision for grey values near 0.  All functions are pure: none
+writes into its input.  Each transform (``tilde``, ``hat``, ``hat_inv``,
+``xi``, ``xi_inv``) allocates one output of its input's shape and finishes
+in it with ``out=`` ufuncs; ``lip_add`` allocates its output and one
+temporary.  The in-place steps are the literal formulas reordered by exact
+IEEE identities (``-f/m == f/(-m)``, ``(-m)*x == x*(-m)``), so the results
+are bit for bit those of the formulas above.
 
 Grey-value regimes
 ------------------
@@ -128,6 +134,19 @@ def _check_shapes(fa, ga):
         raise DimensionError(f"shape mismatch: {fa.shape} vs {ga.shape}")
 
 
+def _out(*arrays):
+    """One fresh float64 output of the operands' broadcast shape, 0-d for scalars, for ``out=`` ufuncs."""
+    return np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
+
+
+def _xi_inv(fa, m, out):
+    """``-m * expm1(-fa/m)`` written into ``out``, which may be ``fa``."""
+    with np.errstate(over="ignore"):
+        np.divide(fa, -m, out=out)
+        np.expm1(out, out=out)
+        return np.multiply(out, -m, out=out)
+
+
 def _ret(out, *inputs):
     # scalar in -> scalar out
     if all(np.ndim(x) == 0 for x in inputs):
@@ -148,7 +167,10 @@ def lip_add(f, g, m=DEFAULT_M):
     _check_shapes(fa, ga)
     require_regime(fa, m, "FMm", "f")
     require_regime(ga, m, "FMm", "g")
-    return _ret(fa + ga - fa * ga / m, f, g)
+    out = np.add(fa, ga, out=_out(fa, ga))
+    p = np.multiply(fa, ga, out=_out(fa, ga))
+    np.divide(p, m, out=p)
+    return _ret(np.subtract(out, p, out=out), f, g)
 
 
 def lip_mult(lam, f, m=DEFAULT_M):
@@ -213,8 +235,9 @@ def tilde(f, m=DEFAULT_M):
     """
     m = _check_m(m)
     fa = require_regime(f, m, "Ibar", "f")
+    t = np.divide(fa, -m, out=_out(fa))
     with np.errstate(divide="ignore"):
-        return _ret(np.log1p(-fa / m), f)
+        return _ret(np.log1p(t, out=t), f)
 
 
 def hat(f, m=DEFAULT_M):
@@ -226,8 +249,11 @@ def hat(f, m=DEFAULT_M):
     """
     m = _check_m(m)
     fa = require_regime(f, m, "Ibar", "f")
+    t = np.divide(fa, -m, out=_out(fa))
     with np.errstate(divide="ignore"):
-        return _ret(np.log(-np.log1p(-fa / m)), f)
+        np.log1p(t, out=t)
+        np.negative(t, out=t)
+        return _ret(np.log(t, out=t), f)
 
 
 def hat_inv(y, m=DEFAULT_M):
@@ -235,7 +261,10 @@ def hat_inv(y, m=DEFAULT_M):
     m = _check_m(m)
     ya = _asvalues(y, "y")
     with np.errstate(over="ignore"):
-        return _ret(-m * np.expm1(-np.exp(ya)), y)
+        t = np.exp(ya, out=_out(ya))
+        np.negative(t, out=t)
+        np.expm1(t, out=t)
+        return _ret(np.multiply(t, -m, out=t), y)
 
 
 def xi(f, m=DEFAULT_M):
@@ -247,16 +276,17 @@ def xi(f, m=DEFAULT_M):
     """
     m = _check_m(m)
     fa = require_regime(f, m, "FMbar", "f")
+    t = np.divide(fa, -m, out=_out(fa))
     with np.errstate(divide="ignore"):
-        return _ret(-m * np.log1p(-fa / m), f)
+        np.log1p(t, out=t)
+        return _ret(np.multiply(t, -m, out=t), f)
 
 
 def xi_inv(f, m=DEFAULT_M):
     """Inverse isomorphism ``xi_inv(f) = m * (1 - exp(-f/m))``; ``xi_inv(xi(f)) = f``."""
     m = _check_m(m)
     fa = _asvalues(f, "f")
-    with np.errstate(over="ignore"):
-        return _ret(-m * np.expm1(-fa / m), f)
+    return _ret(_xi_inv(fa, m, _out(fa)), f)
 
 
 def complement(f, m=DEFAULT_M):

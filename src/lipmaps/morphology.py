@@ -126,19 +126,27 @@ def _chords(b: Probe, shape):
     y_lo, y_hi = int(dy.min()), int(dy.max())
     c_lo = min(0, int(x0.min()))
     width = w + max(0, int(x1.max())) - c_lo
-    # runs grouped by probe value (the `==` of probe_runs), then by clipped
-    # length; a run at row y, column a starts at flat offset y * width + a
-    starts = {}
-    for y, a, z, v in zip(dy, x0, x1, vals):
-        at = int(y - y_lo) * width + int(a - c_lo)
-        starts.setdefault(float(v), {}).setdefault(int(z - a) + 1, []).append(at)
+    # a run at row y, column a starts at flat offset y * width + a
+    at = (dy - y_lo) * width + (x0 - c_lo)
+    n = x1 - x0 + 1
+    # runs grouped by probe value (the `==` of probe_runs: -0.0 joins 0.0,
+    # and the output's zeros are +0.0 either way), then by clipped length; the
+    # sort is stable and probe_runs lists runs in row-major order, so each
+    # group's starts ascend
+    order = np.lexsort((n, vals))
+    vals, n, at = vals[order], n[order], at[order]
+    head = np.ones(n.size, dtype=bool)
+    head[1:] = (vals[1:] != vals[:-1]) | (n[1:] != n[:-1])
+    heads = np.flatnonzero(head)
+    rel = (at - at[heads][np.cumsum(head) - 1]).tolist()
+    bounds = heads.tolist() + [len(rel)]
+    n = n[heads]
+    top = np.frexp(n)[1] - 1  # 2**top <= n < 2**(top + 1)
     groups = {}
-    for v, by_length in starts.items():
-        # probe_runs lists runs in row-major order, so each `ats` is ascending
-        groups[v] = [
-            (n.bit_length() - 1, n - (1 << (n.bit_length() - 1)), ats[0], [at - ats[0] for at in ats])
-            for n, ats in sorted(by_length.items())
-        ]
+    for v, k, d, base, i, j in zip(
+        vals[heads].tolist(), top.tolist(), (n - (1 << top)).tolist(), at[heads].tolist(), bounds, bounds[1:]
+    ):
+        groups.setdefault(v, []).append((k, d, base, rel[i:j]))
     return y_lo, y_hi, c_lo, width, groups
 
 

@@ -49,7 +49,7 @@ def darken(f: GreyImage, k: float) -> GreyImage:
     k = float(k)
     if not 0 <= k < f.m:
         raise DomainError(f"darkening constant must lie in [0, m={f.m}[, got {k}")
-    return f.with_values(lip_add(f.values, k, f.m))
+    return GreyImage._adopt(lip_add(f.values, k, f.m), f.m)
 
 
 def make_ring_probe(

@@ -141,7 +141,7 @@ def read_pgm(path) -> GreyImage:
         at = _PGM_TOKEN.match(data, pos).start(1)
         if at < len(data):
             raise ParseError("trailing data after raster", at)
-    return GreyImage(values.reshape(height, width), 256.0)
+    return GreyImage._adopt(values.reshape(height, width), 256.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def read_map(path, probe: Probe | None = None) -> DistanceMap:
                 "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % rect
                 + "but the probe's is %d %d %d %d" % _mask_rectangle(expected)
             )
-    return DistanceMap(values, mask, m)
+    return DistanceMap._adopt(values, mask, m)
 
 
 def write_map(dist_map, path, mode: str = "exact"):
@@ -329,7 +329,7 @@ def read_image(path) -> GreyImage:
         return read_pgm(path)
     if magic == b"fmap":
         values, m, _ = _read_fmap(path)
-        return GreyImage(values, m)
+        return GreyImage._adopt(values, m)
     raise ParseError(f"unrecognised image format (magic {magic!r})", 0)
 
 
@@ -376,7 +376,7 @@ def read_probe(path) -> Probe:
             mask[r, c] = True
     if not mask.any():
         raise ParseError("probe domain is empty (all tokens are '_')")
-    return Probe(values, mask, (ay, ax), m)
+    return Probe._adopt(values, mask, (ay, ax), m)
 
 
 def write_probe(probe: Probe, path):

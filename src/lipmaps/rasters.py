@@ -16,6 +16,19 @@ NaN, nothing above ``m``), so one container serves every regime; a
 :class:`Probe` holds finite values on its domain, a :class:`DistanceMap`
 no NaN and an :class:`FmMap` ``FMbar``.  Every violation names its first
 offending cell.
+
+Copy or adopt
+-------------
+A container never aliases memory a caller can still write: every array
+passed to a constructor or to ``with_values`` is copied, then frozen
+read-only.  An array the library has just made and hands on to no one (a
+map result, the intermediate images and probes of the link maps,
+:func:`lipmaps.probing.darken`'s result, the buffer a reader read into)
+is adopted instead, frozen in place without a copy, through each class's
+private ``_adopt``.  Adoption goes through the class's own ``__init__``
+and runs every check a copy runs.  A probe's values are always a fresh
+array (off-mask cells are zeroed into one), so only its mask is ever
+copied; ``Probe.with_values`` shares its read-only mask with the new probe.
 """
 
 from __future__ import annotations
@@ -39,8 +52,23 @@ __all__ = [
 ]
 
 
-def _frozen_array(a, dtype=np.float64):
-    a = np.array(a, dtype=dtype, copy=True)
+class _Fresh:
+    """An array the library has just made: the container it is passed to adopts it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+
+def _unwrap(values):
+    """``(values, adopt)``: what a :class:`_Fresh` holds and ``True``, else ``values`` and ``False``."""
+    return (values.array, True) if isinstance(values, _Fresh) else (values, False)
+
+
+def _frozen_array(a, adopt, dtype=np.float64):
+    """``a`` as a read-only ``dtype`` array: a copy, or ``a`` itself if ``adopt`` and already ``dtype``."""
+    a = np.asarray(a, dtype=dtype) if adopt else np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
 
@@ -66,11 +94,17 @@ class GreyImage:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = _raster(self.values, "image")
+        values, adopt = _unwrap(self.values)
+        v = _raster(values, "image")
         m = _check_m(self.m)
         require_regime(v, m, "FMbar")
-        object.__setattr__(self, "values", _frozen_array(v))
+        object.__setattr__(self, "values", _frozen_array(v, adopt))
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _adopt(cls, values, m):
+        """An image holding ``values``, which the library has just made, without a copy."""
+        return cls(_Fresh(values), m)
 
     @property
     def height(self) -> int:
@@ -105,8 +139,9 @@ class Probe:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        mk = np.asarray(self.mask, dtype=bool)
+        v = np.asarray(_unwrap(self.values)[0], dtype=np.float64)
+        mask, adopt = _unwrap(self.mask)
+        mk = np.asarray(mask, dtype=bool)
         if mk.shape != v.shape:
             raise DimensionError(f"mask shape {mk.shape} != values shape {v.shape}")
         v = _raster(np.where(mk, v, 0.0), "probe")
@@ -117,10 +152,15 @@ class Probe:
             raise DomainError(f"anchor ({ar}, {ac}) outside probe bounds {v.shape}")
         m = _check_m(self.m)
         require_regime(v, np.inf, "FM", "probe")  # finite: ]-inf, inf[
-        object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "mask", _frozen_array(mk, dtype=bool))
+        object.__setattr__(self, "values", _frozen_array(v, True))  # np.where made it
+        object.__setattr__(self, "mask", _frozen_array(mk, adopt, dtype=bool))
         object.__setattr__(self, "anchor", (ar, ac))
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _adopt(cls, values, mask, anchor, m):
+        """A probe holding ``values`` and ``mask``, which the library has just made, without a copy."""
+        return cls(_Fresh(values), _Fresh(mask), anchor, m)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,8 +176,8 @@ class Probe:
         return self.values[self.mask]
 
     def with_values(self, values) -> "Probe":
-        """Same geometry (mask, anchor, m), new values on the grid."""
-        return Probe(values, self.mask, self.anchor, self.m)
+        """Same geometry (mask, anchor, m), new values on the grid; the read-only mask is shared."""
+        return Probe(values, _Fresh(self.mask), self.anchor, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +196,25 @@ class DistanceMap:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = _raster(self.values, "map")
+        values, adopt = _unwrap(self.values)
+        v = _raster(values, "map")
         _asvalues(v, "map")
-        fm = self.full_mask
-        fm = np.ones(v.shape, dtype=bool) if fm is None else np.asarray(fm, dtype=bool)
+        fm, adopt_mask = _unwrap(self.full_mask)
+        if fm is None:
+            fm, adopt_mask = np.ones(v.shape, dtype=bool), True
+        fm = np.asarray(fm, dtype=bool)
         if fm.shape != v.shape:
             raise DimensionError(f"full_mask shape {fm.shape} != values shape {v.shape}")
         m = _check_m(self.m)
         self._check_range(v, m)
-        object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "full_mask", _frozen_array(fm, dtype=bool))
+        object.__setattr__(self, "values", _frozen_array(v, adopt))
+        object.__setattr__(self, "full_mask", _frozen_array(fm, adopt_mask, dtype=bool))
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _adopt(cls, values, full_mask, m):
+        """A map holding ``values`` and ``full_mask``, which the library has just made, without a copy."""
+        return cls(_Fresh(values), _Fresh(full_mask), m)
 
     def _check_range(self, v, m):
         pass

@@ -317,3 +317,116 @@ def test_scalar_in_scalar_out():
     assert isinstance(lip_add(1.0, 2.0), float)
     out = lip_add(np.array([[1.0, 2.0]]), 3.0)
     assert isinstance(out, np.ndarray) and out.shape == (1, 2)
+
+
+# The formulas the one-buffer transforms replace, under the error states the library sets
+def _literal_tilde(f, m):
+    with np.errstate(divide="ignore"):
+        return np.log1p(-f / m)
+
+
+def _literal_hat(f, m):
+    with np.errstate(divide="ignore"):
+        return np.log(-np.log1p(-f / m))
+
+
+def _literal_hat_inv(y, m):
+    with np.errstate(over="ignore"):
+        return -m * np.expm1(-np.exp(y))
+
+
+def _literal_xi(f, m):
+    with np.errstate(divide="ignore"):
+        return -m * np.log1p(-f / m)
+
+
+def _literal_xi_inv(f, m):
+    with np.errstate(over="ignore"):
+        return -m * np.expm1(-f / m)
+
+
+def _literal_lip_add(f, g, m):
+    return f + g - f * g / m
+
+
+# name: (function, literal formula, the inputs its regime admits)
+TRANSFORMS = {
+    "tilde": (tilde, _literal_tilde, lambda x, m: 0 <= x <= m),
+    "hat": (hat, _literal_hat, lambda x, m: 0 <= x <= m),
+    "hat_inv": (hat_inv, _literal_hat_inv, lambda x, m: True),
+    "xi": (xi, _literal_xi, lambda x, m: x <= m),
+    "xi_inv": (xi_inv, _literal_xi_inv, lambda x, m: True),
+}
+ONE_BUFFER_SCALES = (1e-6, 256.0, 1e200)
+
+
+def _edges(m):
+    return [0.0, m, -np.inf, 0.0, -0.0, 5e-324, -1e300, m / 3]
+
+
+def _outcome(call):
+    """The result's bytes, or the class and message of what it raised (warnings count)."""
+    try:
+        return np.asarray(call(), dtype=np.float64).tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _lip_add_operands(m):
+    ok = [x for x in _edges(m) if -np.inf < x <= m]
+    return np.meshgrid(ok, ok)
+
+
+class TestOneBuffer:
+    """The transforms and ``lip_add`` write into a fresh output, never into their input, bit for bit as before."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", ONE_BUFFER_SCALES)
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_equals_literal_formula(self, name, m):
+        fn, literal, admits = TRANSFORMS[name]
+        xs = [x for x in _edges(m) if admits(x, m)]
+        arr = np.array(xs)
+        assert _outcome(lambda: fn(arr, m)) == _outcome(lambda: literal(arr, m))
+        for x in xs:
+            assert _outcome(lambda: fn(x, m)) == _outcome(lambda: literal(np.asarray(x), m))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", ONE_BUFFER_SCALES)
+    def test_lip_add_equals_literal_formula(self, m):
+        f, g = _lip_add_operands(m)
+        for a, b in ((f, g), (f, m / 3), (-0.0, g)):
+            assert _outcome(lambda: lip_add(a, b, m)) == _outcome(lambda: _literal_lip_add(a, b, m))
+        for a, b in zip(f.ravel(), g.ravel()):
+            assert _outcome(lambda: lip_add(float(a), float(b), m)) == _outcome(
+                lambda: _literal_lip_add(np.asarray(a), np.asarray(b), m)
+            )
+
+    @staticmethod
+    def inputs(m, writable):
+        a = np.array([[x for x in _edges(m) if 0 <= x <= m]] * 2)
+        a.setflags(write=writable)
+        return a
+
+    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_input_untouched(self, name, writable):
+        a = self.inputs(M, writable)
+        before = a.tobytes()
+        out = TRANSFORMS[name][0](a, M)
+        assert a.tobytes() == before and not np.shares_memory(out, a)
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_lip_add_inputs_untouched(self, writable):
+        a, b = self.inputs(M, writable), self.inputs(M, writable)[:, ::-1]
+        before = a.tobytes(), b.tobytes()
+        for out in (lip_add(a, b, M), lip_add(a, 10.0, M), lip_add(10.0, b, M)):
+            assert (a.tobytes(), b.tobytes()) == before
+            assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+
+    @pytest.mark.parametrize("name", TRANSFORMS)
+    def test_scalar_gives_float(self, name):
+        fn = TRANSFORMS[name][0]
+        for x in (100.0, np.float64(100.0), np.array(100.0)):
+            assert type(fn(x, M)) is float
+        assert type(lip_add(np.float64(1.0), np.array(2.0), M)) is float

@@ -5,6 +5,7 @@ import pytest
 
 from lipmaps import (
     DimensionError,
+    DistanceMap,
     DomainError,
     FmMap,
     GreyImage,
@@ -12,6 +13,14 @@ from lipmaps import (
     RealMap,
     RegimeError,
     clamp_strict,
+    map_add,
+    map_add_via_mult,
+    map_mult,
+    map_mult_via_add,
+    mglb_add,
+    mglb_mult,
+    mlub_add,
+    mlub_mult,
 )
 from lipmaps.rasters import check_same_scale, require_regime
 
@@ -173,3 +182,100 @@ class TestClamp:
             clamp_strict(img, 0.0)
         with pytest.raises(DomainError):
             clamp_strict(img, 128.0)
+
+
+def _arrays(container):
+    return [a for a in (getattr(container, k, None) for k in ("values", "mask", "full_mask")) if a is not None]
+
+
+def _image_and_probe(rng):
+    """A strict image and a strict probe with off-mask cells and anchor."""
+    mask = rng.random((3, 4)) < 0.7
+    mask[0, 0] = mask[1, 2] = False
+    mask[2, 3] = True
+    return GreyImage(rng.uniform(5.0, 250.0, size=(9, 11))), Probe(rng.uniform(5.0, 250.0, size=(3, 4)), mask, (1, 2))
+
+
+# name: the map as a function of image and probe
+MAPS = {
+    "map_mult morpho": lambda f, b: map_mult(f, b),
+    "map_mult ratio": lambda f, b: map_mult(f, b, path="ratio"),
+    "map_add": map_add,
+    "map_mult_via_add": map_mult_via_add,
+    "map_add_via_mult": map_add_via_mult,
+    "mlub_mult morpho": lambda f, b: mlub_mult(f, b, path="morpho"),
+    "mlub_mult ratio": mlub_mult,
+    "mglb_mult morpho": lambda f, b: mglb_mult(f, b, path="morpho"),
+    "mglb_mult ratio": mglb_mult,
+    "mlub_add": mlub_add,
+    "mglb_add": mglb_add,
+}
+
+
+class TestCopyRule:
+    """A container copies every array a caller passes, holds it read-only, and adopts only what the library just made."""
+
+    @staticmethod
+    def build(kind, values, mask):
+        if kind == "GreyImage":
+            return GreyImage(values)
+        if kind == "Probe":
+            return Probe(values, mask, (0, 1))
+        if kind == "GreyImage.with_values":
+            return GreyImage([[1.0, 1.0], [1.0, 1.0]]).with_values(values)
+        if kind == "Probe.with_values":
+            return Probe([[1.0, 1.0], [1.0, 1.0]], mask, (0, 0)).with_values(values)
+        return {"DistanceMap": DistanceMap, "RealMap": RealMap, "FmMap": FmMap}[kind](values, mask)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["GreyImage", "Probe", "DistanceMap", "RealMap", "FmMap", "GreyImage.with_values", "Probe.with_values"],
+    )
+    def test_caller_arrays_copied_and_frozen(self, kind):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mask = np.array([[True, True], [False, True]])
+        c = self.build(kind, values, mask)
+        kept = [a.copy() for a in _arrays(c)]
+        values[:] = 5.0
+        mask[:] = False
+        for a, was in zip(_arrays(c), kept):
+            assert a.tobytes() == was.tobytes()
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, values) and not np.shares_memory(a, mask)
+
+    def test_adopt_runs_every_check(self):
+        with pytest.raises(DomainError, match=r"cell \(0, 0\)"):
+            GreyImage._adopt(np.array([[np.nan]]), 256.0)
+        with pytest.raises(DomainError):
+            RealMap._adopt(np.array([[-1.0]]), None, 256.0)
+        with pytest.raises(DimensionError):
+            DistanceMap._adopt(np.zeros((2, 2)), np.ones((1, 2), dtype=bool), 256.0)
+        with pytest.raises(DomainError, match="empty"):
+            Probe._adopt(np.ones((1, 1)), np.zeros((1, 1), dtype=bool), (0, 0), 256.0)
+
+    def test_adopt_freezes_without_a_copy(self):
+        v, mk = np.ones((2, 3)), np.ones((2, 3), dtype=bool)
+        img, fm = GreyImage._adopt(v, 256.0), FmMap._adopt(v, mk, 256.0)
+        p = Probe._adopt(v, mk, (0, 0), 256.0)
+        assert img.values is v and fm.values is v and fm.full_mask is mk and p.mask is mk
+        assert not (v.flags.writeable or mk.flags.writeable or p.values.flags.writeable)
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_map_results_share_nothing_with_inputs(self, rng, name):
+        f, b = _image_and_probe(rng)
+        out = MAPS[name](f, b)
+        for a in _arrays(out):
+            assert not a.flags.writeable
+            for src in (f.values, b.values, b.mask):
+                assert not np.shares_memory(a, src)
+
+    @pytest.mark.parametrize("writable", [False, True])
+    @pytest.mark.parametrize("name", MAPS)
+    def test_maps_leave_inputs_untouched(self, rng, name, writable):
+        # with the flags switched back on, a map that wrote into its input would go unnoticed but for the bytes
+        f, b = _image_and_probe(rng)
+        for a in (f.values, b.values, b.mask):
+            a.setflags(write=writable)
+        before = [a.tobytes() for a in (f.values, b.values, b.mask)]
+        MAPS[name](f, b)
+        assert [a.tobytes() for a in (f.values, b.values, b.mask)] == before

@@ -500,22 +500,54 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("sides", [1, 2])
     def test_scratch_memory_bound(self, rng, sides):
-        # the table, the H_L buffer (at most one table level), the accumulator,
-        # one padded strip per side, and the outputs
+        # the strip scratch and the outputs
         ring = make_ring_probe(30, 15)
         f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
-        dy, dx, n, _ = probe_runs(ring)
-        top = int(np.frexp(n.max())[1]) - 1
-        span = int(dy.max() - dy.min())
-        width = f.shape[1] + max(0, int((dx + n - 1).max())) - min(0, int(dx.min()))
-        floats = (top + 2) * (_STRIP + span) * width + (1 + sides) * _STRIP * width + sides * f.size
-        tracemalloc.start()
-        try:
-            spread(f, ring, lo=sides == 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < floats * f.itemsize + 64 * 1024
+        floats = scratch_floats(f.shape, ring, sides) + sides * f.size
+        assert traced_peak(lambda: spread(f, ring, lo=sides == 2)) < floats * f.itemsize + 64 * 1024
+
+
+def scratch_floats(shape, b, sides):
+    """Floats of ``spread``'s strip scratch.
+
+    The table, the ``H_L`` buffer (at most one table level), the accumulator
+    and one padded strip per side.
+    """
+    dy, dx, n, _ = probe_runs(b)
+    top = int(np.frexp(n.max())[1]) - 1
+    span = int(dy.max() - dy.min())
+    width = shape[1] + max(0, int((dx + n - 1).max())) - min(0, int(dx.min()))
+    return (top + 2) * (_STRIP + span) * width + (1 + sides) * _STRIP * width
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMapMemory:
+    """A map call holds at most ``t(f)``, ``hi`` and ``lo`` (a bound map one side) at once, besides the strip scratch.
+
+    The finishes run in place on ``hi``/``lo`` and the map container adopts the
+    result, so nothing outlives the kernel's own peak.
+    """
+
+    @pytest.mark.parametrize(
+        "call, rasters, sides",
+        [(map_add, 3, 2), (map_mult, 3, 2), (mlub_add, 2, 1)],
+        ids=["map_add", "map_mult", "mlub_add"],
+    )
+    def test_peak_at_512(self, rng, call, rasters, sides):
+        f = GreyImage(rng.uniform(1.0, 255.0, size=(512, 512)), M)
+        ring = make_ring_probe(6, 3)
+        call(f, ring)  # numpy's first-call allocations stay out of the trace
+        floats = rasters * f.values.size + scratch_floats(f.shape, ring, sides)
+        assert traced_peak(lambda: call(f, ring)) < floats * f.values.itemsize + 64 * 1024
 
 
 def offset_loop(f, b, pick, empty):
