@@ -39,24 +39,29 @@ possible when the probe does not cover its own anchor) takes the lattice
 neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
 
-One transform per family: ``_extrema`` applies ``T`` to image and probe
-and makes one call to :func:`lipmaps.morphology.spread`, whose window max
-``hi`` and min ``lo`` of ``T f(x+h) - T b(h)`` give the maps.  ``T = hat``:
-``exp(hi)``, ``exp(lo)``, ``hi - lo``.  ``T = xi``, which turns LIP
-subtraction into subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``,
-``xi_inv(hi - lo)``.  An empty window keeps ``hi = -inf`` and
-``lo = +inf``, which the arithmetic carries to the neutrals:
-``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m`` and ``-inf - (+inf) = -inf``;
-an ``m`` cell has ``xi = +inf`` and gives ``m`` back exactly.  ``xi_inv(hi - lo)`` is capped
-at the largest float below ``m``, which rounding reaches once ``hi - lo``
-passes about ``37 m``.  Each finish runs in place on the kernel's fresh
-``hi`` or ``lo``, and the map adopts the result without a copy, so a map
-call holds at most ``t(f)``, ``hi`` and ``lo`` at once, besides the
-kernel's strip scratch.  A two-sided finish writes into the buffer made
-later (``lo``, ``mu``): the result then lies above the freed one, which
-stays a hole for the next call rather than joining a heap top large
-enough for ``malloc`` to return to the system and fault back in.  The ratio path keeps its own per-offset clipped
-loop, so it stays an independent reference for the kernel.
+One transform per family, streamed through the one kernel: ``_streamed``
+hands the kernel the private ``_hat`` or ``_xi``, which it applies in
+place to each strip's rows of table level 0, and the probe's transformed
+values; per strip, the window max ``hi`` and min ``lo`` of
+``T f(x+h) - T b(h)`` give the map's rows.  ``T = hat``: ``exp(hi)``,
+``exp(lo)``, ``hi - lo``.  ``T = xi``, which turns LIP subtraction into
+subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``, ``xi_inv(hi - lo)``.  An
+empty window keeps ``hi = -inf`` and ``lo = +inf``, which the arithmetic
+carries to the neutrals: ``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m``
+and ``-inf - (+inf) = -inf``; an ``m`` cell has ``xi = +inf`` and gives
+``m`` back exactly.  ``xi_inv(hi - lo)`` is capped at the largest float
+below ``m``, which rounding reaches once ``hi - lo`` passes about
+``37 m``.  Each finish runs in place on the strip's padded blocks and
+copies the strip's rows into the one output raster, which the map adopts
+without a copy, so a map call holds its output and the kernel's strip
+scratch, besides the one-byte-per-cell full-overlap mask.  The
+transform checks nothing: every image it sees has passed a check at
+least as strict, ``I*`` (``map_mult``), ``Ibar`` (the bound maps' own
+``hat`` regime) or ``FM`` (``map_add``) at the entry point, or the
+``GreyImage`` invariant ``FMbar`` (``mlub_add``/``mglb_add``, ``xi``'s own
+regime), and every probe the entry point's masked check plus the zeros
+the probe holds off its mask.  The ratio path keeps its own per-offset
+clipped loop, so it stays an independent reference for the kernel.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import _first_bad, _require_not_m, _xi_inv, complement, hat, lip_sub, require_regime, tilde, xi, xi_inv
-from .morphology import full_overlap_mask, spread
+from .lip import _first_bad, _hat, _require_not_m, _xi, _xi_inv, complement, lip_sub, require_regime, tilde, xi
+from .morphology import _stream, full_overlap_mask
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
 __all__ = [
@@ -194,45 +199,77 @@ def _require_add(f: GreyImage, b: Probe):
     require_regime(b.values, b.m, "FM", what="probe", mask=b.mask)
 
 
-def _ratio_bound_mult(f, b, maximum):
-    """Per cell, the max (or min) of ``tilde(f)(x+h) / tilde(b)(h)`` over the offsets ``h`` whose partner lies inside."""
+# Output rows per block of the ratio path's per-offset loop.
+_RATIO_ROWS = 64
+
+
+def _ratio_bounds(f, b, hi=True, lo=True):
+    """``(lam, mu)``: per cell, the max and min of ``tilde(f)(x+h) / tilde(b)(h)``.
+
+    The offsets ``h`` are those whose partner lies inside; a side not asked
+    for is ``None``.  ``tilde(f)`` is computed once.  The output rows are
+    taken in blocks of ``_RATIO_ROWS``; per block, each offset's quotient
+    is divided into one reused buffer of that many rows and folded into
+    both sides.
+    """
     tf = tilde(f.values, f.m)
     h, w = tf.shape
-    out = np.full(tf.shape, 0.0 if maximum else np.inf)
-    acc = np.maximum if maximum else np.minimum
+    asked = ((np.maximum, 0.0, hi), (np.minimum, np.inf, lo))
+    sides = [(acc, np.full(tf.shape, neutral)) for acc, neutral, side in asked if side]
+    quotient = np.empty((min(h, _RATIO_ROWS), w))
     dys, dxs, vals = b.offsets()
+    offsets = list(zip(dys.tolist(), dxs.tolist(), tilde(vals, b.m).tolist()))
     with np.errstate(invalid="ignore"):
-        for dy, dx, tb in zip(dys.tolist(), dxs.tolist(), tilde(vals, b.m).tolist()):
-            r0, r1 = max(0, -dy), min(h, h - dy)
-            c0, c1 = max(0, -dx), min(w, w - dx)
-            if r0 < r1 and c0 < c1:
-                dst = out[r0:r1, c0:c1]
-                acc(dst, tf[r0 + dy : r1 + dy, c0 + dx : c1 + dx] / tb, out=dst)
-    return out
+        for y0 in range(0, h, _RATIO_ROWS):
+            y1 = min(h, y0 + _RATIO_ROWS)
+            for dy, dx, tb in offsets:
+                r0, r1 = max(y0, -dy), min(y1, h - dy)
+                c0, c1 = max(0, -dx), min(w, w - dx)
+                if r0 < r1 and c0 < c1:
+                    part = np.divide(tf[r0 + dy : r1 + dy, c0 + dx : c1 + dx], tb, out=quotient[: r1 - r0, : c1 - c0])
+                    for acc, out in sides:
+                        dst = out[r0:r1, c0:c1]
+                        acc(dst, part, out=dst)
+    done = iter(out for _, out in sides)
+    return (next(done) if hi else None, next(done) if lo else None)
 
 
-def _extrema(f, b, t, hi=True, lo=True):
-    """``(hi, lo, full_mask)``: window max/min of ``t(f)(x+h) - t(b)(h)`` and the full-overlap mask.
+def _streamed(f, b, t, finish, hi=True, lo=True):
+    """``(values, full_mask)`` of a map streamed through the kernel, one strip of rows at a time.
 
-    ``t`` is ``hat`` (multiplicative: the dilation of ``hat(f)`` by
-    ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``xi``
-    (additive: ``xi`` of ``f(x+h) (-) b(h)``).  A side not asked for is
-    ``None``; an empty window leaves ``hi = -inf`` and ``lo = +inf``.
+    ``t`` is ``_hat`` (multiplicative: the dilation of ``hat(f)`` by
+    ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``_xi``
+    (additive: ``xi`` of ``f(x+h) (-) b(h)``), applied by the kernel to the
+    image rows of each strip; the caller has already checked image and
+    probe.  Per strip, ``finish(hi, lo)`` turns the kernel's padded blocks
+    of the window max and min of ``t(f)(x+h) - t(b)(h)`` into the map's
+    values, in place, and returns the block that holds them; its first
+    ``w`` columns are copied into the one output raster.  A side not asked
+    for is ``None``, and an empty window leaves ``hi = -inf`` and
+    ``lo = +inf``.
     """
-    ext = spread(t(f.values, f.m), b.with_values(t(b.values, f.m)), hi, lo)
-    return (*ext, full_overlap_mask(f.shape, b))
+    m, w = f.m, f.shape[1]
+    out = np.empty(f.shape)
+    tb = b.with_values(t(b.values, m, np.empty(b.shape)))
+    for r0, r1, blocks in _stream(f.values, tb, hi, lo, lambda level0: t(level0, m, level0)):
+        out[r0:r1] = finish(*blocks)[:, :w]
+    return out, full_overlap_mask(f.shape, b)
 
 
 def _bound_mult(f, b, path, maximum):
     _require_mult(f, b, strict_image=False)
     if path == "ratio":
-        return RealMap._adopt(_ratio_bound_mult(f, b, maximum), full_overlap_mask(f.shape, b), f.m)
+        lam, mu = _ratio_bounds(f, b, hi=maximum, lo=not maximum)
+        return RealMap._adopt(lam if maximum else mu, full_overlap_mask(f.shape, b), f.m)
     if path != "morpho":
         raise ValueError(f"unknown path {path!r}")
-    hi, lo, full = _extrema(f, b, hat, hi=maximum, lo=not maximum)
-    side = hi if maximum else lo
-    with np.errstate(over="ignore"):
-        return RealMap._adopt(np.exp(side, out=side), full, f.m)
+
+    def finish(hi, lo):
+        side = hi if maximum else lo
+        with np.errstate(over="ignore"):
+            return np.exp(side, out=side)
+
+    return RealMap._adopt(*_streamed(f, b, _hat, finish, hi=maximum, lo=not maximum), f.m)
 
 
 def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
@@ -265,19 +302,15 @@ def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
     """
     _require_mult(f, b, strict_image=True)
     if path == "ratio":
-        lam = _ratio_bound_mult(f, b, maximum=True)
-        mu = _ratio_bound_mult(f, b, maximum=False)
+        lam, mu = _ratio_bounds(f, b)
         # log(lam) - log(mu), not log(lam / mu): the quotient can overflow where
         # the difference is finite; an empty window gives log 0 - log inf = -inf
         with np.errstate(divide="ignore"):
             vals = np.subtract(np.log(lam, out=lam), np.log(mu, out=mu), out=mu)
-        full = full_overlap_mask(f.shape, b)
-    elif path == "morpho":
-        hi, lo, full = _extrema(f, b, hat)
-        vals = np.subtract(hi, lo, out=lo)
-    else:
+        return RealMap._adopt(vals, full_overlap_mask(f.shape, b), f.m)
+    if path != "morpho":
         raise ValueError(f"unknown path {path!r}")
-    return RealMap._adopt(vals, full, f.m)
+    return RealMap._adopt(*_streamed(f, b, _hat, lambda hi, lo: np.subtract(hi, lo, out=lo)), f.m)
 
 
 def mlub_add(f: GreyImage, b: Probe) -> FmMap:
@@ -287,15 +320,13 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     probe must have values strictly below ``m``.
     """
     _require_add(f, b)
-    hi, _, full = _extrema(f, b, xi, lo=False)
-    return FmMap._adopt(_xi_inv(hi, f.m, hi), full, f.m)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi, _: _xi_inv(hi, f.m, hi), lo=False), f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b)
-    _, lo, full = _extrema(f, b, xi, hi=False)
-    return FmMap._adopt(_xi_inv(lo, f.m, lo), full, f.m)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda _, lo: _xi_inv(lo, f.m, lo), hi=False), f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -306,13 +337,18 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     """
     _require_add(f, b)
     require_regime(f.values, f.m, "FM")
-    hi, lo, full = _extrema(f, b, xi)
-    return FmMap._adopt(_lip_distance(np.subtract(hi, lo, out=lo), f.m), full, f.m)
+    values, full = _streamed(f, b, _xi, lambda hi, lo: _lip_distance(np.subtract(hi, lo, out=lo), f.m))
+    return FmMap._adopt(values, full, f.m)
 
 
 # ---------------------------------------------------------------------------
 # the isomorphism link
 # ---------------------------------------------------------------------------
+
+
+def _complemented(values, m):
+    """``complement(values)`` written into ``values``, an array the caller has just made."""
+    return np.subtract(m, values, out=values)
 
 
 def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
@@ -324,16 +360,22 @@ def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
     """
     _require_mult(f, b, strict_image=True)
     m = f.m
-    f2 = GreyImage._adopt(complement(xi(f.values, m), m), m)
-    b2 = b.with_values(complement(xi(b.values, m), m))
-    inner = map_add(f2, b2)
+    # the intermediate image is passed on, not bound, so it is freed once map_add returns
+    inner = map_add(
+        GreyImage._adopt(_complemented(xi(f.values, m), m), m),
+        b.with_values(complement(xi(b.values, m), m)),
+    )
     vals = xi(inner.values, m)
     return RealMap._adopt(np.divide(vals, m, out=vals), inner.full_mask, m)
 
 
 def _to_strict(values, m, what, mask=True):
-    """``xi_inv(complement(values))``; a cell whose transform rounds to ``m`` raises, named as the caller gave it."""
-    out = xi_inv(complement(values, m), m)
+    """``xi_inv(complement(values))``, in one fresh array.
+
+    A cell whose transform rounds to ``m`` raises, named as the caller gave it.
+    """
+    out = np.subtract(m, values)
+    _xi_inv(out, m, out)
     bad = (out == m) & mask
     if bad.any():
         idx, where = _first_bad(bad)
@@ -353,9 +395,12 @@ def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
     _require_add(f1, b1)
     require_regime(f1.values, f1.m, "FM")
     m = f1.m
-    f2 = GreyImage._adopt(_to_strict(f1.values, m, "image"), m)
-    b2 = b1.with_values(_to_strict(b1.values, m, "probe", b1.mask))
-    inner = map_mult(f2, b2)
+    # the intermediate image is passed on, not bound, so it is freed once map_mult
+    # returns; it is made first, so a bad image cell is named before a probe cell
+    inner = map_mult(
+        GreyImage._adopt(_to_strict(f1.values, m, "image"), m),
+        b1.with_values(_to_strict(b1.values, m, "probe", b1.mask)),
+    )
     vals = np.multiply(m, inner.values)
     return FmMap._adopt(_xi_inv(vals, m, vals), inner.full_mask, m)
 
@@ -369,8 +414,8 @@ def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     """
     direct = dist_mult(f, g)  # checks f and g
     m = f.m
-    fc = GreyImage._adopt(complement(xi(f.values, m), m), m)
-    gc = GreyImage._adopt(complement(xi(g.values, m), m), m)
+    fc = GreyImage._adopt(_complemented(xi(f.values, m), m), m)
+    gc = GreyImage._adopt(_complemented(xi(g.values, m), m), m)
     linked = float(xi(dist_add(fc, gc), m) / m)
     if abs(direct - linked) > LINK_TOL * (1.0 + abs(direct)):
         raise VerificationError(

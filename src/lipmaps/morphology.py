@@ -6,12 +6,13 @@ reals this makes both operators total: a cell whose clipped window is
 empty yields ``-inf`` (dilation, empty supremum) or ``+inf`` (erosion,
 empty infimum).
 
-Every sliding extremum in the package goes through one kernel,
-:func:`spread`, the window max and min of ``f(x + h) - b(h)``, except the
-ratio path of :mod:`lipmaps.asplund`, which keeps a per-offset loop as an
-independent reference.  Erosion is its min side; dilation is its max side
-on the reflected probe with negated values, since ``x - (-v)`` is ``x + v``
-bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
+Every sliding extremum in the package goes through one kernel, the
+window max and min of ``f(x + h) - b(h)``, streamed strip by strip by
+:func:`_stream` and returned as whole rasters by :func:`spread`, except
+the ratio path of :mod:`lipmaps.asplund`, which keeps a per-offset loop
+as an independent reference.  Erosion is its min side; dilation is its
+max side on the reflected probe with negated values, since ``x - (-v)`` is
+``x + v`` bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
 as "no value here", and reduces and folds with ``np.fmax``/``np.fmin``,
 which skip NaN, so every window is exactly the clipped one; each output
 starts at the lattice neutral of its side (``-inf`` for the max, ``+inf``
@@ -31,12 +32,22 @@ folded once.  Rounded subtraction of a fixed ``v`` is non-decreasing, so
 probe value ``v``: the runs of one value are reduced into one accumulator
 and ``v`` is subtracted once per distinct value.
 
-The work is done per fixed strip of output rows.  Level 0, the padded
-image, is built once per strip and shared by both sides.  A probe value
-held by a single cell (one run of length 1 after clipping) reads one
-level-0 slice, which is both its window max and its window min, so it
-gets one subtraction whose result is folded into both outputs; on a probe
-cut from a real image, with no two equal neighbours, that is every value.
+The work is done per fixed strip of output rows, which :func:`_stream`
+hands to its caller one at a time.  Level 0, the padded image, is built
+once per strip and shared by both sides: the rows the previous strip's
+table also held are moved up from it, the new rows are copied from the
+image, and a caller's transform ``T`` (``hat`` or ``xi`` for the
+distance maps) is applied to them in place, over their contiguous flat
+range.  After the folds, the caller finishes each strip in place in the
+kernel's padded blocks and copies its rows into its output: :func:`spread`
+copies the extrema, the maps of :mod:`lipmaps.asplund` write their
+values, so no full raster of ``T f`` or of either extremum is made.
+
+A probe value held by a single cell (one run of length 1 after clipping)
+reads one level-0 slice, which is both its window max and its window min,
+so it gets one subtraction whose result is folded into both outputs; on a
+probe cut from a real image, with no two equal neighbours, that is every
+value.
 The other values are then reduced and subtracted one side at a time, over
 levels ``1..top`` rebuilt in place above level 0.  Per value, the runs
 are grouped by clipped length, and each ``H_L`` is built into one shared
@@ -45,21 +56,23 @@ start to the last run's end.  The buffer is rebuilt for the value's next
 length, so no view into it may outlive its length: a value's first length,
 when it has a single run, is built straight into the accumulator.  The
 scratch memory, one table of ``top + 1`` levels, the ``H_L`` buffer (at
-most one level), one accumulator and one padded output strip per side,
+most one level), one accumulator and one padded block per side,
 stays O(levels x strip x width) whatever the number of values or
 lengths.  Per strip and side, map cost is one fold per run plus one
 partial build per distinct non-power-of-two length of each value: it
 grows with the probe's number of runs, not its number of cells.
 
-Every operation of a strip runs on one contiguous 1-D range of the table
-at its row stride ``width`` (the raster width plus the probe's horizontal
-reach), never on a 2-D view: a slice of ``r`` rows starting at row ``y``,
-column ``c`` is the flat range from ``y * width + c`` to column
-``c + w - 1`` of its last row.  The padding columns between the rows are
-computed along with the window and dropped when each strip is copied out
-of its padded accumulator.  Each range ends on its last row, so nothing
-is read past the rows the strip built, and every value read comes from
-level 0, NaN-filled for whole rows, or from a level built from it.
+Every arithmetic operation of a strip, ``T`` and the callers' finishes
+included, runs on one contiguous 1-D range at the table's row stride
+``width`` (the raster width plus the probe's horizontal reach), never on
+a 2-D view; only the copies into level 0 and out of the padded blocks
+are 2-D.  A slice of ``r`` rows starting at row ``y``, column ``c`` is
+the flat range from ``y * width + c`` to column ``c + w - 1`` of its last
+row.  The padding columns between the rows are computed along with the
+window and dropped when each strip is copied out of its padded block.
+Each range ends on its last row, so nothing is read past the rows the
+strip built, and every value read comes from level 0, NaN-filled for
+whole rows, or from a level built from it.
 
 Max/min accumulation is order-independent and subtraction is
 non-decreasing under IEEE rounding, so the result equals the literal
@@ -163,9 +176,39 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     fold is an ``np.fmax``/``np.fmin``, which skip NaN, so ``f`` must be
     NaN-free; a NaN cell would be read as lying outside the raster.
 
-    Per strip, table level 0 (the padded image) is built once.  A probe
-    value held by a single cell is subtracted once from its level-0 slice,
-    and the difference is folded into both sides.  The other values are
+    This is :func:`_stream` with the identity for ``T`` and a copy-out
+    finish: each strip's rows are copied into one output raster per side.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    outs = [np.empty(f.shape) if side else None for side in (hi, lo)]
+    w = f.shape[1]
+    for r0, r1, blocks in _stream(f, b, hi, lo):
+        for out, block in zip(outs, blocks):
+            if out is not None:
+                out[r0:r1] = block[:, :w]
+    return tuple(outs)
+
+
+def _stream(f, b: Probe, hi: bool = True, lo: bool = True, t=None):
+    """The sliding extrema of ``T f(x + h) - b(h)``, one strip of output rows at a time.
+
+    Yields ``(r0, r1, (hi, lo))``: the window max and min of rows ``r0`` to
+    ``r1 - 1``, each a C-contiguous ``(r1 - r0) x width`` block of the
+    kernel's scratch, at the table's row stride; its first ``w`` columns
+    are the raster's, the others padding whose values the caller drops.  A
+    side not asked for is ``None``.  The caller may finish a strip in place
+    in its blocks, and must copy the result out before it asks for the next
+    strip, which overwrites them.  ``t(x)`` applies ``T`` in place to a
+    contiguous range of table level 0; without it ``T`` is the identity.
+    ``b`` holds the probe values already transformed.  Results are those of
+    :func:`spread` on ``T f``, bit for bit: ``T`` is applied cell by cell,
+    once per image row, and on the NaN padding, which it leaves NaN.
+
+    Per strip, table level 0 (the padded image) is built once: the rows
+    the previous strip's table also held are moved up from it, and only the
+    new rows are copied from ``f`` and transformed in place.  A probe value
+    held by a single cell is subtracted once from its level-0 slice, and
+    the difference is folded into both sides.  The other values are
     reduced per side over levels ``1..top``, rebuilt in place above level
     0: per value and chord length ``L``, a power of two ``2**k`` reads
     level ``k``, any other length first builds its chord-length table
@@ -173,53 +216,68 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     ``L - 2**k``, over the flat range its chords read; each chord is then
     one slice, folded once, and each value is subtracted once.  Every slice
     is read as one flat range of the table at its row stride ``width``,
-    padding columns included, and folded into a padded accumulator of the
-    same stride; the output keeps the first ``w`` columns of each
-    accumulator row.  Scratch memory is the table, ``(top + 1) x (strip +
-    row span) x width`` floats, one ``H_L`` buffer of at most one level's
-    size, one accumulator and one padded strip per side, each
-    ``strip x width``.
+    padding columns included, and folded into a padded block of the same
+    stride, one per side, which is then made ``+ 0.0`` and yielded.
+    Scratch memory is the table, ``(top + 1) x (strip + row span) x width``
+    floats, one ``H_L`` buffer of at most one level's size, one accumulator
+    and one padded block per side, each ``strip x width``.
     """
-    f = np.asarray(f, dtype=np.float64)
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
-    outs = [np.empty(f.shape) for _ in sides]
-    plan = _chords(b, f.shape)
-    if plan is None:
-        for out, (_, neutral) in zip(outs, sides):
-            out.fill(neutral)
-    else:
-        y_lo, y_hi, c_lo, width, groups = plan
-        top = max(k for lengths in groups.values() for k, *_ in lengths)
-        # a value on one clipped cell (one length, level 0 so length 1, one chord)
-        # reads one level-0 slice, and its window max and min are that slice
-        cells = {v: ls[0][2] for v, ls in groups.items() if len(ls) == 1 and ls[0][0] == 0 and ls[0][3] == [0]}
-        for v in cells:
-            del groups[v]
-        # levels 0..top of one table, level 0 shared by both sides, one H_L
-        # buffer, one accumulator, and per side a padded strip at the table's row stride
-        tables = np.empty((top + 1, _STRIP + y_hi - y_lo, width))
-        flat = tables.reshape(top + 1, -1)
-        # H_L spans its chords' first start to last start plus one slice of the tallest strip
-        ns_max = (min(h, _STRIP) - 1) * width + w
-        hl = np.empty(max((rel[-1] + ns_max for ls in groups.values() for _, d, _, rel in ls if d), default=0))
-        acc = np.empty(_STRIP * width)
-        pads = [np.empty((_STRIP, width)) for _ in sides]
-        for r0 in range(0, h, _STRIP):
-            r1 = min(h, r0 + _STRIP)
-            rows = r1 - r0 + y_hi - y_lo
-            s0, s1 = max(0, r0 + y_lo), min(h, r1 + y_hi)
-            if s0 >= s1:
-                for out, (_, neutral) in zip(outs, sides):
-                    out[r0:r1] = neutral
-                continue
-            tables[0, :rows].fill(np.nan)
-            tables[0, s0 - r0 - y_lo : s1 - r0 - y_lo, -c_lo : w - c_lo] = f[s0:s1]
-            # a slice of r1 - r0 rows: its flat range ends at column w - 1 of its last row
-            ns = (r1 - r0 - 1) * width + w
-            strips = [pad.reshape(-1)[:ns] for pad in pads]
-            for strip, (_, neutral) in zip(strips, sides):
-                strip.fill(neutral)
+    # a probe that reaches no cell: every strip's source rows start below the raster
+    y_lo, y_hi, c_lo, width, groups = _chords(b, f.shape) or (h, h, 0, w, {})
+    span = y_hi - y_lo
+    top = max((k for lengths in groups.values() for k, *_ in lengths), default=0)
+    # a value on one clipped cell (one length, level 0 so length 1, one chord)
+    # reads one level-0 slice, and its window max and min are that slice
+    cells = {v: ls[0][2] for v, ls in groups.items() if len(ls) == 1 and ls[0][0] == 0 and ls[0][3] == [0]}
+    for v in cells:
+        del groups[v]
+    # levels 0..top of one table, level 0 shared by both sides, one H_L
+    # buffer, one accumulator, and per side a padded strip at the table's row stride
+    tables = np.empty((top + 1, _STRIP + span, width))
+    flat = tables.reshape(top + 1, -1)
+    # H_L spans its chords' first start to last start plus one slice of the tallest strip
+    ns_max = (min(h, _STRIP) - 1) * width + w
+    hl = np.empty(max((rel[-1] + ns_max for ls in groups.values() for _, d, _, rel in ls if d), default=0))
+    acc = np.empty(_STRIP * width)
+    pads = [np.empty((_STRIP, width)) for _ in sides]
+    # whether the previous strip built its table; the strips with a source row
+    # are consecutive, so each but the first of them follows one that did
+    carried = False
+    for r0 in range(0, h, _STRIP):
+        r1 = min(h, r0 + _STRIP)
+        rows = r1 - r0 + span
+        n0 = r0 + y_lo  # the source row of table row 0
+        # a slice of r1 - r0 rows: its flat range ends at column w - 1 of its last row
+        ns = (r1 - r0 - 1) * width + w
+        strips = [pad.reshape(-1)[:ns] for pad in pads]
+        # the whole block, so the last row's padding columns hold no stale value either
+        for pad, (_, neutral) in zip(pads, sides):
+            pad[: r1 - r0].fill(neutral)
+        if max(0, n0) < min(h, n0 + rows):
+            first = 0
+            if carried:
+                # the previous strip's rows _STRIP.. are this strip's rows 0..span-1,
+                # moved up in blocks of at most _STRIP rows so no block overlaps its source
+                for i in range(0, span, _STRIP):
+                    j = min(span, i + _STRIP)
+                    flat[0, i * width : j * width] = flat[0, (i + _STRIP) * width : (j + _STRIP) * width]
+                first = span
+            else:
+                tables[0, :rows].fill(np.nan)
+            # rows first..rows-1 are built: T f inside the raster, NaN below it (the
+            # padding columns stay NaN from the first fill).  A strip that moves rows
+            # up follows one whose rows reached into the raster, so none of its new
+            # rows lies above it
+            i0 = min(rows, max(first, -n0))
+            i1 = max(i0, min(rows, h - n0))
+            tables[0, i1:rows].fill(np.nan)
+            tables[0, i0:i1, -c_lo : w - c_lo] = f[n0 + i0 : n0 + i1]
+            if t is not None:
+                # on the rows' whole flat range: T of a NaN padding cell is NaN
+                t(flat[0, i0 * width : i1 * width])
+            carried = True
             for v, at in cells.items():
                 part = np.subtract(flat[0, at : at + ns], v, out=acc[:ns])
                 for (reduce, _), strip in zip(sides, strips):
@@ -251,11 +309,10 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
                             win = part if win is None else reduce(win, part, out=acc[:ns])
                     reduce(strip, np.subtract(win, v, out=acc[:ns]), out=strip)
             # + 0.0 turns a -0.0 into +0.0, whatever order the folds met the ties in
-            for strip, pad, out in zip(strips, pads, outs):
+            for strip in strips:
                 np.add(strip, 0.0, out=strip)
-                out[r0:r1] = pad[: r1 - r0, :w]
-    done = iter(outs)
-    return (next(done) if hi else None, next(done) if lo else None)
+        done = iter(pad[: r1 - r0] for pad in pads)
+        yield r0, r1, (next(done) if hi else None, next(done) if lo else None)
 
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:

@@ -18,7 +18,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipmaps import GreyImage, Probe, make_ring_probe, map_add, map_mult, mglb_add, mlub_add
+from lipmaps import (
+    GreyImage,
+    Probe,
+    make_ring_probe,
+    map_add,
+    map_add_via_mult,
+    map_mult,
+    map_mult_via_add,
+    mglb_add,
+    mglb_mult,
+    mlub_add,
+    mlub_mult,
+)
+from lipmaps.asplund import _RATIO_ROWS
 from lipmaps.lip import hat, xi, xi_inv
 from lipmaps.morphology import _STRIP, _chords, dilate, erode, probe_runs, spread
 
@@ -511,7 +524,7 @@ def scratch_floats(shape, b, sides):
     """Floats of ``spread``'s strip scratch.
 
     The table, the ``H_L`` buffer (at most one table level), the accumulator
-    and one padded strip per side.
+    and one padded block per side.
     """
     dy, dx, n, _ = probe_runs(b)
     top = int(np.frexp(n.max())[1]) - 1
@@ -531,23 +544,50 @@ def traced_peak(call):
 
 
 class TestMapMemory:
-    """A map call holds at most ``t(f)``, ``hi`` and ``lo`` (a bound map one side) at once, besides the strip scratch.
+    """A map call holds its output raster and the kernel's strip scratch, besides the full-overlap mask.
 
-    The finishes run in place on ``hi``/``lo`` and the map container adopts the
-    result, so nothing outlives the kernel's own peak.
+    The kernel applies ``T`` to each strip's rows of table level 0, and the
+    map finishes each strip in the kernel's padded blocks and copies its rows
+    into the one output raster, so no raster of ``T f``, ``hi`` or ``lo`` is
+    made; the mask takes one byte per cell.  The link maps hold their
+    intermediate image besides, and the ratio path ``tilde(f)``, both bounds
+    and one block of quotient rows.
     """
 
-    @pytest.mark.parametrize(
-        "call, rasters, sides",
-        [(map_add, 3, 2), (map_mult, 3, 2), (mlub_add, 2, 1)],
-        ids=["map_add", "map_mult", "mlub_add"],
-    )
-    def test_peak_at_512(self, rng, call, rasters, sides):
+    @staticmethod
+    def peak(rng, call):
         f = GreyImage(rng.uniform(1.0, 255.0, size=(512, 512)), M)
         ring = make_ring_probe(6, 3)
         call(f, ring)  # numpy's first-call allocations stay out of the trace
+        return traced_peak(lambda: call(f, ring)), f, ring
+
+    @pytest.mark.parametrize(
+        "call, rasters, sides",
+        [
+            (map_add, 1, 2),
+            (map_mult, 1, 2),
+            (mlub_add, 1, 1),
+            (map_mult_via_add, 2, 2),
+            (map_add_via_mult, 2, 2),
+        ],
+        ids=["map_add", "map_mult", "mlub_add", "map_mult_via_add", "map_add_via_mult"],
+    )
+    def test_peak_at_512(self, rng, call, rasters, sides):
+        peak, f, ring = self.peak(rng, call)
         floats = rasters * f.values.size + scratch_floats(f.shape, ring, sides)
-        assert traced_peak(lambda: call(f, ring)) < floats * f.values.itemsize + 64 * 1024
+        assert peak < floats * f.values.itemsize + f.values.size + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "call, rasters",
+        [(lambda f, b: map_mult(f, b, path="ratio"), 3), (mlub_mult, 2)],
+        ids=["map_mult", "mlub_mult"],
+    )
+    def test_ratio_peak_at_512(self, rng, call, rasters):
+        # tilde(f), the bounds asked for and one block of quotient rows; numpy
+        # buffers its strided ufuncs in up to 192 KiB
+        peak, f, _ = self.peak(rng, call)
+        floats = rasters * f.values.size + _RATIO_ROWS * f.shape[1]
+        assert peak < floats * f.values.itemsize + f.values.size + 256 * 1024
 
 
 def offset_loop(f, b, pick, empty):
@@ -655,3 +695,124 @@ class TestZeroSign:
             # from windows whose max and min meet
             g = GreyImage(np.where(f > 0, 100.0, 200.0), M)
             self.assert_no_negative_zero(map_mult(g, b.with_values(np.where(b.values > 0, 100.0, 200.0))).values)
+
+
+def two_step(name, f, b):
+    """Map ``name`` as two full-raster steps: :func:`spread` of ``T f`` by ``T b``, then the finish on whole rasters."""
+    m = f.m
+    t = hat if name.endswith("mult") else xi
+    hi, lo = spread(t(f.values, m), b.with_values(t(b.values, m)))
+
+    def exp(side):
+        with np.errstate(over="ignore"):
+            return np.exp(side)
+
+    finish = {
+        "map_mult": lambda: hi - lo,
+        "mlub_mult": lambda: exp(hi),
+        "mglb_mult": lambda: exp(lo),
+        "map_add": lambda: np.minimum(xi_inv(hi - lo, m), np.nextafter(m, -np.inf)),
+        "mlub_add": lambda: xi_inv(hi, m),
+        "mglb_add": lambda: xi_inv(lo, m),
+    }
+    return finish[name]()
+
+
+STREAMED = {
+    "map_mult": map_mult,
+    "mlub_mult": lambda f, b: mlub_mult(f, b, path="morpho"),
+    "mglb_mult": lambda f, b: mglb_mult(f, b, path="morpho"),
+    "map_add": map_add,
+    "mlub_add": mlub_add,
+    "mglb_add": mglb_add,
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestStreamedMaps:
+    """Every map streamed through the kernel equals the two-step reference, bit for bit.
+
+    The maps apply ``T`` to each strip of table level 0 and finish each strip
+    into the output; the reference transforms whole rasters, calls
+    :func:`spread` and finishes whole rasters.  Heights cover one row, one
+    strip, one strip and a row, and two strips and a row; the images carry
+    the cells ``T`` sends to ``-inf`` or ``+inf`` (``hat(0)``, ``hat(m)``,
+    ``xi(-inf)``, ``xi(m)``) where a map's regime admits them.
+    """
+
+    @staticmethod
+    def images(rng, shape, m):
+        """``{map family: images}``, each image kind in the regime of the maps it is run through."""
+        strict = rng.uniform(0.001, 0.999, size=shape) * m
+        edges = strict.copy()
+        edges.flat[rng.choice(edges.size, size=4, replace=False)] = [0.0, m, 0.0, m]
+        below = rng.uniform(-3.0, 0.999, size=shape) * m
+        below.flat[0] = -1e3 * m
+        closure = below.copy()
+        closure.flat[rng.choice(closure.size, size=2, replace=False)] = [-np.inf, m]
+        strict, edges, below, closure = (GreyImage(v, m) for v in (strict, edges, below, closure))
+        return {
+            "map_mult": [strict],
+            "mlub_mult": [strict, edges],
+            "mglb_mult": [strict, edges],
+            "map_add": [strict, below],
+            "mlub_add": [below, closure],
+            "mglb_add": [below, closure],
+        }
+
+    @staticmethod
+    def probes(rng, h, m):
+        """Rings, runs among single cells, empty windows, no reach, and reach beyond one strip."""
+        def probe(values, mask, anchor):
+            return Probe(np.asarray(values, dtype=float) / 256.0 * m, mask, anchor, m)
+
+        ring = make_ring_probe(6, 3)
+        mixed, mask, anchor = mixed_probe(rng, 3, holes=True)
+        one = np.ones((1, 1), dtype=bool)
+        # anchors off the mask: the windows of the last columns, or the last rows, are empty
+        right = np.array([[False, False, True]])
+        corner = np.zeros((3, 3), dtype=bool)
+        corner[2, 2] = True
+        # a probe whose only row lies h + 2 rows below its anchor reaches no cell
+        none = np.zeros((h + 3, 1), dtype=bool)
+        none[-1] = True
+        # only far below or far above: some strips have an empty table
+        below = np.zeros((_STRIP + 8, 2), dtype=bool)
+        below[-1] = True
+        tall = rng.random((2 * _STRIP + 6, 3)) < 0.1
+        tall[[0, -1], 1] = True
+        return [
+            probe(ring.values, ring.mask, ring.anchor),
+            probe(mixed, mask, anchor),
+            probe([[100.0]], one, (0, 0)),
+            probe(rng.uniform(5.0, 250.0, size=(1, 3)), right, (0, 0)),
+            probe(rng.uniform(5.0, 250.0, size=(3, 3)), corner, (0, 0)),
+            probe(np.full(none.shape, 50.0), none, (0, 0)),
+            probe(np.full(below.shape, 70.0), below, (0, 0)),
+            probe(np.full(below.shape, 70.0), below[::-1], (below.shape[0] - 1, 1)),
+            probe(rng.uniform(5.0, 250.0, size=tall.shape), tall, (_STRIP + 3, 1)),
+        ]
+
+    @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
+    @pytest.mark.parametrize("height", [1, _STRIP, _STRIP + 1, 2 * _STRIP + 1])
+    def test_against_two_steps(self, rng, m, height):
+        families = self.images(rng, (height, 9), m)
+        for b in self.probes(rng, height, m):
+            for name, call in STREAMED.items():
+                for f in families[name]:
+                    got = call(f, b).values
+                    assert got.tobytes() == two_step(name, f, b).tobytes(), (name, b.shape, b.anchor)
+
+    @pytest.mark.parametrize("reach", [_STRIP + 7, -(_STRIP + 7), 2 * _STRIP + 2])
+    def test_strips_with_empty_tables(self, rng, reach):
+        # a probe reaching only far below (or above) leaves the last (or first)
+        # strips without a source row; the first strip that has one builds its
+        # whole table, and the strips after it move rows up from theirs
+        rows = abs(reach) + 1
+        mask = np.zeros((rows, 3), dtype=bool)
+        mask[-1 if reach > 0 else 0] = True
+        b = Probe(rng.uniform(5.0, 250.0, size=(rows, 3)), mask, (0 if reach > 0 else rows - 1, 1), M)
+        for f in (rng.uniform(-50.0, 50.0, size=(3 * _STRIP + 5, 6)), with_infinities(rng, (3 * _STRIP + 5, 6))):
+            hi, lo = spread(f, b)
+            assert hi.tobytes() == offset_loop(f, b, np.maximum, -np.inf).tobytes()
+            assert lo.tobytes() == offset_loop(f, b, np.minimum, np.inf).tobytes()

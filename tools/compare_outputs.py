@@ -1,0 +1,181 @@
+"""Compare the outputs of two lipmaps source trees on one seeded battery.
+
+Usage::
+
+    python tools/compare_outputs.py OLD_SRC NEW_SRC [--seed N] [--cases N] [--heights H,...]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``lipmaps`` package
+(the ``src`` directory of two checkouts).  Each is imported in its own
+subprocess, with warnings turned into errors, and runs the same battery:
+every public map (both paths of the multiplicative ones), both link maps,
+``dilate``, ``erode`` and ``spread`` with each choice of sides, at the
+scales m in {1e-6, 1, 256, 65536, 1e200}.  Images are strict, carry the
+edge values 0 and ``m``, run below ``-m`` (with or without ``-inf``, ``m``
+and ``-1e300`` cells), or are quantised to a few levels; probes have
+single-cell values, shared values in runs, negative values, off-mask
+anchors, more rows than one kernel strip, or reach no cell of the raster.
+Each result is compared by the ``tobytes()`` of every array it returns,
+or by the class and message of the exception it raised.  The script
+prints the counts and the first mismatches, and exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pickle
+import subprocess
+import sys
+import warnings
+
+SCALES = (1e-6, 1.0, 256.0, 65536.0, 1e200)
+
+
+def images(rng, shape, m):
+    """``(name, values)`` of each image kind, values relative to ``m``."""
+    import numpy as np
+
+    strict = rng.uniform(0.001, 0.999, size=shape) * m
+    edges = strict.copy()
+    edges.flat[rng.integers(edges.size, size=2)] = (0.0, m)
+    below = rng.uniform(-3.0, 0.999, size=shape) * m
+    closure = below.copy()
+    closure.flat[rng.integers(closure.size, size=3)] = (-np.inf, m, -1e300 * min(m, 1.0))
+    levels = np.array([0.1, 0.3, 0.5, 0.9]) * m
+    quantised = levels[rng.integers(4, size=shape)]
+    return [("strict", strict), ("edges", edges), ("below", below), ("closure", closure), ("quantised", quantised)]
+
+
+def probes(rng, shape, m):
+    """``(name, values, mask, anchor)`` of each probe kind."""
+    import numpy as np
+
+    h = shape[0]
+    single = rng.uniform(0.001, 0.999, size=(3, 5)) * m
+    runs = (np.array([0.2, 0.6]) * m)[rng.integers(2, size=(5, 9))]
+    runs[:, 2:6] = 0.4 * m
+    holes = rng.random((4, 7)) < 0.8
+    holes[1, 3] = False
+    negative = rng.uniform(-2.0, 0.9, size=(2, 3)) * m
+    far = np.zeros((h + 3, 3))
+    far[-1] = rng.uniform(0.1, 0.9, size=3) * m
+    far_mask = np.zeros(far.shape, dtype=bool)
+    far_mask[-1] = True
+    tall = rng.uniform(0.001, 0.999, size=(70, 3)) * m
+    tall_mask = rng.random(tall.shape) < 0.1
+    tall_mask[[0, -1], 1] = True
+    full = np.ones
+    return [
+        ("single", single, full(single.shape, dtype=bool), (1, 2)),
+        ("runs", runs, full(runs.shape, dtype=bool), (2, 4)),
+        ("off-anchor", rng.uniform(0.001, 0.999, size=holes.shape) * m, holes, (1, 3)),
+        ("negative", negative, full(negative.shape, dtype=bool), (0, 1)),
+        ("no-cell", far, far_mask, (0, 1)),
+        ("tall", tall, tall_mask, (35, 1)),
+    ]
+
+
+def battery(lipmaps, seed, cases, heights):
+    """``{case name: result}``.
+
+    A result is a tuple of bytes, ``None`` for a side not asked for, or the
+    ``(class, message)`` of the exception raised.
+    """
+    import numpy as np
+
+    from lipmaps import asplund, morphology
+
+    maps = {
+        "mlub_mult ratio": lambda f, b: asplund.mlub_mult(f, b, path="ratio"),
+        "mlub_mult morpho": lambda f, b: asplund.mlub_mult(f, b, path="morpho"),
+        "mglb_mult ratio": lambda f, b: asplund.mglb_mult(f, b, path="ratio"),
+        "mglb_mult morpho": lambda f, b: asplund.mglb_mult(f, b, path="morpho"),
+        "map_mult morpho": lambda f, b: asplund.map_mult(f, b, path="morpho"),
+        "map_mult ratio": lambda f, b: asplund.map_mult(f, b, path="ratio"),
+        "mlub_add": asplund.mlub_add,
+        "mglb_add": asplund.mglb_add,
+        "map_add": asplund.map_add,
+        "map_mult_via_add": asplund.map_mult_via_add,
+        "map_add_via_mult": asplund.map_add_via_mult,
+    }
+    kernel = {
+        "dilate": lambda f, b: (morphology.dilate(f, b),),
+        "erode": lambda f, b: (morphology.erode(f, b),),
+        "spread both": lambda f, b: morphology.spread(f, b),
+        "spread hi": lambda f, b: morphology.spread(f, b, lo=False),
+        "spread lo": lambda f, b: morphology.spread(f, b, hi=False),
+    }
+
+    def run(call):
+        try:
+            out = call()
+        except Exception as exc:  # compared by class and message
+            return (type(exc).__name__, str(exc))
+        return tuple(None if a is None else a.tobytes() for a in out)
+
+    results = {}
+    rng = np.random.default_rng(seed)
+    for m in SCALES:
+        for i in range(cases):
+            shape = (heights[i % len(heights)], int(rng.integers(1, 14)))
+            for pname, values, mask, anchor in probes(rng, shape, m):
+                b = lipmaps.Probe(values, mask, anchor, m)
+                for iname, f in images(rng, shape, m):
+                    image = lipmaps.GreyImage(f, m)
+                    at = f"m={m:g} case={i} shape={shape} image={iname} probe={pname}"
+                    for name, fn in maps.items():
+                        results[f"{at} {name}"] = run(lambda: (lambda r: (r.values, r.full_mask))(fn(image, b)))
+                    for name, fn in kernel.items():
+                        results[f"{at} {name}"] = run(lambda: fn(f, b))
+    return results
+
+
+def emit(src, seed, cases, heights):
+    sys.path.insert(0, src)
+    warnings.simplefilter("error")
+    import lipmaps
+
+    sys.stdout.buffer.write(pickle.dumps(battery(lipmaps, seed, cases, heights)))
+
+
+def collect(src, args):
+    cmd = [sys.executable, __file__, "--emit", src, "--seed", str(args.seed), "--cases", str(args.cases)]
+    cmd += ["--heights", args.heights]
+    proc = subprocess.run(cmd, capture_output=True, check=False)
+    if proc.returncode:
+        sys.exit(f"battery failed on {src}:\n{proc.stderr.decode()}")
+    return pickle.loads(proc.stdout)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", nargs="?")
+    parser.add_argument("new", nargs="?")
+    parser.add_argument("--seed", type=int, default=14)
+    parser.add_argument("--cases", type=int, default=4, help="cases per scale, each with every probe and image kind")
+    parser.add_argument("--heights", default="1,64,65,129", help="raster heights, cycled over the cases")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    heights = [int(h) for h in args.heights.split(",")]
+    if args.emit:
+        return emit(args.emit, args.seed, args.cases, heights)
+    if not (args.old and args.new):
+        parser.error("OLD_SRC and NEW_SRC are required")
+    old, new = collect(args.old, args), collect(args.new, args)
+    mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    raised = sum(1 for r in new.values() if r and isinstance(r[0], str))
+    print(f"{len(new)} results ({len(new) - raised} arrays, {raised} exceptions), {len(mismatches)} mismatches")
+    for key in mismatches[:10]:
+        print(f"  {key}: {describe(old.get(key))} vs {describe(new.get(key))}")
+    return 1 if mismatches else 0
+
+
+def describe(result):
+    if result is None:
+        return "missing"
+    if result and isinstance(result[0], str):
+        return f"{result[0]}: {result[1]}"
+    return f"{len(result)} arrays"
+
+
+if __name__ == "__main__":
+    sys.exit(main())
