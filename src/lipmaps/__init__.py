@@ -17,8 +17,7 @@ The package provides, in dependency order:
 * :mod:`lipmaps.probing` -- lighting-change simulation, ring probes, and
   detection of map minima;
 * :mod:`lipmaps.raster_io` -- PGM input, the bit-exact binary ``fmap``
-  container (earlier text ``fmap`` files still read) and the ``probe``
-  text format;
+  container and the ``probe`` text format;
 * :mod:`lipmaps.cli` -- the ``lipmaps`` command-line tool.
 """
 

@@ -109,7 +109,9 @@ def cmd_verify_link(args) -> int:
         probe = raster_io.read_probe(args.probe)
     elif args.random is not None:
         rng = np.random.default_rng(args.seed)
-        h, w = args.random[1], args.random[0]
+        w, h = args.random
+        if w < 1 or h < 1:
+            raise DomainError(f"--random needs W >= 1 and H >= 1, got W={w} H={h}")
         image = probing.random_image(h, w, rng)
         probe = probing.random_probe(3, 3, rng)
     else:

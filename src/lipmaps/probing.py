@@ -133,8 +133,12 @@ def detect_minima(dist_map, threshold: float) -> list[Detection]:
     empty list is a valid result.  Cells outside the map's full-overlap
     mask are never reported; a map read from a file has the mask its
     header stores, or all cells when it stores none and no probe is given.
+    A NaN threshold, which no value lies at or below, raises
+    :class:`DomainError`; ``+inf`` lists every full-overlap cell.
     """
     threshold = float(threshold)
+    if np.isnan(threshold):
+        raise DomainError("detection threshold must not be NaN")
     vals = dist_map.values
     hit = dist_map.full_mask & (vals <= threshold)
     rows, cols = np.nonzero(hit)

@@ -13,20 +13,15 @@ Small formats, all defined bit-exact:
   mask is empty); :func:`write_image` writes no rectangle.  The body is
   written with one ``tofile`` call and read with one ``readinto`` once its
   byte count matches the header, so a header the file does not back
-  allocates nothing.  A NaN cell is a ``ParseError`` naming the first one
-  in row-major order.
-* ``fmap`` text, the earlier format, is still read but no longer written:
-  header ``fmap <width> <height> <m>``, then one line per row of cells
-  (17 significant digits, ``inf``/``-inf`` for infinities).  Rows are
-  parsed in bulk; a per-token scan of a row runs only to locate an error
-  in it, so a ``ParseError`` names the first bad row or cell in row-major
-  order.  The reader picks the format from the header line.
+  allocates nothing.  Any other first line is a ``ParseError`` naming the
+  expected header; a NaN cell is one naming the first NaN in row-major
+  order.
 * ``probe``: header ``probe <width> <height> <anchor_x> <anchor_y> <m>``,
   then one line per row whose tokens are either a value (cell inside the
   probe domain) or ``_`` (outside).
 
-A map read from a file without a rectangle (text, or an image) gets an
-all-cells mask, or the probe's full-overlap mask when a probe is given.
+A map read from a file without a rectangle (an image) gets an all-cells
+mask, or the probe's full-overlap mask when a probe is given.
 The ``pgm8`` writing mode is a lossy min-max normalised view for eyeballing
 only.
 """
@@ -55,13 +50,11 @@ __all__ = [
 _WS = b" \t\r\n\f\v"
 
 _ENCODING = b"f8le"  # fmap body: little-endian IEEE float64, row-major
-#: A binary fmap header line must end within this many bytes; one is
+_HEADER = "fmap <w> <h> <m> f8le [r0 r1 c0 c1]"
+#: An fmap header line must end within this many bytes; one is
 #: under 100 bytes long, and the bound keeps a file without a newline
 #: from being read whole in search of one.
 _HEADER_MAX = 4096
-#: The ASCII line breaks of ``str.splitlines``, where the text reader ends
-#: the header line; a binary header is told apart by its tokens up to there.
-_LINE_BREAK = re.compile(rb"[\n\r\v\f\x1c-\x1e]")
 
 
 def _f17(v: float) -> str:
@@ -159,68 +152,37 @@ def _parse_float(tok: str, where: str) -> float:
     return v
 
 
-def _read_fmap_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty map file", 0)
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "fmap":
-        raise ParseError(f"bad map header {lines[0]!r}", 0)
-    try:
-        width, height = int(head[1]), int(head[2])
-    except ValueError:
-        raise ParseError(f"bad dimensions in map header {lines[0]!r}", 0) from None
-    m = _parse_float(head[3], "in map header")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"invalid dimensions {width}x{height}", 0)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != height:
-        raise ParseError(f"expected {height} row lines, found {len(body)}")
-    values = np.empty((height, width), dtype=np.float64)
-    for r, line in enumerate(body):
-        toks = line.split()
-        if len(toks) != width:
-            raise ParseError(f"row {r}: expected {width} cells, found {len(toks)}")
-        try:
-            values[r] = list(map(float, toks))
-            if not np.isnan(values[r]).any():
-                continue
-        except ValueError:
-            pass
-        for c, tok in enumerate(toks):  # locate the bad cell
-            values[r, c] = _parse_float(tok, f"at row {r}, column {c}")
-    return values, m
-
-
-def _read_fmap_binary(fh, line, head):
-    """Body of a binary ``fmap`` whose header line ``line`` splits into ``head``."""
-    if not line.endswith(b"\n"):
-        raise ParseError(f"map header has no newline within its first {_HEADER_MAX} bytes", 0)
-    text = line.decode("latin-1").rstrip()
-    if head[4] != _ENCODING:
-        raise ParseError(f"unknown fmap body encoding {head[4].decode('latin-1')!r}", 0)
-    if len(head) not in (5, 9):
-        raise ParseError(f"bad map header {text!r}", 0)
-    try:
-        width, height, *rect = (int(tok) for tok in head[1:3] + head[5:])
-    except ValueError:
-        raise ParseError(f"bad integer field in map header {text!r}", 0) from None
-    m = _parse_float(head[3].decode("latin-1"), "in map header")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"invalid dimensions {width}x{height}", 0)
-    if rect:
-        r0, r1, c0, c1 = rect
-        if not (0 <= r0 <= r1 <= height and 0 <= c0 <= c1 <= width):
-            raise ParseError(
-                f"full-overlap rectangle {r0} {r1} {c0} {c1} does not fit a {width}x{height} map", 0
-            )
-    expected = 8 * width * height
-    found = os.fstat(fh.fileno()).st_size - fh.tell()
-    if found != expected:  # checked before anything is allocated
-        raise ParseError(f"binary body: expected {expected} bytes, found {found}", len(line))
-    values = np.empty((height, width), dtype="<f8")
-    got = fh.readinto(values)
+def _read_fmap(path):
+    """``(values, m, rect)``; ``rect`` is the stored full-overlap rectangle or ``None``."""
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX)
+        head = line.split()
+        text = line.decode("latin-1").rstrip()
+        if head[:1] == [b"fmap"] and not line.endswith(b"\n"):
+            raise ParseError(f"map header has no newline within its first {_HEADER_MAX} bytes", 0)
+        if head[:1] != [b"fmap"] or len(head) not in (5, 9):
+            raise ParseError(f"bad map header {text!r}, expected {_HEADER!r}", 0)
+        if head[4] != _ENCODING:
+            raise ParseError(f"unknown fmap body encoding {head[4].decode('latin-1')!r}", 0)
+        fields = head[1:3] + head[5:]
+        if not all(tok.isdigit() for tok in fields):
+            raise ParseError(f"bad integer field in map header {text!r}", 0)
+        width, height, *rect = map(int, fields)
+        m = _parse_float(head[3].decode("latin-1"), "in map header")
+        if width <= 0 or height <= 0:
+            raise ParseError(f"invalid dimensions {width}x{height}", 0)
+        if rect:
+            r0, r1, c0, c1 = rect
+            if not (r0 <= r1 <= height and c0 <= c1 <= width):
+                raise ParseError(
+                    f"full-overlap rectangle {r0} {r1} {c0} {c1} does not fit a {width}x{height} map", 0
+                )
+        expected = 8 * width * height
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:  # checked before anything is allocated
+            raise ParseError(f"binary body: expected {expected} bytes, found {found}", len(line))
+        values = np.empty((height, width), dtype="<f8")
+        got = fh.readinto(values)
     if got != expected:  # the file shrank after the size check
         raise ParseError(f"binary body: expected {expected} bytes, found {got}", len(line))
     nan = np.isnan(values)
@@ -228,16 +190,6 @@ def _read_fmap_binary(fh, line, head):
         r, c = divmod(int(np.argmax(nan)), width)
         raise ParseError(f"NaN not allowed at row {r}, column {c}")
     return values, m, tuple(rect) or None
-
-
-def _read_fmap(path):
-    """``(values, m, rect)``; ``rect`` is the stored full-overlap rectangle or ``None``."""
-    with open(path, "rb") as fh:
-        line = fh.readline(_HEADER_MAX)
-        head = _LINE_BREAK.split(line, maxsplit=1)[0].split()
-        if len(head) > 4 and head[0] == b"fmap":
-            return _read_fmap_binary(fh, line, head)
-    return (*_read_fmap_text(path), None)
 
 
 def _write_fmap(values: np.ndarray, m: float, path, rect=None):
@@ -265,10 +217,12 @@ def _mask_rectangle(mask: np.ndarray) -> tuple[int, int, int, int]:
 def read_map(path, probe: Probe | None = None) -> DistanceMap:
     """Read a map file, with the full-overlap mask its header stores.
 
-    A file that stores no rectangle (text, or an image from
-    :func:`write_image`) gets ``probe``'s full-overlap mask, or an all-cells
-    mask without a probe.  A stored rectangle that differs from ``probe``'s
-    raises :class:`DomainError` naming both.
+    A file that stores no rectangle (an image from :func:`write_image`)
+    gets ``probe``'s full-overlap mask, or an all-cells mask without a
+    probe.  A stored rectangle that differs from ``probe``'s raises
+    :class:`DomainError` naming both.  A first line other than an ``fmap``
+    header, such as that of a file in the earlier text format, raises
+    :class:`ParseError` naming the expected header.
     """
     values, m, rect = _read_fmap(path)
     mask = None

@@ -15,13 +15,6 @@ def grey(values, m=M):
     return GreyImage(np.atleast_2d(np.asarray(values, dtype=np.float64)), m)
 
 
-def reference_fmap(values, m):
-    """The earlier text ``fmap`` bytes, one ``format(v, ".17g")`` per cell."""
-    lines = [f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')}"]
-    lines += [" ".join(format(float(v), ".17g") for v in row) for row in values]
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 def binary_fmap(values, m, rect=None):
     """The documented binary ``fmap`` bytes, built by hand from the format description."""
     head = f"fmap {values.shape[1]} {values.shape[0]} {format(m, '.17g')} f8le"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import reference_fmap
+from conftest import binary_fmap
 
 import lipmaps
 from lipmaps import cli
 from lipmaps import (
+    GreyImage,
     Probe,
     make_canvas,
     make_ring_probe,
@@ -36,7 +37,7 @@ def tiny_files(tmp_path):
     """The documented 1x2 instance as files."""
     image_path = tmp_path / "f.fmap"
     probe_path = tmp_path / "b.probe"
-    image_path.write_text("fmap 2 1 256\n100 200\n")
+    image_path.write_bytes(binary_fmap(np.array([[100.0, 200.0]]), M))
     probe_path.write_text("probe 2 1 0 0 256\n150 150\n")
     return str(image_path), str(probe_path)
 
@@ -60,7 +61,7 @@ class TestMapMult:
     def test_constant_inputs_give_zero_interior(self, tmp_path):
         image = tmp_path / "c.fmap"
         probe = tmp_path / "c.probe"
-        image.write_text("fmap 5 5 256\n" + "\n".join(["90 90 90 90 90"] * 5) + "\n")
+        image.write_bytes(binary_fmap(np.full((5, 5), 90.0), M))
         probe.write_text("probe 3 3 1 1 256\n70 70 70\n70 70 70\n70 70 70\n")
         out = tmp_path / "o.fmap"
         assert cli.main(["map-mult", "--image", str(image), "--probe", str(probe),
@@ -91,7 +92,7 @@ class TestMapMult:
     def test_strict_probe_load(self, tmp_path, capsys):
         # the probe file loads; map_mult's regime check rejects its value m
         image = tmp_path / "i.fmap"
-        image.write_text("fmap 1 1 256\n100\n")
+        image.write_bytes(binary_fmap(np.array([[100.0]]), M))
         probe = tmp_path / "p.probe"
         probe.write_text("probe 1 1 0 0 256\n256\n")
         out = str(tmp_path / "o.fmap")
@@ -148,14 +149,14 @@ class TestLighting:
 
     def test_documented_darkening(self, tmp_path):
         image = tmp_path / "i.fmap"
-        image.write_text("fmap 1 1 256\n100\n")
+        image.write_bytes(binary_fmap(np.array([[100.0]]), M))
         out = str(tmp_path / "o.fmap")
         assert cli.main(["lighting", "--image", str(image), "--out", out, "--add", "200"]) == 0
         assert read_map(out).values[0, 0] == 221.875
 
     def test_range_violations_exit_2(self, tmp_path):
         image = tmp_path / "i.fmap"
-        image.write_text("fmap 1 1 256\n100\n")
+        image.write_bytes(binary_fmap(np.array([[100.0]]), M))
         out = str(tmp_path / "o.fmap")
         assert cli.main(["lighting", "--image", str(image), "--out", out, "--add", "256"]) == 2
         assert cli.main(["lighting", "--image", str(image), "--out", out, "--mult", "-2"]) == 2
@@ -189,26 +190,33 @@ class TestDetect:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == (24 - 6) * (24 - 6)  # ring radius 3 trims 3 per side
 
-    def make_text_map_file(self, tmp_path, scene_files):
-        """The map in the earlier text format, which stores no full-overlap rectangle."""
+    def test_nan_threshold_exits_2(self, scene_files, tmp_path, capsys):
+        out, _ = self.make_map_file(tmp_path, scene_files)
+        assert cli.main(["detect", "--map", out, "--threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must not be NaN" in captured.err
+
+    def make_image_map_file(self, tmp_path, scene_files):
+        """The map's values written by write_image, which stores no full-overlap rectangle."""
         out, probe = self.make_map_file(tmp_path, scene_files)
-        text = tmp_path / "map.txt"
-        text.write_bytes(reference_fmap(read_map(out).values, M))
-        return str(text), probe
+        image = tmp_path / "map_image.fmap"
+        write_image(GreyImage(read_map(out).values, M), image)
+        return str(image), probe
 
     def test_without_probe_all_cells_eligible(self, scene_files, tmp_path, capsys):
-        out, _ = self.make_text_map_file(tmp_path, scene_files)
+        out, _ = self.make_image_map_file(tmp_path, scene_files)
         rc = cli.main(["detect", "--map", out, "--threshold", "inf"])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 24 * 24
 
-    @pytest.mark.parametrize("text", [False, True], ids=["stored-rectangle", "text-with-probe"])
-    def test_full_overlap_from_file_or_probe(self, scene_files, tmp_path, capsys, text):
-        """A map from map-add brings its own region; a text map takes the probe's."""
-        make = self.make_text_map_file if text else self.make_map_file
+    @pytest.mark.parametrize("bare", [False, True], ids=["stored-rectangle", "text-with-probe"])
+    def test_full_overlap_from_file_or_probe(self, scene_files, tmp_path, capsys, bare):
+        """A map from map-add brings its own region; a file without one takes the probe's."""
+        make = self.make_image_map_file if bare else self.make_map_file
         out, probe = make(tmp_path, scene_files)
         argv = ["detect", "--map", out, "--threshold", "inf"]
-        assert cli.main(argv + (["--probe", probe] if text else [])) == 0
+        assert cli.main(argv + (["--probe", probe] if bare else [])) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == (24 - 6) * (24 - 6)
 
     def test_probe_disagreeing_with_stored_rectangle_exits_2(self, scene_files, tmp_path, capsys):
@@ -254,6 +262,11 @@ class TestVerifyLink:
         assert rc == 3
         assert "FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [("-1", "3"), ("3", "0")], ids=["W=-1", "H=0"])
+    def test_random_size_below_one_exits_2(self, size, capsys):
+        assert cli.main(["verify-link", "--random", *size]) == 2
+        assert f"--random needs W >= 1 and H >= 1, got W={size[0]} H={size[1]}" in capsys.readouterr().err
+
     def test_missing_arguments_exit_2(self):
         assert cli.main(["verify-link"]) == 2
         assert cli.main(["verify-link", "--image", "x.fmap"]) == 2
@@ -268,10 +281,23 @@ class TestErrorPaths:
 
     def test_malformed_probe_exit_2(self, tmp_path, capsys):
         image = tmp_path / "i.fmap"
-        image.write_text("fmap 1 1 256\n100\n")
+        image.write_bytes(binary_fmap(np.array([[100.0]]), M))
         probe = tmp_path / "p.probe"
         probe.write_text("probe 2 1 0 0 256\n_ _\n")
         rc = cli.main(["map-add", "--image", str(image), "--probe", str(probe),
                        "--out", str(tmp_path / "o.fmap")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_text_fmap_image_exits_2(self, tmp_path, capsys):
+        image = tmp_path / "old.fmap"
+        image.write_text("fmap 2 1 256\n100 200\n")
+        probe = tmp_path / "b.probe"
+        probe.write_text("probe 1 1 0 0 256\n150\n")
+        rc = cli.main(["map-add", "--image", str(image), "--probe", str(probe),
+                       "--out", str(tmp_path / "o.fmap")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "lipmaps: error: bad map header 'fmap 2 1 256', "
+            "expected 'fmap <w> <h> <m> f8le [r0 r1 c0 c1]' (at byte offset 0)\n"
+        )

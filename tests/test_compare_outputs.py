@@ -1,4 +1,4 @@
-"""``tools/compare_outputs.py`` runs its battery and reports no mismatch when both trees are this checkout's."""
+"""``tools/compare_outputs.py`` runs its battery and I/O round trips and reports no mismatch when both trees are this checkout's."""
 
 import subprocess
 import sys
@@ -16,6 +16,9 @@ def test_same_tree_has_no_mismatch():
     assert counts.endswith(", 0 mismatches")
     # every scale ran every probe and image kind through all 16 calls
     assert counts.startswith(f"{5 * 6 * 5 * 16} results")
+    # and each image, at least, through write_image and the three reads
+    io = int(counts.split(" I/O results")[0].rsplit(" ", 1)[1])
+    assert io >= 5 * 6 * 5 * 4
 
 
 def test_needs_both_trees():

@@ -168,6 +168,10 @@ class TestDetectMinima:
         assert len(hits) == 3
         assert all(isinstance(d, Detection) for d in hits)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError, match="threshold must not be NaN"):
+            detect_minima(self.map_with([[1.0, 2.0]]), np.nan)
+
     def test_sorted_by_value_then_row_major(self):
         out = self.map_with([[2.0, 1.0], [1.0, 0.5]])
         hits = detect_minima(out, 2.0)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import binary_fmap, full_probe, reference_fmap
+from conftest import binary_fmap, full_probe
 
 from lipmaps import (
     DistanceMap,
@@ -189,37 +189,31 @@ class TestFmap:
 
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "bad.fmap"
-        p.write_text("fmap 2 2 256\n1 2\n")
-        with pytest.raises(ParseError, match="row lines"):
-            read_map(p)
-        p.write_text("fmap 2 1 256\n1 2 3\n")
-        with pytest.raises(ParseError, match="cells"):
-            read_map(p)
         p.write_text("pmaf 1 1 256\n0\n")
         with pytest.raises(ParseError, match="header"):
             read_map(p)
+        p.write_bytes(b"\x89PNG\r\n\x1a\n")  # not ASCII: still a ParseError
+        with pytest.raises(ParseError, match="bad map header") as exc:
+            read_map(p)
+        assert exc.value.offset == 0
 
     def test_nan_rejected(self, tmp_path):
         p = tmp_path / "bad.fmap"
-        p.write_text("fmap 1 1 256\nnan\n")
+        p.write_bytes(binary_fmap(np.array([[np.nan]]), 256.0))
         with pytest.raises(ParseError, match="NaN"):
             read_map(p)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "empty map file"),
-            ("fmap x 2 256\n1\n2\n", "bad dimensions in map header 'fmap x 2 256'"),
-            ("fmap 0 2 256\n", "invalid dimensions 0x2"),
-        ],
-    )
-    def test_text_header_errors(self, tmp_path, text, message):
-        p = tmp_path / "bad.fmap"
-        p.write_text(text)
+    @pytest.mark.parametrize("read", [read_map, read_image])
+    def test_text_format_rejected(self, tmp_path, read):
+        p = tmp_path / "old.fmap"
+        p.write_text("fmap 2 1 256\n100 200\n")
         with pytest.raises(ParseError) as exc:
-            read_map(p)
+            read(p)
         assert exc.value.offset == 0
-        assert str(exc.value) == f"{message} (at byte offset 0)"
+        assert str(exc.value) == (
+            "bad map header 'fmap 2 1 256', expected 'fmap <w> <h> <m> f8le [r0 r1 c0 c1]'"
+            " (at byte offset 0)"
+        )
 
     def test_pgm8_mode(self, tmp_path):
         vals = np.array([[0.0, 5.0], [10.0, np.inf]])
@@ -320,7 +314,7 @@ class TestProbeFormat:
 
 
 class TestFmapBulkAgreesWithScan:
-    """The binary body and the bulk text row parser against per-cell references."""
+    """The binary body against a per-cell reference."""
 
     @pytest.mark.parametrize("m", [256.0, 1e200])
     def test_write_map_bytes_match_format_17g(self, tmp_path, rng, m):
@@ -331,12 +325,6 @@ class TestFmapBulkAgreesWithScan:
         back = read_map(p)
         assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
         assert back.m == m
-        # the same values as 17-digit text read back to the same bits
-        t = tmp_path / "m.txt"
-        t.write_bytes(reference_fmap(vals, m))
-        text = read_map(t)
-        assert np.array_equal(text.values.view(np.uint64), vals.view(np.uint64))
-        assert text.m == m and text.full_mask.all()
 
     def test_write_image_bytes_match_format_17g(self, tmp_path, rng):
         m = 1e200
@@ -347,39 +335,6 @@ class TestFmapBulkAgreesWithScan:
         assert p.read_bytes() == binary_fmap(vals, m)
         back = read_image(p)
         assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
-        t = tmp_path / "i.txt"
-        t.write_bytes(reference_fmap(vals, m))
-        assert np.array_equal(read_image(t).values.view(np.uint64), vals.view(np.uint64))
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("1 2\n3 x\n", "bad value token 'x' at row 1, column 1"),
-            ("1 nan\n3\n", "NaN not allowed at row 0, column 1"),
-            ("1 2\n3\n", "row 1: expected 2 cells, found 1"),
-            ("1 2 3\n4 5\n", "row 0: expected 2 cells, found 3"),
-            ("1 x\n3 nan\n", "bad value token 'x' at row 0, column 1"),
-            ("nan x\n1 2\n", "NaN not allowed at row 0, column 0"),
-        ],
-    )
-    def test_first_error_in_row_major_order(self, tmp_path, body, message):
-        p = tmp_path / "bad.fmap"
-        p.write_text("fmap 2 2 256\n" + body)
-        with pytest.raises(ParseError) as exc:
-            read_map(p)
-        assert str(exc.value) == message
-
-    def test_crlf_and_blank_lines_between_rows(self, tmp_path):
-        p = tmp_path / "m.fmap"
-        p.write_bytes(b"fmap 2 2 256\r\n1 -inf\r\n\r\n  \r\n1e400 1_0\r\n")
-        assert read_map(p).values.tolist() == [[1.0, -np.inf], [np.inf, 10.0]]
-
-    @pytest.mark.parametrize("brk", [b"\r", b"\v", b"\f", b"\x1c"])
-    def test_text_line_breaks_other_than_newline(self, tmp_path, brk):
-        # a header line of five tokens up to the first newline is still text
-        p = tmp_path / "m.fmap"
-        p.write_bytes(brk.join([b"fmap 2 2 256", b"1 2", b"3 4", b""]))
-        assert read_map(p).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestFmapBinary:
@@ -440,6 +395,8 @@ class TestFmapBinary:
             (b"fmap 2 1 256 f8le 0 2 0 2\n", "rectangle 0 2 0 2 does not fit a 2x1 map"),
             (b"fmap 2 1 256 f8le 1 0 0 2\n", "rectangle 1 0 0 2 does not fit a 2x1 map"),
             (b"fmap 0 1 256 f8le\n", "invalid dimensions 0x1"),
+            (b"fmap 1_0 1 256 f8le\n", "bad integer field in map header 'fmap 1_0 1 256 f8le'"),
+            (b"fmap +1 1 256 f8le\n", "bad integer field in map header"),
         ],
     )
     def test_bad_header_fields(self, tmp_path, head, message):
@@ -512,10 +469,3 @@ def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
     assert np.array_equal(back.full_mask, expected.full_mask)
     first = capsys.readouterr().out.split("\n", 1)[0].split()
     assert first[:2] == [str(anchor[1]), str(anchor[0])]
-
-    # the earlier text format of the same image gives the same map file
-    text_fmap, text_map = tmp_path / "dark.txt", tmp_path / "text_map.fmap"
-    text_fmap.write_bytes(reference_fmap(dark.values, 256.0))
-    argv = ["map-add", "--image", text_fmap, "--probe", ring, "--out", text_map]
-    assert cli.main([str(a) for a in argv]) == 0
-    assert text_map.read_bytes() == map_fmap.read_bytes()

@@ -14,17 +14,23 @@ edge values 0 and ``m``, run below ``-m`` (with or without ``-inf``, ``m``
 and ``-1e300`` cells), or are quantised to a few levels; probes have
 single-cell values, shared values in runs, negative values, off-mask
 anchors, more rows than one kernel strip, or reach no cell of the raster.
-Each result is compared by the ``tobytes()`` of every array it returns,
-or by the class and message of the exception it raised.  The script
-prints the counts and the first mismatches, and exits 1 on any mismatch.
+Each map result is written with ``write_map`` and each image with
+``write_image``, and the file is read back with ``read_map`` (with and
+without the probe) and with ``read_image``: the I/O round trips.  Each
+result is compared by the ``tobytes()`` of every array it returns (the
+file's bytes, for a write), or by the class and message of the exception
+it raised.  The script prints the counts and the first mismatches, and
+exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import warnings
 
 SCALES = (1e-6, 1.0, 256.0, 65536.0, 1e200)
@@ -74,15 +80,15 @@ def probes(rng, shape, m):
     ]
 
 
-def battery(lipmaps, seed, cases, heights):
-    """``{case name: result}``.
+def battery(lipmaps, seed, cases, heights, tmp):
+    """``{case name: result}``; the names of I/O round trips start with ``io``.
 
     A result is a tuple of bytes, ``None`` for a side not asked for, or the
-    ``(class, message)`` of the exception raised.
+    ``(class, message)`` of the exception raised.  Files go to directory ``tmp``.
     """
     import numpy as np
 
-    from lipmaps import asplund, morphology
+    from lipmaps import asplund, morphology, raster_io
 
     maps = {
         "mlub_mult ratio": lambda f, b: asplund.mlub_mult(f, b, path="ratio"),
@@ -105,12 +111,35 @@ def battery(lipmaps, seed, cases, heights):
         "spread lo": lambda f, b: morphology.spread(f, b, hi=False),
     }
 
-    def run(call):
+    def run(call, arrays=lambda out: out):
+        """``(call(), bytes of each array in arrays(call()))``, or ``None`` and the exception."""
         try:
             out = call()
+            return out, tuple(None if a is None else a.tobytes() for a in arrays(out))
         except Exception as exc:  # compared by class and message
-            return (type(exc).__name__, str(exc))
-        return tuple(None if a is None else a.tobytes() for a in out)
+            return None, (type(exc).__name__, str(exc))
+
+    path = os.path.join(tmp, "out.fmap")
+    reads = {
+        "read_map": lambda probe: raster_io.read_map(path),
+        "read_map probe": lambda probe: raster_io.read_map(path, probe),
+        "read_image": lambda probe: raster_io.read_image(path),
+    }
+
+    def fields(r):
+        return r.values, getattr(r, "full_mask", None), np.float64(r.m)
+
+    def written(write, obj):
+        write(obj, path)
+        return (np.fromfile(path, dtype=np.uint8),)
+
+    def round_trip(at, write, obj, probe):
+        """Write ``obj`` and read the file back every way, one result each."""
+        done, results[f"io {at} write"] = run(lambda: written(write, obj))
+        if done is None:
+            return
+        for name, read in reads.items():
+            _, results[f"io {at} {name}"] = run(lambda: read(probe), fields)
 
     results = {}
     rng = np.random.default_rng(seed)
@@ -123,9 +152,12 @@ def battery(lipmaps, seed, cases, heights):
                     image = lipmaps.GreyImage(f, m)
                     at = f"m={m:g} case={i} shape={shape} image={iname} probe={pname}"
                     for name, fn in maps.items():
-                        results[f"{at} {name}"] = run(lambda: (lambda r: (r.values, r.full_mask))(fn(image, b)))
+                        r, results[f"{at} {name}"] = run(lambda: fn(image, b), lambda r: (r.values, r.full_mask))
+                        if r is not None:
+                            round_trip(f"{at} {name}", raster_io.write_map, r, b)
                     for name, fn in kernel.items():
-                        results[f"{at} {name}"] = run(lambda: fn(f, b))
+                        _, results[f"{at} {name}"] = run(lambda: fn(f, b))
+                    round_trip(f"{at} image", raster_io.write_image, image, b)
     return results
 
 
@@ -134,7 +166,8 @@ def emit(src, seed, cases, heights):
     warnings.simplefilter("error")
     import lipmaps
 
-    sys.stdout.buffer.write(pickle.dumps(battery(lipmaps, seed, cases, heights)))
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.buffer.write(pickle.dumps(battery(lipmaps, seed, cases, heights, tmp)))
 
 
 def collect(src, args):
@@ -162,8 +195,12 @@ def main(argv=None):
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = collect(args.old, args), collect(args.new, args)
     mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    raised = sum(1 for r in new.values() if r and isinstance(r[0], str))
-    print(f"{len(new)} results ({len(new) - raised} arrays, {raised} exceptions), {len(mismatches)} mismatches")
+    calls = [r for k, r in new.items() if not k.startswith("io ")]
+    raised = sum(1 for r in calls if r and isinstance(r[0], str))
+    print(
+        f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
+        f"{len(new) - len(calls)} I/O results, {len(mismatches)} mismatches"
+    )
     for key in mismatches[:10]:
         print(f"  {key}: {describe(old.get(key))} vs {describe(new.get(key))}")
     return 1 if mismatches else 0
