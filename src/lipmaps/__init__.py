@@ -12,8 +12,9 @@ The package provides, in dependency order:
   behind every map, and grey-level dilation and erosion with a
   structuring function, clipped at raster borders;
 * :mod:`lipmaps.asplund` -- both Asplund metrics, their sliding-window
-  distance maps (two computation paths each), the isomorphism link
-  between the families, and definitional scan oracles;
+  bound and distance maps (all through the kernel; the multiplicative
+  ones also by the ratio closed form, ``path="ratio"``), the isomorphism
+  link between the families, and definitional scan oracles;
 * :mod:`lipmaps.probing` -- lighting-change simulation, ring probes, and
   detection of map minima;
 * :mod:`lipmaps.raster_io` -- PGM input, the bit-exact binary ``fmap``

@@ -19,9 +19,10 @@ change).  Both bracket pairs have closed forms: pointwise extrema of
 
 Sliding a probe ``b`` over ``f`` gives the bound maps (``mlub_*`` /
 ``mglb_*``) and the distance maps (``map_mult`` / ``map_add``).  The
-multiplicative maps can be computed either from the ratio closed form
-or as grey-level dilations/erosions of the double-log transform
-``hat(f)``; both paths are exposed and must agree to rounding error.
+multiplicative maps are computed by default as grey-level
+dilations/erosions of the double-log transform ``hat(f)``;
+``path="ratio"`` computes them from the ratio closed form instead, and
+the two must agree to rounding error.
 
 The isomorphism ``xi`` links the two families: each distance map can be
 obtained from the other applied to complemented, ``xi``-transformed data
@@ -272,21 +273,25 @@ def _bound_mult(f, b, path, maximum):
     return RealMap._adopt(*_streamed(f, b, _hat, finish, hi=maximum, lo=not maximum), f.m)
 
 
-def mlub_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
+def mlub_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
     """Map of least upper bounds: per cell, the max of ``tilde(f)(x+h)/tilde(b)(h)``.
 
-    ``path="morpho"`` computes the same map as
-    ``exp(hat(f) dilate -hat(reflect(b)))``; the two agree to rounding
-    error.  ``f`` may contain the edge values 0 and ``m`` (which produce 0
-    and +inf entries); the probe must be strictly inside ``]0, m[``.
+    The default morphological path computes it as the dilation
+    ``exp(hat(f) dilate -hat(reflect(b)))``, through the kernel;
+    ``path="ratio"`` takes the quotients offset by offset, the closed-form
+    reference the tests check the kernel against.  The two agree to
+    rounding error.  ``f`` may contain the edge values 0 and ``m`` (which
+    produce 0 and +inf entries); the probe must be strictly inside
+    ``]0, m[``.
     """
     return _bound_mult(f, b, path, maximum=True)
 
 
-def mglb_mult(f: GreyImage, b: Probe, path: str = "ratio") -> RealMap:
+def mglb_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
     """Map of greatest lower bounds, the min dual of :func:`mlub_mult`.
 
-    Morphological form: ``exp(hat(f) erode hat(b))``.
+    The default morphological path is the erosion ``exp(hat(f) erode
+    hat(b))``; ``path="ratio"`` is the closed-form reference.
     """
     return _bound_mult(f, b, path, maximum=False)
 

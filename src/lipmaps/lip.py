@@ -20,12 +20,13 @@ relative precision for grey values near 0.  All functions are pure: none
 writes into its input.  Each transform (``tilde``, ``hat``, ``hat_inv``,
 ``xi``, ``xi_inv``) allocates one output of its input's shape and finishes
 in it with ``out=`` ufuncs; ``lip_add`` allocates its output and one
-temporary.  The bodies of ``hat``, ``xi`` and ``xi_inv`` are the private
-``_hat``, ``_xi`` and ``_xi_inv``, which write into a given ``out`` and
-check nothing; the distance maps call them on each row strip.  The
-in-place steps are the literal formulas reordered by exact IEEE
-identities (``-f/m == f/(-m)``, ``(-m)*x == x*(-m)``), so the results are
-bit for bit those of the formulas above.
+temporary.  The bodies of ``tilde``, ``hat``, ``xi`` and ``xi_inv`` are
+the private ``_tilde``, ``_hat``, ``_xi`` and ``_xi_inv``, which write
+into a given ``out`` and check nothing; ``_hat`` and ``_xi`` finish
+``_tilde``'s result in place, and the distance maps call them on each
+row strip.  The in-place steps are the literal formulas reordered by
+exact IEEE identities (``-f/m == f/(-m)``, ``(-m)*x == x*(-m)``), so the
+results are bit for bit those of the formulas above.
 
 Grey-value regimes
 ------------------
@@ -142,21 +143,23 @@ def _out(*arrays):
     return np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
 
 
-def _hat(fa, m, out):
-    """``log(-log1p(-fa/m))`` written into ``out``, which may be ``fa``; ``fa`` is not checked."""
+def _tilde(fa, m, out):
+    """``log1p(-fa/m)`` written into ``out``, which may be ``fa``; ``fa`` is not checked."""
     np.divide(fa, -m, out=out)
     with np.errstate(divide="ignore"):
-        np.log1p(out, out=out)
-        np.negative(out, out=out)
+        return np.log1p(out, out=out)
+
+
+def _hat(fa, m, out):
+    """``log(-log1p(-fa/m))`` written into ``out``, which may be ``fa``; ``fa`` is not checked."""
+    np.negative(_tilde(fa, m, out), out=out)
+    with np.errstate(divide="ignore"):
         return np.log(out, out=out)
 
 
 def _xi(fa, m, out):
     """``-m * log1p(-fa/m)`` written into ``out``, which may be ``fa``; ``fa`` is not checked."""
-    np.divide(fa, -m, out=out)
-    with np.errstate(divide="ignore"):
-        np.log1p(out, out=out)
-        return np.multiply(out, -m, out=out)
+    return np.multiply(_tilde(fa, m, out), -m, out=out)
 
 
 def _xi_inv(fa, m, out):
@@ -255,9 +258,7 @@ def tilde(f, m=DEFAULT_M):
     """
     m = _check_m(m)
     fa = require_regime(f, m, "Ibar", "f")
-    t = np.divide(fa, -m, out=_out(fa))
-    with np.errstate(divide="ignore"):
-        return _ret(np.log1p(t, out=t), f)
+    return _ret(_tilde(fa, m, _out(fa)), f)
 
 
 def hat(f, m=DEFAULT_M):

@@ -16,9 +16,14 @@ Small formats, all defined bit-exact:
   allocates nothing.  Any other first line is a ``ParseError`` naming the
   expected header; a NaN cell is one naming the first NaN in row-major
   order.
-* ``probe``: header ``probe <width> <height> <anchor_x> <anchor_y> <m>``,
-  then one line per row whose tokens are either a value (cell inside the
-  probe domain) or ``_`` (outside).
+* ``probe``: an ASCII text file, header ``probe <width> <height>
+  <anchor_x> <anchor_y> <m>``, then one line per row whose tokens are
+  either a value (cell inside the probe domain) or ``_`` (outside).
+
+Every integer field of every header is ASCII digits only.  Every real
+number in a header or a probe (``m`` and the probe's values) takes the
+grammar of Python's ``float()`` without ``_`` separators, NaN excluded,
+so every value the writers print reads back bit for bit.
 
 A map read from a file without a rectangle (an image) gets an all-cells
 mask, or the probe's full-overlap mask when a probe is given.
@@ -61,6 +66,36 @@ def _f17(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _unsigned(tok):
+    """``tok`` (``bytes`` or ``str``) as an int if it is ASCII digits only, else ``None``.
+
+    The one integer rule of every reader: no sign, ``_`` or whitespace.
+    """
+    if not (tok.isascii() and tok.isdigit()):
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts from text
+        return None
+
+
+#: The one number grammar of every reader: that of ``float()`` without its
+#: ``_`` digit separators, surrounding whitespace or non-ASCII digits.  It
+#: takes every string ``_f17`` writes; a NaN it admits is then rejected.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)", re.ASCII | re.IGNORECASE
+)
+
+
+def _parse_float(tok: str, where: str) -> float:
+    if not _NUMBER.fullmatch(tok):
+        raise ParseError(f"bad value token {tok!r} {where}")
+    v = float(tok)
+    if np.isnan(v):
+        raise ParseError(f"NaN not allowed {where}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # PGM
 # ---------------------------------------------------------------------------
@@ -81,9 +116,10 @@ def _pgm_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
 
 def _pgm_unsigned(data: bytes, pos: int, what: str) -> tuple[int, int]:
     tok, at, pos = _pgm_token(data, pos, what)
-    if not tok.isdigit():
+    v = _unsigned(tok)
+    if v is None:
         raise ParseError(f"expected unsigned integer for {what}, got {tok!r}", at)
-    return int(tok), pos
+    return v, pos
 
 
 def read_pgm(path) -> GreyImage:
@@ -122,34 +158,26 @@ def read_pgm(path) -> GreyImage:
             i = int(np.argmax(bad))
             raise ParseError(f"pixel value {int(values[i])} exceeds maxval {maxval}", start + i)
     else:
-        values = np.empty(n, dtype=np.float64)
+        # a list, so that a header the data does not back allocates nothing
+        pixels = []
         for i in range(n):
             tok, at, pos = _pgm_token(data, pos, f"pixel {i}")
-            if not tok.isdigit():
+            v = _unsigned(tok)
+            if v is None:
                 raise ParseError(f"expected pixel value, got {tok!r}", at)
-            v = int(tok)
             if v > maxval:
                 raise ParseError(f"pixel value {v} exceeds maxval {maxval}", at)
-            values[i] = v
+            pixels.append(v)
         at = _PGM_TOKEN.match(data, pos).start(1)
         if at < len(data):
             raise ParseError("trailing data after raster", at)
+        values = np.array(pixels, dtype=np.float64)
     return GreyImage._adopt(values.reshape(height, width), 256.0)
 
 
 # ---------------------------------------------------------------------------
 # fmap
 # ---------------------------------------------------------------------------
-
-
-def _parse_float(tok: str, where: str) -> float:
-    try:
-        v = float(tok)
-    except ValueError:
-        raise ParseError(f"bad value token {tok!r} {where}") from None
-    if np.isnan(v):
-        raise ParseError(f"NaN not allowed {where}")
-    return v
 
 
 def _read_fmap(path):
@@ -164,10 +192,10 @@ def _read_fmap(path):
             raise ParseError(f"bad map header {text!r}, expected {_HEADER!r}", 0)
         if head[4] != _ENCODING:
             raise ParseError(f"unknown fmap body encoding {head[4].decode('latin-1')!r}", 0)
-        fields = head[1:3] + head[5:]
-        if not all(tok.isdigit() for tok in fields):
+        fields = [_unsigned(tok) for tok in head[1:3] + head[5:]]
+        if None in fields:
             raise ParseError(f"bad integer field in map header {text!r}", 0)
-        width, height, *rect = map(int, fields)
+        width, height, *rect = fields
         m = _parse_float(head[3].decode("latin-1"), "in map header")
         if width <= 0 or height <= 0:
             raise ParseError(f"invalid dimensions {width}x{height}", 0)
@@ -296,33 +324,40 @@ def read_probe(path) -> Probe:
     """Read a probe file.
 
     Grid tokens are values (inside the domain) or ``_`` (outside).  The
-    value regime is checked by the operation the probe is used in.
+    value regime is checked by the operation the probe is used in.  The
+    file must be ASCII; header integers are ASCII digits, as in the other
+    formats, and every value follows the readers' one number grammar.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte {data[exc.start : exc.start + 1]!r} in probe file", exc.start) from None
     if not lines:
         raise ParseError("empty probe file", 0)
     head = lines[0].split()
     if len(head) != 6 or head[0] != "probe":
         raise ParseError(f"bad probe header {lines[0]!r}", 0)
-    try:
-        width, height, ax, ay = (int(x) for x in head[1:5])
-    except ValueError:
-        raise ParseError(f"bad integer field in probe header {lines[0]!r}", 0) from None
+    fields = [_unsigned(tok) for tok in head[1:5]]
+    if None in fields:
+        raise ParseError(f"bad integer field in probe header {lines[0]!r}", 0)
+    width, height, ax, ay = fields
     m = _parse_float(head[5], "in probe header")
     if width <= 0 or height <= 0:
         raise ParseError(f"invalid dimensions {width}x{height}", 0)
-    if not (0 <= ax < width and 0 <= ay < height):
+    if not (ax < width and ay < height):
         raise ParseError(f"anchor ({ax}, {ay}) outside {width}x{height} grid")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != height:
-        raise ParseError(f"expected {height} grid lines, found {len(body)}")
-    values = np.zeros((height, width), dtype=np.float64)
-    mask = np.zeros((height, width), dtype=bool)
-    for r, line in enumerate(body):
-        toks = line.split()
+    rows = [ln.split() for ln in lines[1:] if ln.strip()]
+    if len(rows) != height:
+        raise ParseError(f"expected {height} grid lines, found {len(rows)}")
+    for r, toks in enumerate(rows):
         if len(toks) != width:
             raise ParseError(f"row {r}: expected {width} tokens, found {len(toks)}")
+    # allocated once the grid's shape is checked against the file
+    values = np.zeros((height, width), dtype=np.float64)
+    mask = np.zeros((height, width), dtype=bool)
+    for r, toks in enumerate(rows):
         for c, tok in enumerate(toks):
             if tok == "_":
                 continue

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,13 @@ def instance_1x2():
     g = grey([[150.0, 150.0]])
     b = full_probe([[150.0, 150.0]], anchor=(0, 0))
     return f, g, b
+
+
+def traced_peak(call):
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

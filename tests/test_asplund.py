@@ -51,6 +51,9 @@ C1_12 = 120.75471698113208
 D_MULT_12 = 1.1211440516127889
 D_ADD_12 = 164.10256410256412
 
+# the multiplicative bound maps' paths: the kernel (the default) and the closed-form reference
+PATHS = ("morpho", "ratio")
+
 
 class TestDistMult:
     def test_documented_instance(self, instance_1x2):
@@ -145,25 +148,27 @@ class TestDistAdd:
 class TestBoundMaps:
     def test_documented_instance(self, instance_1x2):
         f, _, b = instance_1x2
-        lam = mlub_mult(f, b)
-        mu = mglb_mult(f, b)
-        assert math.isclose(lam.values[0, 0], LAM_12, rel_tol=1e-13)
-        assert math.isclose(mu.values[0, 0], MU_12, rel_tol=1e-13)
-        # clipped window at x=1 sees the single cell 200 vs probe cell 150
-        single = lam.values[0, 1]
-        assert math.isclose(single, LAM_12, rel_tol=1e-13)
-        assert lam.full_mask.tolist() == [[True, False]]
+        for path in PATHS:
+            lam = mlub_mult(f, b, path=path)
+            mu = mglb_mult(f, b, path=path)
+            assert math.isclose(lam.values[0, 0], LAM_12, rel_tol=1e-13)
+            assert math.isclose(mu.values[0, 0], MU_12, rel_tol=1e-13)
+            # clipped window at x=1 sees the single cell 200 vs probe cell 150
+            single = lam.values[0, 1]
+            assert math.isclose(single, LAM_12, rel_tol=1e-13)
+            assert lam.full_mask.tolist() == [[True, False]]
 
     def test_constant_equals_probe_gives_ones(self):
         f = grey(np.full((5, 5), 150.0))
         b = full_probe(np.full((3, 3), 150.0))
-        lam = mlub_mult(f, b)
-        assert np.all(lam.values == 1.0)
+        for path in PATHS:
+            assert np.all(mlub_mult(f, b, path=path).values == 1.0)
 
     def test_mu_below_lam(self, rng):
         f = random_image(8, 8, rng)
         b = random_probe(3, 3, rng)
-        assert np.all(mglb_mult(f, b).values <= mlub_mult(f, b).values)
+        for path in PATHS:
+            assert np.all(mglb_mult(f, b, path=path).values <= mlub_mult(f, b, path=path).values)
 
     def test_homogeneity(self, rng):
         f = random_image(8, 8, rng)
@@ -171,9 +176,16 @@ class TestBoundMaps:
         for alpha in (0.5, 2.0, 3.0):
             scaled = GreyImage(lip_mult(alpha, f.values))
             for fn in (mlub_mult, mglb_mult):
-                lhs = fn(scaled, b).values
-                rhs = alpha * fn(f, b).values
-                assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) <= 1e-12
+                for path in PATHS:
+                    lhs = fn(scaled, b, path=path).values
+                    rhs = alpha * fn(f, b, path=path).values
+                    assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) <= 1e-12
+
+    def test_default_path_is_the_kernel(self, rng):
+        f = random_image(9, 11, rng)
+        b = random_probe(3, 4, rng)
+        for fn in (mlub_mult, mglb_mult, map_mult):
+            assert fn(f, b).values.tobytes() == fn(f, b, path="morpho").values.tobytes()
 
     def test_two_paths_agree(self, rng):
         for _ in range(10):
@@ -187,9 +199,9 @@ class TestBoundMaps:
     def test_edge_values_total(self):
         f = GreyImage([[0.0, 128.0, 256.0]])
         b = full_probe([[128.0]], anchor=(0, 0))
-        lam = mlub_mult(f, b).values
-        assert lam[0, 0] == 0.0 and lam[0, 1] == 1.0 and lam[0, 2] == np.inf
-        for path in ("ratio", "morpho"):
+        for path in PATHS:
+            lam = mlub_mult(f, b, path=path).values
+            assert lam[0, 0] == 0.0 and lam[0, 1] == 1.0 and lam[0, 2] == np.inf
             got = mglb_mult(f, b, path=path).values
             assert got[0, 0] == 0.0 and got[0, 2] == np.inf
 
@@ -431,9 +443,9 @@ class TestEmptyWindowConventions:
     def test_multiplicative(self):
         f = grey([[100.0, 150.0, 200.0]])
         b = self.probe()
-        assert mlub_mult(f, b).values[0, 2] == 0.0
-        assert mglb_mult(f, b).values[0, 2] == np.inf
-        for path in ("ratio", "morpho"):
+        for path in PATHS:
+            assert mlub_mult(f, b, path=path).values[0, 2] == 0.0
+            assert mglb_mult(f, b, path=path).values[0, 2] == np.inf
             assert map_mult(f, b, path=path).values[0, 2] == -np.inf
 
     def test_additive(self):
@@ -462,9 +474,10 @@ class TestLatticeOperatorLaws:
             g = random_image(8, 8, rng)
             b = random_probe(3, 3, rng)
             fg = GreyImage(np.maximum(f.values, g.values))
-            lhs = mlub_mult(fg, b).values
-            rhs = np.maximum(mlub_mult(f, b).values, mlub_mult(g, b).values)
-            assert np.array_equal(lhs, rhs)
+            for path in PATHS:
+                lhs = mlub_mult(fg, b, path=path).values
+                rhs = np.maximum(mlub_mult(f, b, path=path).values, mlub_mult(g, b, path=path).values)
+                assert np.array_equal(lhs, rhs)
 
     def test_mglb_distributes_over_infimum(self, rng):
         for _ in range(30):
@@ -472,9 +485,10 @@ class TestLatticeOperatorLaws:
             g = random_image(8, 8, rng)
             b = random_probe(3, 3, rng)
             fg = GreyImage(np.minimum(f.values, g.values))
-            lhs = mglb_mult(fg, b).values
-            rhs = np.minimum(mglb_mult(f, b).values, mglb_mult(g, b).values)
-            assert np.array_equal(lhs, rhs)
+            for path in PATHS:
+                lhs = mglb_mult(fg, b, path=path).values
+                rhs = np.minimum(mglb_mult(f, b, path=path).values, mglb_mult(g, b, path=path).values)
+                assert np.array_equal(lhs, rhs)
 
 
 class TestLink:

@@ -1,5 +1,10 @@
 """Command-line behaviour: outputs, determinism, and the exit-code contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import binary_fmap
@@ -301,3 +306,19 @@ class TestErrorPaths:
             "lipmaps: error: bad map header 'fmap 2 1 256', "
             "expected 'fmap <w> <h> <m> f8le [r0 r1 c0 c1]' (at byte offset 0)\n"
         )
+
+    def test_non_ascii_probe_exits_2_from_the_module(self, tmp_path):
+        # the module's __main__ path, as `python -m lipmaps.cli`: an error message, no traceback
+        image = tmp_path / "i.fmap"
+        image.write_bytes(binary_fmap(np.array([[100.0]]), M))
+        probe = tmp_path / "p.probe"
+        probe.write_bytes(b"probe 1 1 0 0 256\n\xff\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["map-add", "--image", str(image), "--probe", str(probe), "--out", str(tmp_path / "o.fmap")]
+        cmd = [sys.executable, "-W", "error", "-m", "lipmaps.cli", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "lipmaps: error: non-ASCII byte b'\\xff' in probe file (at byte offset 18)\n"
+        assert not (tmp_path / "o.fmap").exists()

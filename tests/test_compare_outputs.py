@@ -14,8 +14,8 @@ def test_same_tree_has_no_mismatch():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     counts = proc.stdout.splitlines()[0]
     assert counts.endswith(", 0 mismatches")
-    # every scale ran every probe and image kind through all 16 calls
-    assert counts.startswith(f"{5 * 6 * 5 * 16} results")
+    # every scale ran every probe and image kind through all 19 calls
+    assert counts.startswith(f"{5 * 6 * 5 * 19} results")
     # and each image, at least, through write_image and the three reads
     io = int(counts.split(" I/O results")[0].rsplit(" ", 1)[1])
     assert io >= 5 * 6 * 5 * 4

@@ -1,16 +1,21 @@
 """File formats: PGM parsing, fmap/probe round trips, error positions."""
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import binary_fmap, full_probe
+from conftest import binary_fmap, full_probe, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipmaps import (
     DistanceMap,
     DomainError,
     FmMap,
     GreyImage,
+    LipError,
     ParseError,
     Probe,
     RealMap,
@@ -107,6 +112,22 @@ class TestPgm:
             read_pgm(p)
         assert exc.value.offset == offset
         assert str(exc.value) == f"{message} (at byte offset {offset})"
+
+    def test_more_digits_than_int_converts(self, tmp_path):
+        p = tmp_path / "long.pgm"
+        p.write_bytes(b"P2\n1 1\n255\n" + b"9" * 5000 + b"\n")
+        with pytest.raises(ParseError, match=r"expected pixel value, got b'9{5000}' \(at byte offset 11\)"):
+            read_pgm(p)
+
+    def test_p2_header_the_data_does_not_back_allocates_nothing(self, tmp_path):
+        p = tmp_path / "huge.pgm"
+        p.write_bytes(b"P2 100000 100000 255\n1 2\n")
+
+        def read():
+            with pytest.raises(ParseError, match=r"end of file while reading pixel 2 \(at byte offset 25\)"):
+                read_pgm(p)
+
+        assert traced_peak(read) < 1 << 20
 
     def test_comment_inside_p2_body(self, tmp_path):
         p = tmp_path / "c.pgm"
@@ -295,15 +316,46 @@ class TestProbeFormat:
             ("probe 1 x 0 0 256\n1\n", "bad integer field in probe header 'probe 1 x 0 0 256'", 0),
             ("probe 0 1 0 0 256\n", "invalid dimensions 0x1", 0),
             ("probe 1 2 0 0 256\n1\n", "expected 2 grid lines, found 1", None),
+            # header integers are ASCII digits only: no underscore, no sign
+            (
+                "probe 1_0 1 +0 0 2_56\n1_00 1 1 1 1 1 1 1 1 1\n",
+                "bad integer field in probe header 'probe 1_0 1 +0 0 2_56'",
+                0,
+            ),
+            ("probe 2 1 -0 0 256\n1 1\n", "bad integer field in probe header 'probe 2 1 -0 0 256'", 0),
+            # values take float()'s grammar without underscores
+            ("probe 1 1 0 0 2_56\n1\n", "bad value token '2_56' in probe header", None),
+            ("probe 2 1 0 0 256\n1 1_00\n", "bad value token '1_00' at row 0, column 1", None),
+            ("probe 1 1 0 0 256\n\xff\n", "non-ASCII byte b'\\xff' in probe file", 18),
         ],
     )
     def test_header_errors(self, tmp_path, text, message, offset):
         p = tmp_path / "p.probe"
-        p.write_text(text)
+        p.write_bytes(text.encode("latin-1"))
         with pytest.raises(ParseError) as exc:
             read_probe(p)
         assert exc.value.offset == offset
         assert str(exc.value) == (message if offset is None else f"{message} (at byte offset {offset})")
+
+    def test_grid_the_file_does_not_back_allocates_nothing(self, tmp_path):
+        p = tmp_path / "p.probe"
+        p.write_text("probe 100000000000 1 0 0 256\n1\n")
+
+        def read():
+            with pytest.raises(ParseError, match="row 0: expected 100000000000 tokens, found 1"):
+                read_probe(p)
+
+        assert traced_peak(read) < 1 << 20
+
+    def test_every_float_reads_back(self, tmp_path, rng):
+        # every string the writer prints is in the readers' number grammar
+        values = edge_floats(rng, (6, 40))
+        values[~np.isfinite(values)] = -0.0
+        for m in (5e-324, 1e-6, 3.0000000000000004, 1e200, np.finfo(np.float64).max):
+            probe = Probe(values, np.ones(values.shape, dtype=bool), (1, 2), m)
+            write_probe(probe, tmp_path / "p.probe")
+            back = read_probe(tmp_path / "p.probe")
+            assert back.values.tobytes() == values.tobytes() and back.m == m
 
     def test_strict_flag_rejects_value_m(self, tmp_path):
         p = tmp_path / "p.probe"
@@ -397,6 +449,7 @@ class TestFmapBinary:
             (b"fmap 0 1 256 f8le\n", "invalid dimensions 0x1"),
             (b"fmap 1_0 1 256 f8le\n", "bad integer field in map header 'fmap 1_0 1 256 f8le'"),
             (b"fmap +1 1 256 f8le\n", "bad integer field in map header"),
+            (b"fmap 1 2 2_56 f8le\n", "bad value token '2_56' in map header"),
         ],
     )
     def test_bad_header_fields(self, tmp_path, head, message):
@@ -469,3 +522,65 @@ def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):
     assert np.array_equal(back.full_mask, expected.full_mask)
     first = capsys.readouterr().out.split("\n", 1)[0].split()
     assert first[:2] == [str(anchor[1]), str(anchor[0])]
+
+
+# one valid file per format, and the readers each is fed to
+_PROBE_BYTES = b"probe 3 2 1 0 256\n150 _ 42.5\n1e-3 255.99999999999997 _\n"
+_FMAP_VALUES = np.array([[1.5, -0.0, 256.0], [1e-300, -np.inf, 7.0]])
+_VALID_FILES = {
+    "P2": (b"P2\n# c\n3 2\n255\n0 17 255\n128 9 64\n", ("read_pgm", "read_image")),
+    "P5": (b"P5 3 2 255\n" + bytes([0, 17, 255, 128, 9, 64]), ("read_pgm", "read_image")),
+    "map": (binary_fmap(_FMAP_VALUES, 256.0, (0, 2, 1, 3)), ("read_map", "read_map probe", "read_image")),
+    "image": (binary_fmap(_FMAP_VALUES, 256.0), ("read_map", "read_map probe", "read_image")),
+    "probe": (_PROBE_BYTES, ("read_probe",)),
+}
+_READERS = {
+    "read_pgm": read_pgm,
+    "read_image": read_image,
+    "read_map": read_map,
+    "read_map probe": lambda p: read_map(p, full_probe(np.full((1, 2), 100.0), anchor=(0, 1))),
+    "read_probe": read_probe,
+}
+_CONTAINERS = (GreyImage, DistanceMap, Probe)
+
+# bytes the formats give meaning to, and any byte at all
+_BYTES = st.one_of(st.sampled_from(list(b"0123456789 \t\n\r\f\v_+-.eEinfaP#\x00\x80\xff")), st.integers(0, 255))
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete", "cut"]), st.integers(0, 1 << 16), _BYTES),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutated(data, edits):
+    """``data`` with each ``(kind, position, byte)`` edit applied in turn, positions taken modulo the length."""
+    data = bytearray(data)
+    for kind, at, byte in edits:
+        at %= len(data) + 1
+        if kind == "insert":
+            data.insert(at, byte)
+        elif kind == "cut":
+            del data[at:]
+        elif at < len(data):
+            if kind == "set":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", _VALID_FILES)
+@settings(max_examples=40, deadline=None)
+@given(edits=_EDITS)
+def test_mutated_files_give_a_container_or_a_lip_error(fmt, edits):
+    data, readers = _VALID_FILES[fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f"
+        p.write_bytes(mutated(data, edits))
+        for name in readers:
+            try:
+                out = _READERS[name](p)
+            except LipError:
+                continue
+            assert isinstance(out, _CONTAINERS), name

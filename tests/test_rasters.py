@@ -204,9 +204,9 @@ MAPS = {
     "map_mult_via_add": map_mult_via_add,
     "map_add_via_mult": map_add_via_mult,
     "mlub_mult morpho": lambda f, b: mlub_mult(f, b, path="morpho"),
-    "mlub_mult ratio": mlub_mult,
+    "mlub_mult ratio": lambda f, b: mlub_mult(f, b, path="ratio"),
     "mglb_mult morpho": lambda f, b: mglb_mult(f, b, path="morpho"),
-    "mglb_mult ratio": mglb_mult,
+    "mglb_mult ratio": lambda f, b: mglb_mult(f, b, path="ratio"),
     "mlub_add": mlub_add,
     "mglb_add": mglb_add,
 }

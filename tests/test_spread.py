@@ -17,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from lipmaps import (
     GreyImage,
@@ -533,16 +534,6 @@ def scratch_floats(shape, b, sides):
     return (top + 2) * (_STRIP + span) * width + (1 + sides) * _STRIP * width
 
 
-def traced_peak(call):
-    """Peak bytes ``tracemalloc`` sees allocated during ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMapMemory:
     """A map call holds its output raster and the kernel's strip scratch, besides the full-overlap mask.
 
@@ -579,7 +570,7 @@ class TestMapMemory:
 
     @pytest.mark.parametrize(
         "call, rasters",
-        [(lambda f, b: map_mult(f, b, path="ratio"), 3), (mlub_mult, 2)],
+        [(lambda f, b: map_mult(f, b, path="ratio"), 3), (lambda f, b: mlub_mult(f, b, path="ratio"), 2)],
         ids=["map_mult", "mlub_mult"],
     )
     def test_ratio_peak_at_512(self, rng, call, rasters):

@@ -7,11 +7,12 @@ Usage::
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``lipmaps`` package
 (the ``src`` directory of two checkouts).  Each is imported in its own
 subprocess, with warnings turned into errors, and runs the same battery:
-every public map (both paths of the multiplicative ones), both link maps,
-``dilate``, ``erode`` and ``spread`` with each choice of sides, at the
-scales m in {1e-6, 1, 256, 65536, 1e200}.  Images are strict, carry the
-edge values 0 and ``m``, run below ``-m`` (with or without ``-inf``, ``m``
-and ``-1e300`` cells), or are quantised to a few levels; probes have
+every public map (both paths of the multiplicative ones, and their
+default with no path named), both link maps, ``dilate``, ``erode`` and
+``spread`` with each choice of sides, at the scales m in {1e-6, 1, 256,
+65536, 1e200}.  Images are strict, carry the edge values 0 and ``m``, run
+below ``-m`` (with or without ``-inf``, ``m`` and ``-1e300`` cells), or
+are quantised to a few levels; probes have
 single-cell values, shared values in runs, negative values, off-mask
 anchors, more rows than one kernel strip, or reach no cell of the raster.
 Each map result is written with ``write_map`` and each image with
@@ -97,6 +98,10 @@ def battery(lipmaps, seed, cases, heights, tmp):
         "mglb_mult morpho": lambda f, b: asplund.mglb_mult(f, b, path="morpho"),
         "map_mult morpho": lambda f, b: asplund.map_mult(f, b, path="morpho"),
         "map_mult ratio": lambda f, b: asplund.map_mult(f, b, path="ratio"),
+        # no path named: a change of default shows up here and only here
+        "mlub_mult default": asplund.mlub_mult,
+        "mglb_mult default": asplund.mglb_mult,
+        "map_mult default": asplund.map_mult,
         "mlub_add": asplund.mlub_add,
         "mglb_add": asplund.mglb_add,
         "map_add": asplund.map_add,
