@@ -40,11 +40,12 @@ possible when the probe does not cover its own anchor) takes the lattice
 neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
 ``mglb_add`` m, and both distance maps -inf.
 
-One transform per family, streamed through the one kernel: ``_streamed``
-hands the kernel the private ``_hat`` or ``_xi``, which it applies in
-place to each strip's rows of table level 0, and the probe's transformed
-values; per strip, the window max ``hi`` and min ``lo`` of
-``T f(x+h) - T b(h)`` give the map's rows.  ``T = hat``: ``exp(hi)``,
+One transform per family, through the strip loop of
+:mod:`lipmaps.morphology`: each kernel map makes one entry check and one
+call of ``_streamed``, which hands the kernel the private ``_hat`` or
+``_xi`` as ``T``, the probe's transformed values and the map's finish;
+per strip, the finish turns the window max ``hi`` and min ``lo`` of
+``T f(x+h) - T b(h)`` into the map's rows.  ``T = hat``: ``exp(hi)``,
 ``exp(lo)``, ``hi - lo``.  ``T = xi``, which turns LIP subtraction into
 subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``, ``xi_inv(hi - lo)``.  An
 empty window keeps ``hi = -inf`` and ``lo = +inf``, which the arithmetic
@@ -52,10 +53,10 @@ carries to the neutrals: ``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m``
 and ``-inf - (+inf) = -inf``; an ``m`` cell has ``xi = +inf`` and gives
 ``m`` back exactly.  ``xi_inv(hi - lo)`` is capped at the largest float
 below ``m``, which rounding reaches once ``hi - lo`` passes about
-``37 m``.  Each finish runs in place on the strip's padded blocks and
-copies the strip's rows into the one output raster, which the map adopts
-without a copy, so a map call holds its output and the kernel's strip
-scratch, besides the one-byte-per-cell full-overlap mask.  The
+``37 m``.  The kernel writes the finished rows into the one output
+raster, which the map adopts without a copy, so a map call holds its
+output and the kernel's strip scratch, besides the one-byte-per-cell
+full-overlap mask.  The
 transform checks nothing: every image it sees has passed a check at
 least as strict, ``I*`` (``map_mult``), ``Ibar`` (the bound maps' own
 ``hat`` regime) or ``FM`` (``map_add``) at the entry point, or the
@@ -70,7 +71,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import _first_bad, _hat, _require_not_m, _xi, _xi_inv, complement, lip_sub, require_regime, tilde, xi
+from .lip import _first_bad, _hat, _require_not_m, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
 from .morphology import _stream, full_overlap_mask
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
@@ -194,10 +195,12 @@ def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
         )
 
 
-def _require_add(f: GreyImage, b: Probe):
+def _require_add(f: GreyImage, b: Probe, strict_image: bool):
     check_same_scale(f, b)
     _require_not_m(b.values, b.m, "probe", b.mask)
     require_regime(b.values, b.m, "FM", what="probe", mask=b.mask)
+    if strict_image:
+        require_regime(f.values, f.m, "FM")
 
 
 # Output rows per block of the ratio path's per-offset loop.
@@ -236,24 +239,20 @@ def _ratio_bounds(f, b, hi=True, lo=True):
 
 
 def _streamed(f, b, t, finish, hi=True, lo=True):
-    """``(values, full_mask)`` of a map streamed through the kernel, one strip of rows at a time.
+    """``(values, full_mask)`` of a map computed by the kernel with ``T = t``.
 
     ``t`` is ``_hat`` (multiplicative: the dilation of ``hat(f)`` by
     ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``_xi``
-    (additive: ``xi`` of ``f(x+h) (-) b(h)``), applied by the kernel to the
-    image rows of each strip; the caller has already checked image and
-    probe.  Per strip, ``finish(hi, lo)`` turns the kernel's padded blocks
-    of the window max and min of ``t(f)(x+h) - t(b)(h)`` into the map's
-    values, in place, and returns the block that holds them; its first
-    ``w`` columns are copied into the one output raster.  A side not asked
-    for is ``None``, and an empty window leaves ``hi = -inf`` and
-    ``lo = +inf``.
+    (additive: ``xi`` of ``f(x+h) (-) b(h)``); the caller has already
+    checked image and probe.  ``finish`` goes to the kernel: per strip it
+    gets the padded block of each side asked for, the window max and min of
+    ``t(f)(x+h) - t(b)(h)``, turns them in place into the map's values and
+    returns the block that holds them.
     """
-    m, w = f.m, f.shape[1]
+    m = f.m
     out = np.empty(f.shape)
     tb = b.with_values(t(b.values, m, np.empty(b.shape)))
-    for r0, r1, blocks in _stream(f.values, tb, hi, lo, lambda level0: t(level0, m, level0)):
-        out[r0:r1] = finish(*blocks)[:, :w]
+    _stream(f.values, tb, [out], hi, lo, lambda level0: t(level0, m, level0), finish)
     return out, full_overlap_mask(f.shape, b)
 
 
@@ -265,8 +264,7 @@ def _bound_mult(f, b, path, maximum):
     if path != "morpho":
         raise ValueError(f"unknown path {path!r}")
 
-    def finish(hi, lo):
-        side = hi if maximum else lo
+    def finish(side):
         with np.errstate(over="ignore"):
             return np.exp(side, out=side)
 
@@ -324,14 +322,14 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     Accepts any function raster with values up to ``m`` (closure); the
     probe must have values strictly below ``m``.
     """
-    _require_add(f, b)
-    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi, _: _xi_inv(hi, f.m, hi), lo=False), f.m)
+    _require_add(f, b, strict_image=False)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi: _xi_inv(hi, f.m, hi), lo=False), f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
-    _require_add(f, b)
-    return FmMap._adopt(*_streamed(f, b, _xi, lambda _, lo: _xi_inv(lo, f.m, lo), hi=False), f.m)
+    _require_add(f, b, strict_image=False)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda lo: _xi_inv(lo, f.m, lo), hi=False), f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -340,10 +338,8 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     Strict additive regime: image and probe values in ``]-inf, m[``.  A
     value that rounding carries to ``m`` is returned one ulp below ``m``.
     """
-    _require_add(f, b)
-    require_regime(f.values, f.m, "FM")
-    values, full = _streamed(f, b, _xi, lambda hi, lo: _lip_distance(np.subtract(hi, lo, out=lo), f.m))
-    return FmMap._adopt(values, full, f.m)
+    _require_add(f, b, strict_image=True)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi, lo: _lip_distance(np.subtract(hi, lo, out=lo), f.m)), f.m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +347,31 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
 # ---------------------------------------------------------------------------
 
 
-def _complemented(values, m):
-    """``complement(values)`` written into ``values``, an array the caller has just made."""
-    return np.subtract(m, values, out=values)
+def _rounds_to_m(out, m, values, mask, what, why):
+    """``out``, the link transform of ``values``, unless a masked cell of it rounded to ``m``.
+
+    That cell raises, named as the caller gave it.
+    """
+    bad = (out == m) & mask
+    if bad.any():
+        idx, where = _first_bad(bad)
+        raise RegimeError(f"{what} value {values[idx]}{where} {why}")
+    return out
+
+
+def _complemented(values, m, what, mask=True):
+    """``complement(xi(values))``, in one fresh array, for values in ``]0, m[``."""
+    out = _xi(values, m, np.empty(values.shape))
+    # m - xi(value) rounds to m once xi(value) is at most half an ulp of m
+    why = "is too close to 0: m - xi(value) rounds to m"
+    return _rounds_to_m(np.subtract(m, out, out=out), m, values, mask, what, why)
+
+
+def _to_strict(values, m, what, mask=True):
+    """``xi_inv(complement(values))``, in one fresh array, for values in ``]-inf, m[``."""
+    out = np.subtract(m, values)
+    why = f"is too far below -m={m}: xi_inv(m - value) rounds to m"
+    return _rounds_to_m(_xi_inv(out, m, out), m, values, mask, what, why)
 
 
 def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
@@ -361,31 +379,19 @@ def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
 
     Evaluates ``(1/m) * xi( map_add(complement(xi(f)), complement(xi(b)) ))``,
     which must equal :func:`map_mult` to rounding error.  Same strict
-    regime as :func:`map_mult`.
+    regime as :func:`map_mult`; a cell so close to 0 that its transform
+    rounds to ``m`` is rejected.
     """
     _require_mult(f, b, strict_image=True)
     m = f.m
-    # the intermediate image is passed on, not bound, so it is freed once map_add returns
+    # the intermediate image is passed on, not bound, so it is freed once map_add
+    # returns; it is made first, so a bad image cell is named before a probe cell
     inner = map_add(
-        GreyImage._adopt(_complemented(xi(f.values, m), m), m),
-        b.with_values(complement(xi(b.values, m), m)),
+        GreyImage._adopt(_complemented(f.values, m, "image"), m),
+        b.with_values(_complemented(b.values, m, "probe", b.mask)),
     )
     vals = xi(inner.values, m)
     return RealMap._adopt(np.divide(vals, m, out=vals), inner.full_mask, m)
-
-
-def _to_strict(values, m, what, mask=True):
-    """``xi_inv(complement(values))``, in one fresh array.
-
-    A cell whose transform rounds to ``m`` raises, named as the caller gave it.
-    """
-    out = np.subtract(m, values)
-    _xi_inv(out, m, out)
-    bad = (out == m) & mask
-    if bad.any():
-        idx, where = _first_bad(bad)
-        raise RegimeError(f"{what} value {values[idx]}{where} is too far below -m={m}: xi_inv(m - value) rounds to m")
-    return out
 
 
 def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
@@ -397,8 +403,7 @@ def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
     is rejected, and so is a cell so far below ``-m`` that its transform
     rounds to ``m``.
     """
-    _require_add(f1, b1)
-    require_regime(f1.values, f1.m, "FM")
+    _require_add(f1, b1, strict_image=True)
     m = f1.m
     # the intermediate image is passed on, not bound, so it is freed once map_mult
     # returns; it is made first, so a bad image cell is named before a probe cell
@@ -415,12 +420,13 @@ def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
 
     Returns ``(dist_mult(f, g), (1/m) * xi(dist_add(complement(xi(f)),
     complement(xi(g)))))`` and raises :class:`VerificationError` if they
-    differ by more than ``1e-9`` (scale-relative).
+    differ by more than ``1e-9`` (scale-relative).  A cell so close to 0
+    that its transform rounds to ``m`` is rejected.
     """
     direct = dist_mult(f, g)  # checks f and g
     m = f.m
-    fc = GreyImage._adopt(_complemented(xi(f.values, m), m), m)
-    gc = GreyImage._adopt(_complemented(xi(g.values, m), m), m)
+    fc = GreyImage._adopt(_complemented(f.values, m, "image"), m)
+    gc = GreyImage._adopt(_complemented(g.values, m, "probe image"), m)
     linked = float(xi(dist_add(fc, gc), m) / m)
     if abs(direct - linked) > LINK_TOL * (1.0 + abs(direct)):
         raise VerificationError(

@@ -117,6 +117,8 @@ def cmd_verify_link(args) -> int:
     else:
         raise DomainError("verify-link needs either --image/--probe or --random W H")
 
+    # before the maps, so that an image with no full-overlap cell prints nothing
+    fw, gw = _centre_window_pair(image, probe)
     m = image.m
     mult_direct = asplund.map_mult(image, probe)
     mult_via = asplund.map_mult_via_add(image, probe)
@@ -128,7 +130,6 @@ def cmd_verify_link(args) -> int:
     dev_add = _max_dev(add_via.values, add_direct.values, m)
     print(f"map-add via multiplicative: max scale-relative deviation {dev_add:.3e}")
 
-    fw, gw = _centre_window_pair(image, probe)
     direct, linked = asplund.dist_metric_link(fw, gw)
     dev_metric = abs(direct - linked) / (1.0 + abs(direct))
     print(f"metric pair: direct {direct:.6f} linked {linked:.6f} deviation {dev_metric:.3e}")

@@ -6,11 +6,12 @@ reals this makes both operators total: a cell whose clipped window is
 empty yields ``-inf`` (dilation, empty supremum) or ``+inf`` (erosion,
 empty infimum).
 
-Every sliding extremum in the package goes through one kernel, the
-window max and min of ``f(x + h) - b(h)``, streamed strip by strip by
-:func:`_stream` and returned as whole rasters by :func:`spread`, except
-the ratio path of :mod:`lipmaps.asplund`, which keeps a per-offset loop
-as an independent reference.  Erosion is its min side; dilation is its
+Every sliding extremum in the package goes through one kernel,
+:func:`_stream`: the window max and min of ``f(x + h) - b(h)``, computed
+strip by strip.  :func:`spread` returns them as whole rasters, and the
+maps of :mod:`lipmaps.asplund` finish them into their values.  Only the
+ratio path of :mod:`lipmaps.asplund` keeps a per-offset loop, as an
+independent reference.  Erosion is the min side; dilation is the
 max side on the reflected probe with negated values, since ``x - (-v)`` is
 ``x + v`` bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
 as "no value here", and reduces and folds with ``np.fmax``/``np.fmin``,
@@ -32,16 +33,20 @@ folded once.  Rounded subtraction of a fixed ``v`` is non-decreasing, so
 probe value ``v``: the runs of one value are reduced into one accumulator
 and ``v`` is subtracted once per distinct value.
 
-The work is done per fixed strip of output rows, which :func:`_stream`
-hands to its caller one at a time.  Level 0, the padded image, is built
-once per strip and shared by both sides: the rows the previous strip's
-table also held are moved up from it, the new rows are copied from the
-image, and a caller's transform ``T`` (``hat`` or ``xi`` for the
-distance maps) is applied to them in place, over their contiguous flat
-range.  After the folds, the caller finishes each strip in place in the
-kernel's padded blocks and copies its rows into its output: :func:`spread`
-copies the extrema, the maps of :mod:`lipmaps.asplund` write their
-values, so no full raster of ``T f`` or of either extremum is made.
+The strip loop.  :func:`_stream` runs one loop over fixed strips of
+output rows, and every caller goes through it.  Per strip, level 0, the
+padded image, is built once and shared by both sides: the rows the
+previous strip's table also held are moved up from it, the new rows are
+copied from the image, and a caller's transform ``T`` (``hat`` or ``xi``
+for the distance maps) is applied to them in place, over their contiguous
+flat range.  The folds then fill one padded block per side asked for with
+the strip's window extrema.  A caller's finish (``exp``, ``xi_inv`` or a
+difference, for the maps of :mod:`lipmaps.asplund`) turns the blocks in
+place into the strip's result, and the loop copies the strip's rows of it
+into the output raster the caller passed in; without a finish
+(:func:`spread`) each side's block is copied into its own raster.  So no
+full raster of ``T f`` or of either extremum is made, and no view of the
+scratch leaves the loop.
 
 A probe value held by a single cell (one run of length 1 after clipping)
 reads one level-0 slice, which is both its window max and its window min,
@@ -78,8 +83,9 @@ Max/min accumulation is order-independent and subtraction is
 non-decreasing under IEEE rounding, so the result equals the literal
 per-cell, per-offset loop bit for bit, up to the sign of a zero: max/min
 ties keep one operand and ``-0.0 == 0.0``, so the sign the folds leave
-depends on the order in which ties are met.  The copy-out adds ``+0.0``,
-which turns every zero result into ``+0.0`` and changes nothing else.
+depends on the order in which ties are met.  After the folds, each
+block gets ``+ 0.0``, which turns every zero result into ``+0.0`` and
+changes nothing else.
 """
 
 from __future__ import annotations
@@ -176,51 +182,30 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     fold is an ``np.fmax``/``np.fmin``, which skip NaN, so ``f`` must be
     NaN-free; a NaN cell would be read as lying outside the raster.
 
-    This is :func:`_stream` with the identity for ``T`` and a copy-out
-    finish: each strip's rows are copied into one output raster per side.
+    This is the strip loop of the module docstring with the identity for
+    ``T`` and no finish.
     """
     f = np.asarray(f, dtype=np.float64)
     outs = [np.empty(f.shape) if side else None for side in (hi, lo)]
-    w = f.shape[1]
-    for r0, r1, blocks in _stream(f, b, hi, lo):
-        for out, block in zip(outs, blocks):
-            if out is not None:
-                out[r0:r1] = block[:, :w]
+    _stream(f, b, [out for out in outs if out is not None], hi, lo)
     return tuple(outs)
 
 
-def _stream(f, b: Probe, hi: bool = True, lo: bool = True, t=None):
-    """The sliding extrema of ``T f(x + h) - b(h)``, one strip of output rows at a time.
+def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=None):
+    """Write the window extrema of ``T f(x + h) - b(h)``, finished, into ``outs``: the module's strip loop.
 
-    Yields ``(r0, r1, (hi, lo))``: the window max and min of rows ``r0`` to
-    ``r1 - 1``, each a C-contiguous ``(r1 - r0) x width`` block of the
-    kernel's scratch, at the table's row stride; its first ``w`` columns
-    are the raster's, the others padding whose values the caller drops.  A
-    side not asked for is ``None``.  The caller may finish a strip in place
-    in its blocks, and must copy the result out before it asks for the next
-    strip, which overwrites them.  ``t(x)`` applies ``T`` in place to a
-    contiguous range of table level 0; without it ``T`` is the identity.
-    ``b`` holds the probe values already transformed.  Results are those of
-    :func:`spread` on ``T f``, bit for bit: ``T`` is applied cell by cell,
-    once per image row, and on the NaN padding, which it leaves NaN.
-
-    Per strip, table level 0 (the padded image) is built once: the rows
-    the previous strip's table also held are moved up from it, and only the
-    new rows are copied from ``f`` and transformed in place.  A probe value
-    held by a single cell is subtracted once from its level-0 slice, and
-    the difference is folded into both sides.  The other values are
-    reduced per side over levels ``1..top``, rebuilt in place above level
-    0: per value and chord length ``L``, a power of two ``2**k`` reads
-    level ``k``, any other length first builds its chord-length table
-    ``H_L``, the reduce of level ``k`` with itself shifted by
-    ``L - 2**k``, over the flat range its chords read; each chord is then
-    one slice, folded once, and each value is subtracted once.  Every slice
-    is read as one flat range of the table at its row stride ``width``,
-    padding columns included, and folded into a padded block of the same
-    stride, one per side, which is then made ``+ 0.0`` and yielded.
-    Scratch memory is the table, ``(top + 1) x (strip + row span) x width``
-    floats, one ``H_L`` buffer of at most one level's size, one accumulator
-    and one padded block per side, each ``strip x width``.
+    ``t(x)`` applies ``T`` in place to a contiguous range of table level 0;
+    without it ``T`` is the identity.  ``b`` holds the probe values already
+    transformed.  Per strip, ``finish`` receives the padded block of each
+    side asked for, the max before the min, each a C-contiguous
+    ``rows x width`` array at the table's row stride whose columns past
+    ``w`` are padding; it finishes them in place and returns the block that
+    holds the strip's result, which is copied into the one raster of
+    ``outs``.  Without a finish, each side's block is copied into its own
+    raster of ``outs``, in the same order, and the results are those of the
+    literal per-cell loop on ``T f``, zeros as ``+0.0``: ``T`` is applied
+    cell by cell, once per image row, and on the NaN padding, which it
+    leaves NaN.
     """
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
@@ -251,10 +236,11 @@ def _stream(f, b: Probe, hi: bool = True, lo: bool = True, t=None):
         n0 = r0 + y_lo  # the source row of table row 0
         # a slice of r1 - r0 rows: its flat range ends at column w - 1 of its last row
         ns = (r1 - r0 - 1) * width + w
-        strips = [pad.reshape(-1)[:ns] for pad in pads]
+        blocks = [pad[: r1 - r0] for pad in pads]
+        strips = [block.reshape(-1)[:ns] for block in blocks]
         # the whole block, so the last row's padding columns hold no stale value either
-        for pad, (_, neutral) in zip(pads, sides):
-            pad[: r1 - r0].fill(neutral)
+        for block, (_, neutral) in zip(blocks, sides):
+            block.fill(neutral)
         if max(0, n0) < min(h, n0 + rows):
             first = 0
             if carried:
@@ -311,8 +297,8 @@ def _stream(f, b: Probe, hi: bool = True, lo: bool = True, t=None):
             # + 0.0 turns a -0.0 into +0.0, whatever order the folds met the ties in
             for strip in strips:
                 np.add(strip, 0.0, out=strip)
-        done = iter(pad[: r1 - r0] for pad in pads)
-        yield r0, r1, (next(done) if hi else None, next(done) if lo else None)
+        for out, block in zip(outs, blocks if finish is None else [finish(*blocks)]):
+            out[r0:r1] = block[:, :w]
 
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:

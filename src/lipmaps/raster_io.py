@@ -331,19 +331,22 @@ def read_probe(path) -> Probe:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("ascii").splitlines()
+        data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(f"non-ASCII byte {data[exc.start : exc.start + 1]!r} in probe file", exc.start) from None
+    # split as the bytes they are, like the other readers: lines end at \n, \r
+    # or \r\n, and tokens are separated by ASCII whitespace (_WS) only
+    lines = data.splitlines()
     if not lines:
         raise ParseError("empty probe file", 0)
     head = lines[0].split()
-    if len(head) != 6 or head[0] != "probe":
-        raise ParseError(f"bad probe header {lines[0]!r}", 0)
+    if len(head) != 6 or head[0] != b"probe":
+        raise ParseError(f"bad probe header {lines[0].decode()!r}", 0)
     fields = [_unsigned(tok) for tok in head[1:5]]
     if None in fields:
-        raise ParseError(f"bad integer field in probe header {lines[0]!r}", 0)
+        raise ParseError(f"bad integer field in probe header {lines[0].decode()!r}", 0)
     width, height, ax, ay = fields
-    m = _parse_float(head[5], "in probe header")
+    m = _parse_float(head[5].decode(), "in probe header")
     if width <= 0 or height <= 0:
         raise ParseError(f"invalid dimensions {width}x{height}", 0)
     if not (ax < width and ay < height):
@@ -359,9 +362,9 @@ def read_probe(path) -> Probe:
     mask = np.zeros((height, width), dtype=bool)
     for r, toks in enumerate(rows):
         for c, tok in enumerate(toks):
-            if tok == "_":
+            if tok == b"_":
                 continue
-            values[r, c] = _parse_float(tok, f"at row {r}, column {c}")
+            values[r, c] = _parse_float(tok.decode(), f"at row {r}, column {c}")
             mask[r, c] = True
     if not mask.any():
         raise ParseError("probe domain is empty (all tokens are '_')")

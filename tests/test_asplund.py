@@ -558,6 +558,26 @@ class TestLink:
             map_add_via_mult(GreyImage(f.values[:, ::2]), full_probe([[10.0, far]], anchor=(0, 0)))
         assert np.all(np.isfinite(map_add(f, b).values))
 
+    @pytest.mark.parametrize("tiny", [1e-14, 1e-300])
+    def test_via_add_names_the_cell_too_close_to_0(self, tiny):
+        # m - xi(v) rounds to m there; the error names the caller's value, not m,
+        # and the off-mask zeros of a probe, which round to m too, are not checked
+        f = GreyImage([[10.0, tiny, 20.0], [30.0, 40.0, 50.0]])
+        ok = GreyImage([[10.0, 30.0, 20.0], [30.0, 40.0, 50.0]])
+        holed = Probe([[10.0, 0.0, tiny]], np.array([[True, False, True]]), (0, 0), M)
+        message = rf"{{}} value {re.escape(str(tiny))} at cell \(0, {{}}\) is too close to 0"
+        with pytest.raises(RegimeError, match=message.format("image", 1)):
+            map_mult_via_add(f, full_probe([[10.0]], anchor=(0, 0)))
+        with pytest.raises(RegimeError, match=message.format("probe", 2)):
+            map_mult_via_add(ok, holed)
+        with pytest.raises(RegimeError, match=message.format("image", 1)):
+            dist_metric_link(f, ok)
+        with pytest.raises(RegimeError, match=message.format("probe image", 1)):
+            dist_metric_link(ok, f)
+        # the direct maps take these values
+        assert map_mult(f, full_probe([[10.0]], anchor=(0, 0))).values.shape == f.shape
+        assert np.isfinite(dist_mult(ok, f))
+
     def test_via_mult_rejects_minus_inf(self):
         f = GreyImage([[-np.inf, 10.0]])
         b = full_probe([[10.0]], anchor=(0, 0))

@@ -272,6 +272,21 @@ class TestVerifyLink:
         assert cli.main(["verify-link", "--random", *size]) == 2
         assert f"--random needs W >= 1 and H >= 1, got W={size[0]} H={size[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("files", [False, True], ids=["random", "files"])
+    def test_no_full_overlap_cell_prints_nothing(self, files, tmp_path, capsys):
+        # the window check comes before the maps, whose deviations would be over no full-overlap cell
+        if files:
+            image, probe = tmp_path / "f.fmap", tmp_path / "b.probe"
+            image.write_bytes(binary_fmap(np.array([[100.0, 200.0]]), M))
+            probe.write_text("probe 3 1 0 0 256\n150 150 150\n")
+            args = ["--image", str(image), "--probe", str(probe)]
+        else:
+            args = ["--random", "2", "2"]
+        assert cli.main(["verify-link", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no full-overlap cell" in captured.err
+
     def test_missing_arguments_exit_2(self):
         assert cli.main(["verify-link"]) == 2
         assert cli.main(["verify-link", "--image", "x.fmap"]) == 2

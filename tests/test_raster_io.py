@@ -337,6 +337,28 @@ class TestProbeFormat:
         assert exc.value.offset == offset
         assert str(exc.value) == (message if offset is None else f"{message} (at byte offset {offset})")
 
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            # lines end at \n, \r or \r\n, and tokens are separated by ASCII
+            # whitespace (\v included) only, as in the PGM and fmap readers
+            (b"probe 2 2 0 0 256\r\n150 151\r\n152\v153\r\n", [[150.0, 151.0], [152.0, 153.0]]),
+            (b"probe 1 2 0 0 256\n150\x1c150\n", "expected 2 grid lines, found 1"),
+            (b"probe 2 1 0 0 256\n150\x1f151\n", "row 0: expected 2 tokens, found 1"),
+            (b"probe 1 2 0 0 256\n150\f151\n", "expected 2 grid lines, found 1"),
+        ],
+        ids=["crlf-vt", "x1c", "x1f", "form-feed"],
+    )
+    def test_separators(self, tmp_path, data, expected):
+        p = tmp_path / "p.probe"
+        p.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as exc:
+                read_probe(p)
+            assert str(exc.value) == expected
+        else:
+            assert read_probe(p).values.tolist() == expected
+
     def test_grid_the_file_does_not_back_allocates_nothing(self, tmp_path):
         p = tmp_path / "p.probe"
         p.write_text("probe 100000000000 1 0 0 256\n1\n")

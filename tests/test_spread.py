@@ -558,10 +558,15 @@ class TestMapMemory:
             (map_add, 1, 2),
             (map_mult, 1, 2),
             (mlub_add, 1, 1),
+            (mglb_add, 1, 1),
+            (lambda f, b: mlub_mult(f, b, path="morpho"), 1, 1),
+            (lambda f, b: mglb_mult(f, b, path="morpho"), 1, 1),
             (map_mult_via_add, 2, 2),
             (map_add_via_mult, 2, 2),
         ],
-        ids=["map_add", "map_mult", "mlub_add", "map_mult_via_add", "map_add_via_mult"],
+        ids=[
+            "map_add", "map_mult", "mlub_add", "mglb_add", "mlub_mult", "mglb_mult", "map_mult_via_add", "map_add_via_mult"
+        ],
     )
     def test_peak_at_512(self, rng, call, rasters, sides):
         peak, f, ring = self.peak(rng, call)
