@@ -7,12 +7,13 @@ tightly the probe brackets the window from both sides: the multiplicative
 one scales the probe (ln(lam/mu)), the additive one shifts it (c1 (-) c2).
 
 The multiplicative bound maps and distance map admit two independent
-computation paths, the paper's two computations:
+computations, the paper's two:
 
 * a grey-level dilation and erosion of the double-log transform hat(f),
-  the default, run by the same sliding kernel as every other map;
-* the closed form, pointwise extrema of tilde-ratios (path="ratio"), kept
-  as the reference the kernel is checked against,
+  run by the same sliding kernel as every other map;
+* the closed form, extrema of tilde-ratios, here applied one window at a
+  time: mult_bounds and dist_mult of each full-overlap cell's window
+  against the probe,
 
 and each map can also be computed from the *other* family through the
 isomorphism xi.  This script shows all of these agreeing to rounding
@@ -33,6 +34,7 @@ from lipmaps import (
     map_mult_via_add,
     mglb_mult,
     mlub_mult,
+    mult_bounds,
     oracle_scan_add,
     oracle_scan_mult,
     plant_target,
@@ -45,24 +47,28 @@ M = 256.0
 probe = make_ring_probe(4, 2)
 scene = plant_target(make_canvas(40, 40, seed=2), probe, (20, 12))
 
-# --- multiplicative maps: dilation/erosion vs ratio closed form ------------
+# --- multiplicative maps: dilation/erosion vs the closed form per window ----
 # the bound maps (mlub = sup side, a dilation of hat(f); mglb = inf side, an
-# erosion), each computed both ways
+# erosion) and the distance map ln(mlub / mglb), through the kernel
 lam = mlub_mult(scene, probe)
 mu = mglb_mult(scene, probe)
-for name, kernel, ratio in (
-    ("mlub_mult", lam, mlub_mult(scene, probe, path="ratio")),
-    ("mglb_mult", mu, mglb_mult(scene, probe, path="ratio")),
-):
-    print(f"{name}, two paths, max relative |diff|:",
-          np.max(np.abs(kernel.values - ratio.values) / ratio.values))
+morpho = map_mult(scene, probe)
 print("mlub >= mglb everywhere:", bool(np.all(lam.values >= mu.values)))
 
-# the distance map ln(mlub / mglb), both ways
-ratio = map_mult(scene, probe, path="ratio")
-morpho = map_mult(scene, probe)
-print("multiplicative map, two paths, max |diff|:",
-      np.max(np.abs(ratio.values - morpho.values)))
+# the closed form on each full-overlap cell's window: the image cells under
+# the probe, as one row, against the probe's cells in the same order
+dys, dxs, _ = probe.offsets()
+g = GreyImage(probe.masked_values().reshape(1, -1))
+worst_lam = worst_mu = worst_dist = 0.0
+for r, c in zip(*np.nonzero(morpho.full_mask)):
+    window = GreyImage(scene.values[r + dys, c + dxs].reshape(1, -1))
+    lam_w, mu_w = mult_bounds(window, g)
+    worst_lam = max(worst_lam, abs(lam.values[r, c] - lam_w) / lam_w)
+    worst_mu = max(worst_mu, abs(mu.values[r, c] - mu_w) / mu_w)
+    worst_dist = max(worst_dist, abs(morpho.values[r, c] - dist_mult(window, g)))
+print("mlub_mult vs mult_bounds per window, max relative |diff|:", worst_lam)
+print("mglb_mult vs mult_bounds per window, max relative |diff|:", worst_mu)
+print("map_mult vs dist_mult per window, max |diff|:", worst_dist)
 print("map value at planted anchor:", morpho.values[20, 12])
 
 # --- additive map and the isomorphism link --------------------------------

@@ -19,10 +19,10 @@ change).  Both bracket pairs have closed forms: pointwise extrema of
 
 Sliding a probe ``b`` over ``f`` gives the bound maps (``mlub_*`` /
 ``mglb_*``) and the distance maps (``map_mult`` / ``map_add``).  The
-multiplicative maps are computed by default as grey-level
-dilations/erosions of the double-log transform ``hat(f)``;
-``path="ratio"`` computes them from the ratio closed form instead, and
-the two must agree to rounding error.
+multiplicative maps are computed as grey-level dilations/erosions of the
+double-log transform ``hat(f)``.  The private ``_ratio_bounds`` keeps the
+ratio closed form, per offset, as the reference the tests check them
+against; the two agree to rounding error.
 
 The isomorphism ``xi`` links the two families: each distance map can be
 obtained from the other applied to complemented, ``xi``-transformed data
@@ -62,8 +62,9 @@ least as strict, ``I*`` (``map_mult``), ``Ibar`` (the bound maps' own
 ``hat`` regime) or ``FM`` (``map_add``) at the entry point, or the
 ``GreyImage`` invariant ``FMbar`` (``mlub_add``/``mglb_add``, ``xi``'s own
 regime), and every probe the entry point's masked check plus the zeros
-the probe holds off its mask.  The ratio path keeps its own per-offset
-clipped loop, so it stays an independent reference for the kernel.
+the probe holds off its mask.  The ratio reference ``_ratio_bounds``
+keeps its own per-offset clipped loop, so it stays independent of the
+kernel.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def dist_mult(f: GreyImage, g: GreyImage) -> float:
     is a LIP-multiple of ``g``.
     """
     lam, mu = _mult_bounds(f, g, "I*")
-    # as map_mult's ratio path: lam / mu can overflow where ln(lam) - ln(mu) is finite
+    # lam / mu can overflow where ln(lam) - ln(mu) is finite
     return float(np.log(lam) - np.log(mu))
 
 
@@ -203,41 +204,6 @@ def _require_add(f: GreyImage, b: Probe, strict_image: bool):
         require_regime(f.values, f.m, "FM")
 
 
-# Output rows per block of the ratio path's per-offset loop.
-_RATIO_ROWS = 64
-
-
-def _ratio_bounds(f, b, hi=True, lo=True):
-    """``(lam, mu)``: per cell, the max and min of ``tilde(f)(x+h) / tilde(b)(h)``.
-
-    The offsets ``h`` are those whose partner lies inside; a side not asked
-    for is ``None``.  ``tilde(f)`` is computed once.  The output rows are
-    taken in blocks of ``_RATIO_ROWS``; per block, each offset's quotient
-    is divided into one reused buffer of that many rows and folded into
-    both sides.
-    """
-    tf = tilde(f.values, f.m)
-    h, w = tf.shape
-    asked = ((np.maximum, 0.0, hi), (np.minimum, np.inf, lo))
-    sides = [(acc, np.full(tf.shape, neutral)) for acc, neutral, side in asked if side]
-    quotient = np.empty((min(h, _RATIO_ROWS), w))
-    dys, dxs, vals = b.offsets()
-    offsets = list(zip(dys.tolist(), dxs.tolist(), tilde(vals, b.m).tolist()))
-    with np.errstate(invalid="ignore"):
-        for y0 in range(0, h, _RATIO_ROWS):
-            y1 = min(h, y0 + _RATIO_ROWS)
-            for dy, dx, tb in offsets:
-                r0, r1 = max(y0, -dy), min(y1, h - dy)
-                c0, c1 = max(0, -dx), min(w, w - dx)
-                if r0 < r1 and c0 < c1:
-                    part = np.divide(tf[r0 + dy : r1 + dy, c0 + dx : c1 + dx], tb, out=quotient[: r1 - r0, : c1 - c0])
-                    for acc, out in sides:
-                        dst = out[r0:r1, c0:c1]
-                        acc(dst, part, out=dst)
-    done = iter(out for _, out in sides)
-    return (next(done) if hi else None, next(done) if lo else None)
-
-
 def _streamed(f, b, t, finish, hi=True, lo=True):
     """``(values, full_mask)`` of a map computed by the kernel with ``T = t``.
 
@@ -256,63 +222,42 @@ def _streamed(f, b, t, finish, hi=True, lo=True):
     return out, full_overlap_mask(f.shape, b)
 
 
-def _bound_mult(f, b, path, maximum):
-    _require_mult(f, b, strict_image=False)
-    if path == "ratio":
-        lam, mu = _ratio_bounds(f, b, hi=maximum, lo=not maximum)
-        return RealMap._adopt(lam if maximum else mu, full_overlap_mask(f.shape, b), f.m)
-    if path != "morpho":
-        raise ValueError(f"unknown path {path!r}")
-
-    def finish(side):
-        with np.errstate(over="ignore"):
-            return np.exp(side, out=side)
-
-    return RealMap._adopt(*_streamed(f, b, _hat, finish, hi=maximum, lo=not maximum), f.m)
+def _exp(side):
+    """The bound maps' finish, in place: a bound past the largest float is +inf."""
+    with np.errstate(over="ignore"):
+        return np.exp(side, out=side)
 
 
-def mlub_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
+def mlub_mult(f: GreyImage, b: Probe) -> RealMap:
     """Map of least upper bounds: per cell, the max of ``tilde(f)(x+h)/tilde(b)(h)``.
 
-    The default morphological path computes it as the dilation
-    ``exp(hat(f) dilate -hat(reflect(b)))``, through the kernel;
-    ``path="ratio"`` takes the quotients offset by offset, the closed-form
-    reference the tests check the kernel against.  The two agree to
-    rounding error.  ``f`` may contain the edge values 0 and ``m`` (which
-    produce 0 and +inf entries); the probe must be strictly inside
+    Computed as the dilation ``exp(hat(f) dilate -hat(reflect(b)))``,
+    through the kernel.  ``f`` may contain the edge values 0 and ``m``
+    (which produce 0 and +inf entries); the probe must be strictly inside
     ``]0, m[``.
     """
-    return _bound_mult(f, b, path, maximum=True)
+    _require_mult(f, b, strict_image=False)
+    return RealMap._adopt(*_streamed(f, b, _hat, _exp, lo=False), f.m)
 
 
-def mglb_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
+def mglb_mult(f: GreyImage, b: Probe) -> RealMap:
     """Map of greatest lower bounds, the min dual of :func:`mlub_mult`.
 
-    The default morphological path is the erosion ``exp(hat(f) erode
-    hat(b))``; ``path="ratio"`` is the closed-form reference.
+    Computed as the erosion ``exp(hat(f) erode hat(b))``, through the kernel.
     """
-    return _bound_mult(f, b, path, maximum=False)
+    _require_mult(f, b, strict_image=False)
+    return RealMap._adopt(*_streamed(f, b, _hat, _exp, hi=False), f.m)
 
 
-def map_mult(f: GreyImage, b: Probe, path: str = "morpho") -> RealMap:
+def map_mult(f: GreyImage, b: Probe) -> RealMap:
     """Map of LIP-multiplicative Asplund distances ``ln(mlub / mglb)``.
 
     Per cell, the multiplicative distance between the probe and the image
-    restricted to the probe window.  The default morphological path
-    evaluates ``[hat(f) dilate -hat(reflect(b))] - [hat(f) erode hat(b)]``;
-    ``path="ratio"`` goes through the bound maps.  Strict regime: every
+    restricted to the probe window, evaluated as ``[hat(f) dilate
+    -hat(reflect(b))] - [hat(f) erode hat(b)]``.  Strict regime: every
     image and probe value must lie in ``]0, m[``.
     """
     _require_mult(f, b, strict_image=True)
-    if path == "ratio":
-        lam, mu = _ratio_bounds(f, b)
-        # log(lam) - log(mu), not log(lam / mu): the quotient can overflow where
-        # the difference is finite; an empty window gives log 0 - log inf = -inf
-        with np.errstate(divide="ignore"):
-            vals = np.subtract(np.log(lam, out=lam), np.log(mu, out=mu), out=mu)
-        return RealMap._adopt(vals, full_overlap_mask(f.shape, b), f.m)
-    if path != "morpho":
-        raise ValueError(f"unknown path {path!r}")
     return RealMap._adopt(*_streamed(f, b, _hat, lambda hi, lo: np.subtract(hi, lo, out=lo)), f.m)
 
 
@@ -436,8 +381,43 @@ def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# definitional scan oracles
+# references: the ratio closed form and the definitional scan oracles
 # ---------------------------------------------------------------------------
+
+# Output rows per block of the ratio reference's per-offset loop.
+_RATIO_ROWS = 64
+
+
+def _ratio_bounds(f, b):
+    """``(lam, mu)``: per cell, the max and min of ``tilde(f)(x+h) / tilde(b)(h)``.
+
+    The closed form of the bound maps, kept as the independent reference
+    the tests check the kernel against; the caller has checked image and
+    probe (``_require_mult``).  The offsets ``h`` are those whose partner
+    lies inside.  ``tilde(f)`` is computed once.  The output rows are taken
+    in blocks of ``_RATIO_ROWS``; per block, each offset's quotient is
+    divided into one reused buffer of that many rows and folded into both
+    bounds.
+    """
+    tf = tilde(f.values, f.m)
+    h, w = tf.shape
+    lam, mu = np.full(tf.shape, 0.0), np.full(tf.shape, np.inf)
+    quotient = np.empty((min(h, _RATIO_ROWS), w))
+    dys, dxs, vals = b.offsets()
+    offsets = list(zip(dys.tolist(), dxs.tolist(), tilde(vals, b.m).tolist()))
+    with np.errstate(invalid="ignore"):
+        for y0 in range(0, h, _RATIO_ROWS):
+            y1 = min(h, y0 + _RATIO_ROWS)
+            for dy, dx, tb in offsets:
+                r0, r1 = max(y0, -dy), min(y1, h - dy)
+                c0, c1 = max(0, -dx), min(w, w - dx)
+                if r0 < r1 and c0 < c1:
+                    part = np.divide(tf[r0 + dy : r1 + dy, c0 + dx : c1 + dx], tb, out=quotient[: r1 - r0, : c1 - c0])
+                    for acc, out in ((np.maximum, lam), (np.minimum, mu)):
+                        dst = out[r0:r1, c0:c1]
+                        acc(dst, part, out=dst)
+    return lam, mu
+
 
 _CHUNK = 4_000_000  # grid-points x cells per predicate evaluation block
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import asplund, probing, raster_io
 from .errors import DomainError, LipError, VerificationError
 from .lip import lip_mult
-from .morphology import full_overlap_mask
+from .morphology import _full_overlap_rect
 from .rasters import GreyImage, clamp_strict
 
 LINK_TOL = asplund.LINK_TOL
@@ -46,7 +46,7 @@ def _max_dev(a, b, scale):
 def cmd_map_mult(args) -> int:
     image = _load_image(args)
     probe = raster_io.read_probe(args.probe)
-    result = asplund.map_mult(image, probe, path=args.path)
+    result = asplund.map_mult(image, probe)
     raster_io.write_map(result, args.out, mode="exact")
     return 0
 
@@ -88,13 +88,13 @@ def cmd_detect(args) -> int:
 
 def _centre_window_pair(image, probe):
     """1xN image/probe pair over the most central full-overlap window."""
-    fom = full_overlap_mask(image.shape, probe)
-    if not fom.any():
+    r0, r1, c0, c1 = _full_overlap_rect(image.shape, probe)
+    if r0 == r1:
         raise DomainError("no full-overlap cell: image is smaller than the probe")
-    rows, cols = np.nonzero(fom)
-    i = len(rows) // 2
+    # the row-major middle cell of the rectangle
+    row, col = divmod((r1 - r0) * (c1 - c0) // 2, c1 - c0)
     dys, dxs, _ = probe.offsets()
-    window = image.values[rows[i] + dys, cols[i] + dxs]
+    window = image.values[r0 + row + dys, c0 + col + dxs]
     return (
         GreyImage(window.reshape(1, -1), image.m),
         GreyImage(probe.masked_values().reshape(1, -1), image.m),
@@ -168,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--probe", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--path", choices=("ratio", "morpho"), default="morpho",
-                   help="bound-ratio closed form or dilation/erosion path (default)")
     p.set_defaults(func=cmd_map_mult)
 
     p = sub.add_parser("map-add", help="map of LIP-additive Asplund distances")

@@ -10,10 +10,10 @@ Every sliding extremum in the package goes through one kernel,
 :func:`_stream`: the window max and min of ``f(x + h) - b(h)``, computed
 strip by strip.  :func:`spread` returns them as whole rasters, and the
 maps of :mod:`lipmaps.asplund` finish them into their values.  Only the
-ratio path of :mod:`lipmaps.asplund` keeps a per-offset loop, as an
-independent reference.  Erosion is the min side; dilation is the
-max side on the reflected probe with negated values, since ``x - (-v)`` is
-``x + v`` bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
+ratio reference of :mod:`lipmaps.asplund`, ``_ratio_bounds``, keeps a
+per-offset loop, independent of the kernel.  Erosion is the min side;
+dilation is the max side on the reflected probe with negated values,
+since ``x - (-v)`` is ``x + v`` bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
 as "no value here", and reduces and folds with ``np.fmax``/``np.fmin``,
 which skip NaN, so every window is exactly the clipped one; each output
 starts at the lattice neutral of its side (``-inf`` for the max, ``+inf``
@@ -322,14 +322,19 @@ def reflect(b: Probe) -> Probe:
     )
 
 
-def full_overlap_mask(shape, b: Probe) -> np.ndarray:
-    """Cells whose probe window lies entirely inside a raster of ``shape``."""
+def _full_overlap_rect(shape, b: Probe) -> tuple[int, int, int, int]:
+    """The half-open rectangle ``(r0, r1, c0, c1)`` of :func:`full_overlap_mask`; all 0 when it is empty."""
     h, w = shape
     dys, dxs, _ = b.offsets()
-    r0, r1 = max(0, -int(dys.min())), min(h - 1, h - 1 - int(dys.max()))
-    c0, c1 = max(0, -int(dxs.min())), min(w - 1, w - 1 - int(dxs.max()))
+    r0, r1 = max(0, -int(dys.min())), min(h, h - int(dys.max()))
+    c0, c1 = max(0, -int(dxs.min())), min(w, w - int(dxs.max()))
+    return (r0, r1, c0, c1) if r0 < r1 and c0 < c1 else (0, 0, 0, 0)
+
+
+def full_overlap_mask(shape, b: Probe) -> np.ndarray:
+    """Cells whose probe window lies entirely inside a raster of ``shape``."""
+    r0, r1, c0, c1 = _full_overlap_rect(shape, b)
     out = np.zeros(shape, dtype=bool)
-    if r0 <= r1 and c0 <= c1:
-        out[r0 : r1 + 1, c0 : c1 + 1] = True
+    out[r0:r1, c0:c1] = True
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lip import DEFAULT_M, lip_add
-from .rasters import GreyImage, Probe
+from .rasters import GreyImage, Probe, _int_pair
 
 __all__ = [
     "Detection",
@@ -67,7 +67,7 @@ def make_ring_probe(
     cells beyond are outside the probe domain.  Default values 161 (ring)
     and 4 (disk) on the 8-bit scale.
     """
-    outer_radius, inner_radius = int(outer_radius), int(inner_radius)
+    outer_radius, inner_radius = _int_pair((outer_radius, inner_radius), "ring radii")
     if not 0 < inner_radius < outer_radius:
         raise DomainError(
             f"need 0 < inner_radius < outer_radius, got {inner_radius}, {outer_radius}"
@@ -107,7 +107,7 @@ def plant_target(canvas: GreyImage, probe: Probe, at: tuple[int, int], transform
     is an exact match up to that change.  The whole probe footprint must
     fall inside the canvas.
     """
-    r0, c0 = (int(x) for x in at)
+    r0, c0 = _int_pair(at, "target position")
     dys, dxs, vals = probe.offsets()
     rows, cols = r0 + dys, c0 + dxs
     if (

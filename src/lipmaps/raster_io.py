@@ -39,7 +39,7 @@ import re
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .morphology import full_overlap_mask
+from .morphology import _full_overlap_rect
 from .rasters import DistanceMap, GreyImage, Probe
 
 __all__ = [
@@ -253,19 +253,20 @@ def read_map(path, probe: Probe | None = None) -> DistanceMap:
     :class:`ParseError` naming the expected header.
     """
     values, m, rect = _read_fmap(path)
+    if probe is not None:
+        expected = _full_overlap_rect(values.shape, probe)
+        if rect is None:
+            rect = expected
+        # a stored empty rectangle is the empty region, whatever corners it names
+        elif (rect if rect[0] < rect[1] and rect[2] < rect[3] else (0, 0, 0, 0)) != expected:
+            raise DomainError(
+                "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % rect
+                + "but the probe's is %d %d %d %d" % expected
+            )
     mask = None
     if rect is not None:
         mask = np.zeros(values.shape, dtype=bool)
         mask[rect[0] : rect[1], rect[2] : rect[3]] = True
-    if probe is not None:
-        expected = full_overlap_mask(values.shape, probe)
-        if mask is None:
-            mask = expected
-        elif not np.array_equal(mask, expected):
-            raise DomainError(
-                "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % rect
-                + "but the probe's is %d %d %d %d" % _mask_rectangle(expected)
-            )
     return DistanceMap._adopt(values, mask, m)
 
 

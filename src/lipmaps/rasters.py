@@ -33,6 +33,7 @@ copied; ``Probe.with_values`` shares its read-only mask with the new probe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,19 @@ def _frozen_array(a, adopt, dtype=np.float64):
     a = np.asarray(a, dtype=dtype) if adopt else np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _int_pair(pair, what):
+    """``pair`` as two ``int`` values, through ``operator.index``.
+
+    numpy integers pass; a float, a string or anything but two values
+    raises :class:`DomainError` naming ``pair``.
+    """
+    try:
+        a, b = pair
+        return operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be two integers, got {pair!r}") from None
 
 
 def _raster(values, what):
@@ -128,9 +142,9 @@ class Probe:
     """Structuring function: values on a masked grid with an anchor cell.
 
     ``mask`` marks the cells belonging to the probe domain; ``anchor`` is
-    the (row, col) origin, so a masked cell ``(r, c)`` probes the image at
-    offset ``(r - anchor[0], c - anchor[1])``.  Values outside the mask are
-    normalised to 0 and never read.
+    the (row, col) origin, two integers, so a masked cell ``(r, c)`` probes
+    the image at offset ``(r - anchor[0], c - anchor[1])``.  Values outside
+    the mask are normalised to 0 and never read.
     """
 
     values: np.ndarray
@@ -147,7 +161,7 @@ class Probe:
         v = _raster(np.where(mk, v, 0.0), "probe")
         if not mk.any():
             raise DomainError("probe mask is empty: at least one cell must belong to the domain")
-        ar, ac = (int(x) for x in self.anchor)
+        ar, ac = _int_pair(self.anchor, "anchor")
         if not (0 <= ar < v.shape[0] and 0 <= ac < v.shape[1]):
             raise DomainError(f"anchor ({ar}, {ac}) outside probe bounds {v.shape}")
         m = _check_m(self.m)

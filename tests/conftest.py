@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipmaps import GreyImage, Probe
+from lipmaps import GreyImage, Probe, RealMap, map_mult, mglb_mult, mlub_mult
+from lipmaps.asplund import _ratio_bounds, _require_mult
+from lipmaps.morphology import full_overlap_mask
 
 M = 256.0
 
@@ -49,3 +51,30 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def reference(fn):
+    """The ratio closed form of the multiplicative map ``fn``, as a callable ``(f, b) -> RealMap``.
+
+    ``fn`` is ``mlub_mult``, ``mglb_mult`` or ``map_mult``.  The reference
+    runs ``fn``'s entry check, ``_require_mult`` with the map's image
+    regime, then ``asplund._ratio_bounds``; the distance map takes
+    ``ln lam - ln mu`` in place, since ``lam / mu`` can overflow where the
+    difference is finite, and an empty window gives ``ln 0 - ln inf = -inf``.
+    """
+    assert fn in (mlub_mult, mglb_mult, map_mult)
+
+    def ratio(f, b):
+        _require_mult(f, b, strict_image=fn is map_mult)
+        lam, mu = _ratio_bounds(f, b)
+        if fn is mlub_mult:
+            values = lam
+        elif fn is mglb_mult:
+            values = mu
+        else:
+            with np.errstate(divide="ignore"):
+                values = np.subtract(np.log(lam, out=lam), np.log(mu, out=mu), out=mu)
+        return RealMap._adopt(values, full_overlap_mask(f.shape, b), f.m)
+
+    ratio.__name__ = f"{fn.__name__} reference"
+    return ratio

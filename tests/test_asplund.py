@@ -42,7 +42,7 @@ from lipmaps import (
 from lipmaps.asplund import _PROBE_TILDE_MIN
 from lipmaps.lip import tilde
 
-from conftest import M, full_probe, grey
+from conftest import M, full_probe, grey, reference
 
 # float64 of the 60-digit closed forms on the documented 1x2 instance
 LAM_12 = 1.723669786066323
@@ -51,8 +51,10 @@ C1_12 = 120.75471698113208
 D_MULT_12 = 1.1211440516127889
 D_ADD_12 = 164.10256410256412
 
-# the multiplicative bound maps' paths: the kernel (the default) and the closed-form reference
-PATHS = ("morpho", "ratio")
+# each multiplicative map, the kernel, and its ratio closed-form reference
+LUBS = (mlub_mult, reference(mlub_mult))
+GLBS = (mglb_mult, reference(mglb_mult))
+DISTS = (map_mult, reference(map_mult))
 
 
 class TestDistMult:
@@ -148,9 +150,9 @@ class TestDistAdd:
 class TestBoundMaps:
     def test_documented_instance(self, instance_1x2):
         f, _, b = instance_1x2
-        for path in PATHS:
-            lam = mlub_mult(f, b, path=path)
-            mu = mglb_mult(f, b, path=path)
+        for lub, glb in zip(LUBS, GLBS):
+            lam = lub(f, b)
+            mu = glb(f, b)
             assert math.isclose(lam.values[0, 0], LAM_12, rel_tol=1e-13)
             assert math.isclose(mu.values[0, 0], MU_12, rel_tol=1e-13)
             # clipped window at x=1 sees the single cell 200 vs probe cell 150
@@ -161,71 +163,66 @@ class TestBoundMaps:
     def test_constant_equals_probe_gives_ones(self):
         f = grey(np.full((5, 5), 150.0))
         b = full_probe(np.full((3, 3), 150.0))
-        for path in PATHS:
-            assert np.all(mlub_mult(f, b, path=path).values == 1.0)
+        for lub in LUBS:
+            assert np.all(lub(f, b).values == 1.0)
 
     def test_mu_below_lam(self, rng):
         f = random_image(8, 8, rng)
         b = random_probe(3, 3, rng)
-        for path in PATHS:
-            assert np.all(mglb_mult(f, b, path=path).values <= mlub_mult(f, b, path=path).values)
+        for lub, glb in zip(LUBS, GLBS):
+            assert np.all(glb(f, b).values <= lub(f, b).values)
 
     def test_homogeneity(self, rng):
         f = random_image(8, 8, rng)
         b = random_probe(3, 3, rng)
         for alpha in (0.5, 2.0, 3.0):
             scaled = GreyImage(lip_mult(alpha, f.values))
-            for fn in (mlub_mult, mglb_mult):
-                for path in PATHS:
-                    lhs = fn(scaled, b, path=path).values
-                    rhs = alpha * fn(f, b, path=path).values
-                    assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) <= 1e-12
-
-    def test_default_path_is_the_kernel(self, rng):
-        f = random_image(9, 11, rng)
-        b = random_probe(3, 4, rng)
-        for fn in (mlub_mult, mglb_mult, map_mult):
-            assert fn(f, b).values.tobytes() == fn(f, b, path="morpho").values.tobytes()
+            for fn in LUBS + GLBS:
+                lhs = fn(scaled, b).values
+                rhs = alpha * fn(f, b).values
+                assert np.max(np.abs(lhs - rhs) / (1.0 + rhs)) <= 1e-12
 
     def test_two_paths_agree(self, rng):
         for _ in range(10):
             f = random_image(8, 8, rng)
             b = random_probe(3, 3, rng)
             for fn in (mlub_mult, mglb_mult):
-                a = fn(f, b, path="ratio").values
-                c = fn(f, b, path="morpho").values
+                a = reference(fn)(f, b).values
+                c = fn(f, b).values
                 assert np.max(np.abs(a - c) / (1.0 + np.abs(a))) <= 1e-9
 
     def test_edge_values_total(self):
         f = GreyImage([[0.0, 128.0, 256.0]])
         b = full_probe([[128.0]], anchor=(0, 0))
-        for path in PATHS:
-            lam = mlub_mult(f, b, path=path).values
+        for lub, glb in zip(LUBS, GLBS):
+            lam = lub(f, b).values
             assert lam[0, 0] == 0.0 and lam[0, 1] == 1.0 and lam[0, 2] == np.inf
-            got = mglb_mult(f, b, path=path).values
+            got = glb(f, b).values
             assert got[0, 0] == 0.0 and got[0, 2] == np.inf
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
-    @pytest.mark.parametrize("path", ["ratio", "morpho"])
+    @pytest.mark.parametrize("ratio", [True, False], ids=["ratio", "morpho"])
     @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
-    def test_subnormal_probe_cell_named(self, fn, path, m):
-        # ln(1 - 5e-324/m) is subnormal or 0 at every scale: the ratio path
-        # overflowed to NaN, the morpho path met hat(b) = -inf or went on;
+    def test_subnormal_probe_cell_named(self, fn, ratio, m):
+        # ln(1 - 5e-324/m) is subnormal or 0 at every scale: the ratio form
+        # overflowed to NaN, the kernel met hat(b) = -inf or went on;
         # map_mult_via_add already raised SingularityError for the same cell
         f = GreyImage([[m / 2, m / 4]], m)
+        fn = reference(fn) if ratio else fn
         for values, cell in (([[5e-324, m / 2]], r"\(0, 0\)"), ([[m / 2, 5e-324]], r"\(0, 1\)")):
             b = Probe(values, [[True, True]], (0, 0), m)
             with pytest.raises(SingularityError, match=rf"probe value 5e-324 at cell {cell} too close to 0"):
-                fn(f, b, path=path)
+                fn(f, b)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
     def test_probe_bound_keeps_ratio_finite(self, m):
         # an image cell below m has |tilde| <= 53 ln 2, so at the bound the
         # quotient tilde(f)/tilde(b) stays below the largest float; with an
-        # image cell one ulp below m, both paths at the bound and one float
-        # above it return finite maps that agree, and the float below it raises
+        # image cell one ulp below m, the kernel and the reference at the bound
+        # and one float above it return finite maps that agree, and the float
+        # below it raises
         assert _PROBE_TILDE_MIN >= 53 * math.log(2) / np.finfo(np.float64).max
 
         def tb(v):
@@ -240,19 +237,12 @@ class TestBoundMaps:
         for v in (at, np.nextafter(at, np.inf)):
             b = Probe([[v, m / 2]], [[True, True]], (0, 0), m)
             for fn in (mlub_mult, mglb_mult, map_mult):
-                a, c = (fn(f, b, path=path).values for path in ("ratio", "morpho"))
+                a, c = reference(fn)(f, b).values, fn(f, b).values
                 assert np.all(np.isfinite(a)) and np.max(np.abs(a - c) / (1.0 + np.abs(a))) <= 1e-9
         b = Probe([[np.nextafter(at, 0.0), m / 2]], [[True, True]], (0, 0), m)
-        for fn in (mlub_mult, mglb_mult, map_mult):
-            for path in ("ratio", "morpho"):
-                with pytest.raises(SingularityError, match=r"at cell \(0, 0\) too close to 0"):
-                    fn(f, b, path=path)
-
-    @pytest.mark.parametrize("fn", [mlub_mult, mglb_mult, map_mult], ids=lambda fn: fn.__name__)
-    def test_bad_path_name(self, instance_1x2, fn):
-        f, _, b = instance_1x2
-        with pytest.raises(ValueError):
-            fn(f, b, path="fast")
+        for fn in LUBS + GLBS + DISTS:
+            with pytest.raises(SingularityError, match=r"at cell \(0, 0\) too close to 0"):
+                fn(f, b)
 
 
 class TestAdditiveBoundMaps:
@@ -317,8 +307,8 @@ class TestAdditiveBoundMaps:
 class TestMapMult:
     def test_documented_instance(self, instance_1x2):
         f, _, b = instance_1x2
-        for path in ("morpho", "ratio"):
-            out = map_mult(f, b, path=path)
+        for dist in DISTS:
+            out = dist(f, b)
             assert math.isclose(out.values[0, 0], D_MULT_12, rel_tol=1e-12)
             assert out.values[0, 1] == 0.0  # single-cell clipped window
             assert out.full_mask.tolist() == [[True, False]]
@@ -339,7 +329,7 @@ class TestMapMult:
         masked = np.where(out.full_mask, out.values, np.inf)
         assert np.unravel_index(np.argmin(masked), masked.shape) == (8, 8)
         # rounding near the exact match never takes a distance below 0
-        for dist in (out, map_mult(planted, b, path="ratio"), map_mult_via_add(planted, b)):
+        for dist in (out, reference(map_mult)(planted, b), map_mult_via_add(planted, b)):
             assert 0.0 <= dist.values[8, 8] <= 1e-9
             assert dist.values.min() >= 0.0
 
@@ -347,8 +337,8 @@ class TestMapMult:
         for _ in range(10):
             f = random_image(12, 12, rng)
             b = random_probe(3, 3, rng)
-            a = map_mult(f, b, path="ratio").values
-            c = map_mult(f, b, path="morpho").values
+            a = reference(map_mult)(f, b).values
+            c = map_mult(f, b).values
             assert np.max(np.abs(a - c)) <= 1e-9
 
     def test_nonnegative(self, rng):
@@ -364,15 +354,15 @@ class TestMapMult:
         b = random_probe(3, 3, rng)
         morpho = map_mult(f, b).values
         assert np.all(np.isfinite(morpho))
-        assert np.max(np.abs(morpho - map_mult(f, b, path="ratio").values)) <= 1e-9 * np.max(morpho)
+        assert np.max(np.abs(morpho - reference(map_mult)(f, b).values)) <= 1e-9 * np.max(morpho)
 
     def test_ratio_past_the_largest_quotient(self):
         # at cell (0, 0) lam is about 9e6 and mu about 3e-308, so lam / mu
-        # overflows while ln(lam) - ln(mu) is 724.3, as on the morpho path;
+        # overflows while ln(lam) - ln(mu) is 724.3, as in the kernel;
         # the window at (0, 0) is the whole image, so dist_mult gives the same
         f = GreyImage([[np.nextafter(256.0, 0.0), 1e-305]])
         b = full_probe([[1e-3, 200.0]], anchor=(0, 0))
-        ratio, morpho = (map_mult(f, b, path=path).values for path in ("ratio", "morpho"))
+        ratio, morpho = reference(map_mult)(f, b).values, map_mult(f, b).values
         assert np.all(np.isfinite(ratio)) and 724.0 < ratio[0, 0] < 725.0
         assert np.max(np.abs(ratio - morpho)) <= 1e-9 * ratio[0, 0]
         assert dist_mult(f, GreyImage(b.values)) == ratio[0, 0]
@@ -443,10 +433,10 @@ class TestEmptyWindowConventions:
     def test_multiplicative(self):
         f = grey([[100.0, 150.0, 200.0]])
         b = self.probe()
-        for path in PATHS:
-            assert mlub_mult(f, b, path=path).values[0, 2] == 0.0
-            assert mglb_mult(f, b, path=path).values[0, 2] == np.inf
-            assert map_mult(f, b, path=path).values[0, 2] == -np.inf
+        for lub, glb, dist in zip(LUBS, GLBS, DISTS):
+            assert lub(f, b).values[0, 2] == 0.0
+            assert glb(f, b).values[0, 2] == np.inf
+            assert dist(f, b).values[0, 2] == -np.inf
 
     def test_additive(self):
         f = grey([[100.0, 150.0, 200.0]])
@@ -474,9 +464,9 @@ class TestLatticeOperatorLaws:
             g = random_image(8, 8, rng)
             b = random_probe(3, 3, rng)
             fg = GreyImage(np.maximum(f.values, g.values))
-            for path in PATHS:
-                lhs = mlub_mult(fg, b, path=path).values
-                rhs = np.maximum(mlub_mult(f, b, path=path).values, mlub_mult(g, b, path=path).values)
+            for lub in LUBS:
+                lhs = lub(fg, b).values
+                rhs = np.maximum(lub(f, b).values, lub(g, b).values)
                 assert np.array_equal(lhs, rhs)
 
     def test_mglb_distributes_over_infimum(self, rng):
@@ -485,9 +475,9 @@ class TestLatticeOperatorLaws:
             g = random_image(8, 8, rng)
             b = random_probe(3, 3, rng)
             fg = GreyImage(np.minimum(f.values, g.values))
-            for path in PATHS:
-                lhs = mglb_mult(fg, b, path=path).values
-                rhs = np.minimum(mglb_mult(f, b, path=path).values, mglb_mult(g, b, path=path).values)
+            for glb in GLBS:
+                lhs = glb(fg, b).values
+                rhs = np.minimum(glb(f, b).values, glb(g, b).values)
                 assert np.array_equal(lhs, rhs)
 
 
@@ -607,11 +597,36 @@ class TestWindowRestrictionOracle:
     def test_map_mult_ratio_matches_per_cell_metric(self, rng):
         f = random_image(9, 11, rng)
         b = random_probe(3, 3, rng)
-        out = map_mult(f, b, path="ratio").values
+        out = reference(map_mult)(f, b).values
         for r in range(f.height):
             for c in range(f.width):
                 fw, bw = self.window_pair(f, b, r, c)
                 assert out[r, c] == dist_mult(fw, bw)
+
+    def test_bound_maps_match_per_cell_bounds(self, rng):
+        # the ratio reference is the paper's bracket of each window bit for bit,
+        # and the kernel's bound maps are within rounding of it; probes with
+        # holes and an off-mask anchor, so some windows are clipped or empty
+        for _ in range(30):
+            ph, pw = rng.integers(1, 5), rng.integers(2, 5)
+            mask = rng.random((ph, pw)) < 0.6
+            anchor = (rng.integers(ph), rng.integers(pw))
+            mask[anchor] = False
+            if not mask.any():
+                mask[anchor[0], (anchor[1] + 1) % pw] = True
+            b = Probe(rng.uniform(10, 240, size=(ph, pw)), mask, anchor)
+            f = random_image(rng.integers(3, 10), rng.integers(3, 10), rng)
+            ref_lam, ref_mu = (reference(fn)(f, b).values for fn in (mlub_mult, mglb_mult))
+            lam_map, mu_map = mlub_mult(f, b).values, mglb_mult(f, b).values
+            for r in range(f.height):
+                for c in range(f.width):
+                    pair = self.window_pair(f, b, r, c)
+                    if pair is None:
+                        continue
+                    lam, mu = mult_bounds(*pair)
+                    assert (ref_lam[r, c], ref_mu[r, c]) == (lam, mu)
+                    assert abs(lam_map[r, c] - lam) <= 1e-12 * lam
+                    assert abs(mu_map[r, c] - mu) <= 1e-12 * mu
 
     def test_map_add_matches_per_cell_metric(self, rng):
         f = random_image(9, 11, rng)
@@ -625,7 +640,7 @@ class TestWindowRestrictionOracle:
     def test_morpho_path_matches_per_cell_metric(self, rng):
         f = random_image(8, 8, rng)
         b = random_probe(3, 5, rng)
-        out = map_mult(f, b, path="morpho").values
+        out = map_mult(f, b).values
         for r in range(f.height):
             for c in range(f.width):
                 fw, bw = self.window_pair(f, b, r, c)

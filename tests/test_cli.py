@@ -48,20 +48,14 @@ def tiny_files(tmp_path):
 
 
 class TestMapMult:
-    def test_two_paths_agree_through_files(self, scene_files, tmp_path):
+    def test_path_option_exits_2(self, scene_files, tmp_path):
+        # map-mult has one way to compute the map; --path is not an option
         image, probe = scene_files
-        out_a = str(tmp_path / "a.fmap")
-        out_b = str(tmp_path / "b.fmap")
-        assert cli.main(["map-mult", "--image", image, "--probe", probe, "--out", out_a]) == 0
-        assert (
-            cli.main(
-                ["map-mult", "--image", image, "--probe", probe, "--out", out_b,
-                 "--path", "ratio"]
-            )
-            == 0
-        )
-        a, b = read_map(out_a), read_map(out_b)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-9
+        out = tmp_path / "a.fmap"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["map-mult", "--image", image, "--probe", probe, "--out", str(out), "--path", "ratio"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_constant_inputs_give_zero_interior(self, tmp_path):
         image = tmp_path / "c.fmap"

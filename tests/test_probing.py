@@ -91,6 +91,14 @@ class TestRingProbe:
         with pytest.raises(DomainError):
             make_ring_probe(2, 1, ring_value=256.0)
 
+    @pytest.mark.parametrize("radii", [(6.7, 3.2), (6, 3.0), ("6", 3)], ids=["floats", "float-inner", "str"])
+    def test_radii_must_be_integers(self, radii):
+        # int() built the radius-6 ring from (6.7, 3.2)
+        with pytest.raises(DomainError) as exc:
+            make_ring_probe(*radii)
+        assert str(exc.value) == f"ring radii must be two integers, got {radii!r}"
+        assert make_ring_probe(np.int64(6), np.int32(3)).shape == (13, 13)
+
 
 class TestCanvas:
     def test_deterministic(self):
@@ -143,6 +151,14 @@ class TestPlantTarget:
         probe = make_ring_probe(3, 1)
         with pytest.raises(DomainError):
             plant_target(canvas, probe, (1, 4))
+
+    @pytest.mark.parametrize("at", [(5.5, 5), ("5", 5), (5, 5, 5), 5], ids=["float", "str", "three", "int"])
+    def test_position_must_be_two_integers(self, at):
+        # int() planted (5.5, 5) at row 5
+        canvas = make_canvas(12, 12, seed=0)
+        with pytest.raises(DomainError) as exc:
+            plant_target(canvas, make_ring_probe(2, 1), at)
+        assert str(exc.value) == f"target position must be two integers, got {at!r}"
 
 
 class TestDetectMinima:

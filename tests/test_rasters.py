@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import reference
 
 from lipmaps import (
     DimensionError,
@@ -95,6 +96,17 @@ class TestProbe:
     def test_anchor_need_not_be_masked(self):
         p = Probe([[0.0, 5.0]], [[False, True]], (0, 0))
         assert p.anchor == (0, 0)
+
+    @pytest.mark.parametrize(
+        "anchor", [(1.7, 0.2), ("1", 1), (np.float64(1.0), 0), (1, 2, 3), 5], ids=["float", "str", "np-float", "three", "int"]
+    )
+    def test_anchor_must_be_two_integers(self, anchor):
+        # int() anchored (1.7, 0.2) at (1, 0) and ("1", 1) at (1, 1)
+        values, mask = np.ones((2, 2)), np.ones((2, 2), dtype=bool)
+        with pytest.raises(DomainError) as exc:
+            Probe(values, mask, anchor)
+        assert str(exc.value) == f"anchor must be two integers, got {anchor!r}"
+        assert Probe(values, mask, (np.int64(1), np.uint8(0))).anchor == (1, 0)
 
 
 class TestMaps:
@@ -199,14 +211,14 @@ def _image_and_probe(rng):
 # name: the map as a function of image and probe
 MAPS = {
     "map_mult morpho": lambda f, b: map_mult(f, b),
-    "map_mult ratio": lambda f, b: map_mult(f, b, path="ratio"),
+    "map_mult ratio": reference(map_mult),
     "map_add": map_add,
     "map_mult_via_add": map_mult_via_add,
     "map_add_via_mult": map_add_via_mult,
-    "mlub_mult morpho": lambda f, b: mlub_mult(f, b, path="morpho"),
-    "mlub_mult ratio": lambda f, b: mlub_mult(f, b, path="ratio"),
-    "mglb_mult morpho": lambda f, b: mglb_mult(f, b, path="morpho"),
-    "mglb_mult ratio": lambda f, b: mglb_mult(f, b, path="ratio"),
+    "mlub_mult morpho": mlub_mult,
+    "mlub_mult ratio": reference(mlub_mult),
+    "mglb_mult morpho": mglb_mult,
+    "mglb_mult ratio": reference(mglb_mult),
     "mlub_add": mlub_add,
     "mglb_add": mglb_add,
 }

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import reference, traced_peak
 
 from lipmaps import (
     GreyImage,
@@ -101,7 +101,7 @@ def assert_all_maps(f_mult, f_add, b):
     wins = windows(hat(f_mult.values, m), b.with_values(hat(b.values, m)))
     hi = loop_reduce(shape, wins, lambda x, v: x - v, max, -np.inf)
     lo = loop_reduce(shape, wins, lambda x, v: x - v, min, np.inf)
-    assert np.array_equal(map_mult(f_mult, b, path="morpho").values, hi - lo)
+    assert np.array_equal(map_mult(f_mult, b).values, hi - lo)
 
     wins = windows(xi(f_add.values, m), b.with_values(xi(b.values, m)))
     hi = loop_reduce(shape, wins, lambda x, v: x - v, max, -np.inf)
@@ -541,8 +541,8 @@ class TestMapMemory:
     map finishes each strip in the kernel's padded blocks and copies its rows
     into the one output raster, so no raster of ``T f``, ``hi`` or ``lo`` is
     made; the mask takes one byte per cell.  The link maps hold their
-    intermediate image besides, and the ratio path ``tilde(f)``, both bounds
-    and one block of quotient rows.
+    intermediate image besides, and the ratio reference ``tilde(f)``, both
+    bounds and one block of quotient rows.
     """
 
     @staticmethod
@@ -559,8 +559,8 @@ class TestMapMemory:
             (map_mult, 1, 2),
             (mlub_add, 1, 1),
             (mglb_add, 1, 1),
-            (lambda f, b: mlub_mult(f, b, path="morpho"), 1, 1),
-            (lambda f, b: mglb_mult(f, b, path="morpho"), 1, 1),
+            (mlub_mult, 1, 1),
+            (mglb_mult, 1, 1),
             (map_mult_via_add, 2, 2),
             (map_add_via_mult, 2, 2),
         ],
@@ -573,14 +573,10 @@ class TestMapMemory:
         floats = rasters * f.values.size + scratch_floats(f.shape, ring, sides)
         assert peak < floats * f.values.itemsize + f.values.size + 64 * 1024
 
-    @pytest.mark.parametrize(
-        "call, rasters",
-        [(lambda f, b: map_mult(f, b, path="ratio"), 3), (lambda f, b: mlub_mult(f, b, path="ratio"), 2)],
-        ids=["map_mult", "mlub_mult"],
-    )
+    @pytest.mark.parametrize("call, rasters", [(reference(map_mult), 3)], ids=["map_mult"])
     def test_ratio_peak_at_512(self, rng, call, rasters):
-        # tilde(f), the bounds asked for and one block of quotient rows; numpy
-        # buffers its strided ufuncs in up to 192 KiB
+        # tilde(f), both bounds and one block of quotient rows; numpy buffers
+        # its strided ufuncs in up to 192 KiB
         peak, f, _ = self.peak(rng, call)
         floats = rasters * f.values.size + _RATIO_ROWS * f.shape[1]
         assert peak < floats * f.values.itemsize + f.values.size + 256 * 1024
@@ -716,8 +712,8 @@ def two_step(name, f, b):
 
 STREAMED = {
     "map_mult": map_mult,
-    "mlub_mult": lambda f, b: mlub_mult(f, b, path="morpho"),
-    "mglb_mult": lambda f, b: mglb_mult(f, b, path="morpho"),
+    "mlub_mult": mlub_mult,
+    "mglb_mult": mglb_mult,
     "map_add": map_add,
     "mlub_add": mlub_add,
     "mglb_add": mglb_add,

@@ -7,10 +7,11 @@ Usage::
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``lipmaps`` package
 (the ``src`` directory of two checkouts).  Each is imported in its own
 subprocess, with warnings turned into errors, and runs the same battery:
-every public map (both paths of the multiplicative ones, and their
-default with no path named), both link maps, ``dilate``, ``erode`` and
-``spread`` with each choice of sides, at the scales m in {1e-6, 1, 256,
-65536, 1e200}.  Images are strict, carry the edge values 0 and ``m``, run
+every public map, both link maps, ``dilate``, ``erode``, ``spread`` with
+each choice of sides, and the ratio closed form of the multiplicative
+bounds (``asplund._ratio_bounds`` after the bound maps' entry check
+``asplund._require_mult``, the reference the tests check the kernel
+against), at the scales m in {1e-6, 1, 256, 65536, 1e200}.  Images are strict, carry the edge values 0 and ``m``, run
 below ``-m`` (with or without ``-inf``, ``m`` and ``-1e300`` cells), or
 are quantised to a few levels; probes have
 single-cell values, shared values in runs, negative values, off-mask
@@ -92,16 +93,9 @@ def battery(lipmaps, seed, cases, heights, tmp):
     from lipmaps import asplund, morphology, raster_io
 
     maps = {
-        "mlub_mult ratio": lambda f, b: asplund.mlub_mult(f, b, path="ratio"),
-        "mlub_mult morpho": lambda f, b: asplund.mlub_mult(f, b, path="morpho"),
-        "mglb_mult ratio": lambda f, b: asplund.mglb_mult(f, b, path="ratio"),
-        "mglb_mult morpho": lambda f, b: asplund.mglb_mult(f, b, path="morpho"),
-        "map_mult morpho": lambda f, b: asplund.map_mult(f, b, path="morpho"),
-        "map_mult ratio": lambda f, b: asplund.map_mult(f, b, path="ratio"),
-        # no path named: a change of default shows up here and only here
-        "mlub_mult default": asplund.mlub_mult,
-        "mglb_mult default": asplund.mglb_mult,
-        "map_mult default": asplund.map_mult,
+        "mlub_mult": asplund.mlub_mult,
+        "mglb_mult": asplund.mglb_mult,
+        "map_mult": asplund.map_mult,
         "mlub_add": asplund.mlub_add,
         "mglb_add": asplund.mglb_add,
         "map_add": asplund.map_add,
@@ -115,6 +109,10 @@ def battery(lipmaps, seed, cases, heights, tmp):
         "spread hi": lambda f, b: morphology.spread(f, b, lo=False),
         "spread lo": lambda f, b: morphology.spread(f, b, hi=False),
     }
+
+    def ratio_reference(f, b):
+        asplund._require_mult(f, b, strict_image=False)
+        return asplund._ratio_bounds(f, b)
 
     def run(call, arrays=lambda out: out):
         """``(call(), bytes of each array in arrays(call()))``, or ``None`` and the exception."""
@@ -162,6 +160,7 @@ def battery(lipmaps, seed, cases, heights, tmp):
                             round_trip(f"{at} {name}", raster_io.write_map, r, b)
                     for name, fn in kernel.items():
                         _, results[f"{at} {name}"] = run(lambda: fn(f, b))
+                    _, results[f"{at} ratio reference"] = run(lambda: ratio_reference(image, b))
                     round_trip(f"{at} image", raster_io.write_image, image, b)
     return results
 
