@@ -206,9 +206,12 @@ def lip_mult(lam, f, m=DEFAULT_M):
     m = _check_m(m)
     fa = require_regime(f, m, "Ibar", "f")
     lam = float(_asvalues(lam, "lam"))
+    out = np.divide(fa, m, out=_out(fa))
+    np.subtract(1.0, out, out=out)
     with np.errstate(divide="ignore"):
-        out = m - m * (1.0 - fa / m) ** lam
-    return _ret(out, f)
+        out **= lam  # not np.power: in place keeps the scalar-power fast paths that ``**`` takes
+    np.multiply(m, out, out=out)
+    return _ret(np.subtract(m, out, out=out), f)
 
 
 def lip_neg(f, m=DEFAULT_M):

@@ -83,6 +83,14 @@ def make_ring_probe(
     return Probe(values, mask, (outer_radius, outer_radius), m)
 
 
+def _size(height, width):
+    """``(height, width)`` as two non-negative integers; a size of 0 is left to the container's check."""
+    shape = _int_pair((height, width), "raster size")
+    if min(shape) < 0:
+        raise DomainError(f"raster size must be non-negative, got {(height, width)!r}")
+    return shape
+
+
 def make_canvas(
     height: int,
     width: int,
@@ -92,8 +100,8 @@ def make_canvas(
     m: float = DEFAULT_M,
 ) -> GreyImage:
     """Uniform mid-grey canvas with seeded uniform noise in ``+-noise`` grey levels."""
+    values = np.full(_size(height, width), float(background))
     rng = np.random.default_rng(seed)
-    values = np.full((height, width), float(background))
     if noise:
         values = values + rng.uniform(-noise, noise, size=values.shape)
     return GreyImage(values, m)
@@ -158,7 +166,7 @@ def random_image(
     m: float = DEFAULT_M,
 ) -> GreyImage:
     """Seeded uniform random image in ``[low, high]`` (PCG64 generator)."""
-    return GreyImage(rng.uniform(low, high, size=(height, width)), m)
+    return GreyImage(rng.uniform(low, high, size=_size(height, width)), m)
 
 
 def random_probe(
@@ -170,6 +178,7 @@ def random_probe(
     m: float = DEFAULT_M,
 ) -> Probe:
     """Seeded full-mask random probe anchored at its centre cell."""
+    height, width = _size(height, width)
     values = rng.uniform(low, high, size=(height, width))
     mask = np.ones((height, width), dtype=bool)
     return Probe(values, mask, (height // 2, width // 2), m)

@@ -109,15 +109,14 @@ class TestMapAdd:
         assert got.values[12, 12] == 0.0
         assert np.unravel_index(np.argmin(got.values), got.shape) == (12, 12)
 
-    def test_via_mult_reports_deviation(self, scene_files, tmp_path, capsys):
+    def test_via_mult_option_exits_2(self, scene_files, tmp_path):
+        # map-add has one way to compute the map; verify-link reports the multiplicative route's deviation
         image, probe = scene_files
-        out = str(tmp_path / "o.fmap")
-        assert cli.main(["map-add", "--image", image, "--probe", probe, "--out", out,
-                         "--via-mult"]) == 0
-        err = capsys.readouterr().err
-        assert "deviation" in err
-        dev = float(err.split("deviation from direct path:")[1].split()[0])
-        assert dev <= 1e-9
+        out = tmp_path / "a.fmap"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["map-add", "--image", image, "--probe", probe, "--out", str(out), "--via-mult"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_darkened_scene_same_argmin(self, scene_files, tmp_path):
         image, probe = scene_files
@@ -280,6 +279,22 @@ class TestVerifyLink:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no full-overlap cell" in captured.err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["verify-link", "--random", "8", "8", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be a non-negative integer, got -1" in captured.err
+
+    def test_probe_at_another_scale_exits_2(self, tmp_path, capsys):
+        # the probe's window is a raster at the probe's scale, so its value 300 is no image cell
+        image, probe = tmp_path / "f.fmap", tmp_path / "b.probe"
+        image.write_bytes(binary_fmap(np.full((4, 4), 100.0), M))
+        probe.write_text("probe 3 3 1 1 512\n" + "300 300 300\n" * 3)
+        assert cli.main(["verify-link", "--image", str(image), "--probe", str(probe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lipmaps: error: grey-scale bounds differ: 256.0 vs 512.0\n"
 
     def test_missing_arguments_exit_2(self):
         assert cli.main(["verify-link"]) == 2

@@ -1,4 +1,7 @@
-"""``tools/compare_outputs.py`` runs its battery and I/O round trips and reports no mismatch when both trees are this checkout's."""
+"""``tools/compare_outputs.py`` runs its battery, I/O round trips and CLI runs.
+
+It reports no mismatch when both trees are this checkout's.
+"""
 
 import subprocess
 import sys
@@ -19,6 +22,9 @@ def test_same_tree_has_no_mismatch():
     # and each image, at least, through write_image and the three reads
     io = int(counts.split(" I/O results")[0].rsplit(" ", 1)[1])
     assert io >= 5 * 6 * 5 * 4
+    # and the CLI ran its commands on every probe kind with three image kinds, at every scale
+    runs = int(counts.split(" CLI results")[0].rsplit(" ", 1)[1])
+    assert runs >= 5 * 6 * 3 * 10
 
 
 def test_needs_both_trees():

@@ -32,6 +32,8 @@ from lipmaps import (
     xi_inv,
 )
 
+from conftest import traced_peak
+
 M = 256.0
 
 mp.dps = 60
@@ -349,6 +351,14 @@ def _literal_lip_add(f, g, m):
     return f + g - f * g / m
 
 
+def _literal_lip_mult(lam, f, m):
+    with np.errstate(divide="ignore"):
+        return m - m * (1.0 - f / m) ** lam
+
+
+LIP_MULT_EXPONENTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0, 1.7, -2.5, 1e-300, np.inf, -np.inf)
+
+
 # name: (function, literal formula, the inputs its regime admits)
 TRANSFORMS = {
     "tilde": (tilde, _literal_tilde, lambda x, m: 0 <= x <= m),
@@ -378,7 +388,7 @@ def _lip_add_operands(m):
 
 
 class TestOneBuffer:
-    """The transforms and ``lip_add`` write into a fresh output, never into their input, bit for bit as before."""
+    """The transforms, ``lip_add`` and ``lip_mult`` write into a fresh output, never into their input, bit for bit as before."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", ONE_BUFFER_SCALES)
@@ -401,6 +411,25 @@ class TestOneBuffer:
             assert _outcome(lambda: lip_add(float(a), float(b), m)) == _outcome(
                 lambda: _literal_lip_add(np.asarray(a), np.asarray(b), m)
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", ONE_BUFFER_SCALES)
+    def test_lip_mult_equals_literal_formula(self, m):
+        # a scalar takes the array loop of ``**`` too, so it equals the formula on a one-cell array
+        f = np.array([x for x in _edges(m) if 0 <= x <= m] + [np.nextafter(m, 0)])
+        for lam in LIP_MULT_EXPONENTS:
+            assert _outcome(lambda: lip_mult(lam, f, m)) == _outcome(lambda: _literal_lip_mult(lam, f, m))
+            for x in f:
+                assert _outcome(lambda: lip_mult(lam, float(x), m)) == _outcome(
+                    lambda: _literal_lip_mult(lam, np.array([x]), m)
+                )
+
+    def test_lip_mult_holds_one_raster(self):
+        f = np.random.default_rng(4).uniform(10.0, 240.0, size=(512, 512))
+        f.setflags(write=False)
+        out = []
+        assert traced_peak(lambda: out.append(lip_mult(2.0, f, M))) < 1.1 * f.nbytes
+        assert not np.shares_memory(out[0], f)
 
     @staticmethod
     def inputs(m, writable):

@@ -16,6 +16,8 @@ from lipmaps import (
     map_mult,
     plant_target,
     lip_mult,
+    random_image,
+    random_probe,
 )
 from lipmaps.morphology import reflect
 
@@ -100,6 +102,13 @@ class TestRingProbe:
         assert make_ring_probe(np.int64(6), np.int32(3)).shape == (13, 13)
 
 
+SIZE_CASES = pytest.mark.parametrize(
+    "size, what",
+    [((2.5, 3), "two integers"), (("4", 3), "two integers"), ((-1, 5), "non-negative"), ((3, -1), "non-negative")],
+    ids=["float", "str", "negative-height", "negative-width"],
+)
+
+
 class TestCanvas:
     def test_deterministic(self):
         a = make_canvas(8, 8, seed=5)
@@ -114,6 +123,26 @@ class TestCanvas:
     def test_noiseless(self):
         c = make_canvas(4, 4, background=77.0, noise=0.0)
         assert np.all(c.values == 77.0)
+
+    @SIZE_CASES
+    def test_size_must_be_non_negative_integers(self, size, what):
+        with pytest.raises(DomainError) as exc:
+            make_canvas(*size)
+        assert str(exc.value) == f"raster size must be {what}, got {size!r}"
+
+
+class TestRandomRasters:
+    @SIZE_CASES
+    def test_image_size_must_be_non_negative_integers(self, size, what):
+        with pytest.raises(DomainError) as exc:
+            random_image(*size, np.random.default_rng(0))
+        assert str(exc.value) == f"raster size must be {what}, got {size!r}"
+
+    @SIZE_CASES
+    def test_probe_size_must_be_non_negative_integers(self, size, what):
+        with pytest.raises(DomainError) as exc:
+            random_probe(*size, np.random.default_rng(0))
+        assert str(exc.value) == f"raster size must be {what}, got {size!r}"
 
 
 class TestPlantTarget:

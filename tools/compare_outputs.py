@@ -21,19 +21,32 @@ Each map result is written with ``write_map`` and each image with
 without the probe) and with ``read_image``: the I/O round trips.  Each
 result is compared by the ``tobytes()`` of every array it returns (the
 file's bytes, for a write), or by the class and message of the exception
-it raised.  The script prints the counts and the first mismatches, and
-exits 1 on any mismatch.
+it raised.
+
+The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
+case of each scale, every probe kind with the strict, edge-valued and
+below-zero images goes through ``map-mult``, ``map-add``, ``detect`` with
+and without ``--probe``, ``lighting --add`` and ``--mult``, and
+``verify-link --image/--probe``, some under ``--clamp``; and each case runs
+``verify-link --random W H --seed N``.  Its working directory is the
+temporary directory and its file names are relative, so that messages
+match across trees.  Each run is compared by its exit code, stdout, stderr
+and the bytes of every file it wrote.  The script prints the counts and
+the first mismatches, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 SCALES = (1e-6, 1.0, 256.0, 65536.0, 1e200)
 
@@ -82,15 +95,46 @@ def probes(rng, shape, m):
     ]
 
 
+#: Image kinds the CLI battery runs, with every probe kind, on the first case of
+#: each scale: maps that succeed, edge values that only ``--clamp`` admits to
+#: ``map-mult``, values below 0.
+CLI_IMAGES = ("strict", "edges", "below")
+
+
+def cli_commands(m):
+    """``(name, argv)`` of each command run on the input files ``f.fmap`` and ``b.probe``, in order.
+
+    Each command writes a file of its own name, so that every file written shows as written.
+    """
+    eps, k, add_t = (repr(x) for x in (1e-3 * m, 0.3 * m, 0.8 * m))
+    inputs = ["--image", "f.fmap", "--probe", "b.probe"]
+    return [
+        ("map-mult", ["map-mult", *inputs, "--out", "mult.fmap"]),
+        ("map-add", ["map-add", *inputs, "--out", "add.fmap"]),
+        ("clamp map-mult", ["--clamp", eps, "map-mult", *inputs, "--out", "clamped.fmap"]),
+        ("detect add", ["detect", "--map", "add.fmap", "--threshold", "inf"]),
+        ("detect add probe", ["detect", "--map", "add.fmap", "--threshold", add_t, "--probe", "b.probe"]),
+        ("detect mult probe", ["detect", "--map", "clamped.fmap", "--threshold", "2.5", "--probe", "b.probe"]),
+        ("lighting add", ["lighting", "--image", "f.fmap", "--out", "lit-add.fmap", "--add", k]),
+        ("lighting mult", ["lighting", "--image", "f.fmap", "--out", "lit-mult.fmap", "--mult", "2"]),
+        ("verify-link", ["verify-link", *inputs]),
+        ("clamp verify-link", ["--clamp", eps, "verify-link", *inputs]),
+    ]
+
+
 def battery(lipmaps, seed, cases, heights, tmp):
-    """``{case name: result}``; the names of I/O round trips start with ``io``.
+    """``{case name: result}``; the names of I/O round trips start with ``io``, of CLI runs with ``cli``.
 
     A result is a tuple of bytes, ``None`` for a side not asked for, or the
-    ``(class, message)`` of the exception raised.  Files go to directory ``tmp``.
+    ``(class, message)`` of the exception raised; a CLI run's is its exit
+    code, stdout, stderr and the ``(name, bytes)`` of each file it wrote.
+    Files go to directory ``tmp``; the CLI runs in its subdirectory ``cli``
+    with relative file names, so that its messages name the same files in
+    every tree.
     """
     import numpy as np
 
-    from lipmaps import asplund, morphology, raster_io
+    from lipmaps import asplund, cli, morphology, raster_io
 
     maps = {
         "mlub_mult": asplund.mlub_mult,
@@ -144,11 +188,40 @@ def battery(lipmaps, seed, cases, heights, tmp):
         for name, read in reads.items():
             _, results[f"io {at} {name}"] = run(lambda: read(probe), fields)
 
+    def files():
+        return {name: Path(name).read_bytes() for name in sorted(os.listdir("."))}
+
+    def cli_run(argv):
+        """``lipmaps argv`` as ``(exit code, stdout, stderr, files written)``; an escaping exception is the code."""
+        before, out, err = files(), io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # compared by class and message
+            code = f"{type(exc).__name__}: {exc}"
+        written = tuple((n, b) for n, b in files().items() if before.get(n) != b)
+        return code, out.getvalue(), err.getvalue(), written
+
+    def cli_battery(at, image, b):
+        """Every command of ``cli_commands`` on ``image`` and ``b`` written to fresh input files."""
+        for name in os.listdir("."):
+            os.remove(name)
+        raster_io.write_image(image, "f.fmap")
+        raster_io.write_probe(b, "b.probe")
+        for name, argv in cli_commands(image.m):
+            results[f"cli {at} {name}"] = cli_run(argv)
+
+    os.makedirs(os.path.join(tmp, "cli"))
+    os.chdir(os.path.join(tmp, "cli"))
     results = {}
     rng = np.random.default_rng(seed)
     for m in SCALES:
         for i in range(cases):
             shape = (heights[i % len(heights)], int(rng.integers(1, 14)))
+            random = ["verify-link", "--random", str(shape[1]), str(shape[0]), "--seed", str(seed + i)]
+            results[f"cli m={m:g} case={i} shape={shape} verify-link random"] = cli_run(random)
             for pname, values, mask, anchor in probes(rng, shape, m):
                 b = lipmaps.Probe(values, mask, anchor, m)
                 for iname, f in images(rng, shape, m):
@@ -162,6 +235,8 @@ def battery(lipmaps, seed, cases, heights, tmp):
                         _, results[f"{at} {name}"] = run(lambda: fn(f, b))
                     _, results[f"{at} ratio reference"] = run(lambda: ratio_reference(image, b))
                     round_trip(f"{at} image", raster_io.write_image, image, b)
+                    if i == 0 and iname in CLI_IMAGES:
+                        cli_battery(at, image, b)
     return results
 
 
@@ -199,20 +274,26 @@ def main(argv=None):
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = collect(args.old, args), collect(args.new, args)
     mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    calls = [r for k, r in new.items() if not k.startswith("io ")]
+    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli "))]
     raised = sum(1 for r in calls if r and isinstance(r[0], str))
+    runs = [r for k, r in new.items() if k.startswith("cli ")]
+    ok = sum(1 for r in runs if r[0] == 0)
     print(
         f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
-        f"{len(new) - len(calls)} I/O results, {len(mismatches)} mismatches"
+        f"{len(new) - len(calls) - len(runs)} I/O results, {len(runs)} CLI results ({ok} exit 0), "
+        f"{len(mismatches)} mismatches"
     )
     for key in mismatches[:10]:
-        print(f"  {key}: {describe(old.get(key))} vs {describe(new.get(key))}")
+        print(f"  {key}: {describe(key, old.get(key))} vs {describe(key, new.get(key))}")
     return 1 if mismatches else 0
 
 
-def describe(result):
+def describe(key, result):
     if result is None:
         return "missing"
+    if key.startswith("cli "):
+        code, out, err, written = result
+        return f"exit {code}, {len(out)} B stdout, stderr {err[:80]!r}, wrote {[n for n, _ in written]}"
     if result and isinstance(result[0], str):
         return f"{result[0]}: {result[1]}"
     return f"{len(result)} arrays"
