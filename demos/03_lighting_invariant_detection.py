@@ -17,14 +17,13 @@ import pathlib
 import numpy as np
 
 from lipmaps import (
-    FmMap,
     darken,
     detect_minima,
     make_canvas,
     make_ring_probe,
     map_add,
     plant_target,
-    write_map,
+    write_pgm8,
 )
 
 M = 256.0
@@ -56,10 +55,10 @@ for name, dmap in (("bright", map_bright), ("dark", map_dark)):
           [(d.row, d.col, round(d.value, 6)) for d in hits])
 
 # Viewable 8-bit dumps (min-max normalised; dark cells = small distance).
-write_map(FmMap(scene.values, None, M), OUT / "scene.pgm", mode="pgm8")
-write_map(FmMap(dark.values, None, M), OUT / "scene_darkened.pgm", mode="pgm8")
-write_map(map_bright, OUT / "map_bright.pgm", mode="pgm8")
-write_map(map_dark, OUT / "map_dark.pgm", mode="pgm8")
+write_pgm8(scene, OUT / "scene.pgm")
+write_pgm8(dark, OUT / "scene_darkened.pgm")
+write_pgm8(map_bright, OUT / "map_bright.pgm")
+write_pgm8(map_dark, OUT / "map_dark.pgm")
 print("wrote PGM views into", OUT)
 
 # The same experiment drives the CLI:

@@ -18,7 +18,7 @@ The package provides, in dependency order:
 * :mod:`lipmaps.probing` -- lighting-change simulation, ring probes, and
   detection of map minima;
 * :mod:`lipmaps.raster_io` -- PGM input, the bit-exact binary ``fmap``
-  container and the ``probe`` text format;
+  container, the ``probe`` text format and a lossy 8-bit PGM view;
 * :mod:`lipmaps.cli` -- the ``lipmaps`` command-line tool.
 """
 
@@ -82,6 +82,7 @@ from .raster_io import (
     read_probe,
     write_image,
     write_map,
+    write_pgm8,
     write_probe,
 )
 

@@ -47,7 +47,7 @@ def cmd_map(args) -> int:
     image = _load_image(args)
     probe = raster_io.read_probe(args.probe)
     result = getattr(asplund, args.map_name)(image, probe)
-    raster_io.write_map(result, args.out, mode="exact")
+    raster_io.write_map(result, args.out)
     return 0
 
 

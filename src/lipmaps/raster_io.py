@@ -27,7 +27,9 @@ so every value the writers print reads back bit for bit.
 
 A map read from a file without a rectangle (an image) gets an all-cells
 mask, or the probe's full-overlap mask when a probe is given.
-The ``pgm8`` writing mode is a lossy min-max normalised view for eyeballing
+Each writer writes one format: :func:`write_map` and :func:`write_image`
+the ``fmap``, :func:`write_probe` the ``probe`` text, and :func:`write_pgm8`
+a lossy min-max normalised ``P2`` view of an image or a map, for eyeballing
 only.
 """
 
@@ -48,6 +50,7 @@ __all__ = [
     "write_image",
     "read_map",
     "write_map",
+    "write_pgm8",
     "read_probe",
     "write_probe",
 ]
@@ -270,33 +273,39 @@ def read_map(path, probe: Probe | None = None) -> DistanceMap:
     return DistanceMap._adopt(values, mask, m)
 
 
-def write_map(dist_map, path, mode: str = "exact"):
-    """Write a map, either bit-exact ``fmap`` (``exact``) or an 8-bit view (``pgm8``).
+def write_map(dist_map, path):
+    """Write a map in the bit-exact ``fmap`` container, with its full-overlap mask.
 
-    ``exact`` stores the full-overlap mask as a rectangle in the header and
-    raises :class:`ValueError` if the mask is not one.  ``pgm8`` min-max
-    normalises the finite cells to 0..255 (infinite cells clamp to the
-    ends) and is lossy; use it for viewing only.
+    The mask is stored as a rectangle in the header; a mask that is not one
+    raises :class:`ValueError`.
     """
-    if mode == "exact":
-        _write_fmap(dist_map.values, dist_map.m, path, _mask_rectangle(dist_map.full_mask))
-    elif mode == "pgm8":
-        v = dist_map.values
-        finite = np.isfinite(v)
-        out = np.zeros(v.shape, dtype=np.uint8)
-        if finite.any():
-            lo, hi = v[finite].min(), v[finite].max()
-            if hi > lo:
-                out[finite] = np.round((v[finite] - lo) / (hi - lo) * 255).astype(np.uint8)
-        out[v == np.inf] = 255
-        h, w = out.shape
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"P2\n{w} {h}\n255\n")
-            for row in out:
-                fh.write(" ".join(map(str, row.tolist())))
-                fh.write("\n")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _write_fmap(dist_map.values, dist_map.m, path, _mask_rectangle(dist_map.full_mask))
+
+
+def write_pgm8(raster, path):
+    """Write ``raster.values`` (an image or a map) as a lossy 8-bit ``P2`` view.
+
+    The finite cells are min-max normalised to 0..255, ``+inf`` cells
+    become 255 and ``-inf`` cells 0; a constant raster is all 0.  For
+    viewing only: nothing reads the view back as the raster.
+    """
+    v = raster.values
+    finite = np.isfinite(v)
+    out = np.zeros(v.shape, dtype=np.uint8)
+    if finite.any():
+        f = v[finite]
+        lo, hi = float(f.min()), float(f.max())
+        if hi > lo:
+            if hi - lo == np.inf:  # the span passes the largest float: halve the operands
+                f, lo, hi = f / 2, lo / 2, hi / 2
+            out[finite] = np.round((f - lo) / (hi - lo) * 255).astype(np.uint8)
+    out[v == np.inf] = 255
+    h, w = out.shape
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"P2\n{w} {h}\n255\n")
+        for row in out:
+            fh.write(" ".join(map(str, row.tolist())))
+            fh.write("\n")
 
 
 def write_image(image: GreyImage, path):
@@ -369,7 +378,7 @@ def read_probe(path) -> Probe:
             mask[r, c] = True
     if not mask.any():
         raise ParseError("probe domain is empty (all tokens are '_')")
-    return Probe._adopt(values, mask, (ay, ax), m)
+    return Probe(values, mask, (ay, ax), m)
 
 
 def write_probe(probe: Probe, path):

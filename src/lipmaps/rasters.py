@@ -22,13 +22,14 @@ Copy or adopt
 A container never aliases memory a caller can still write: every array
 passed to a constructor or to ``with_values`` is copied, then frozen
 read-only.  An array the library has just made and hands on to no one (a
-map result, the intermediate images and probes of the link maps,
+map result, the intermediate images of the link maps,
 :func:`lipmaps.probing.darken`'s result, the buffer a reader read into)
-is adopted instead, frozen in place without a copy, through each class's
-private ``_adopt``.  Adoption goes through the class's own ``__init__``
-and runs every check a copy runs.  A probe's values are always a fresh
-array (off-mask cells are zeroed into one), so only its mask is ever
-copied; ``Probe.with_values`` shares its read-only mask with the new probe.
+is adopted instead, frozen in place without a copy, through the private
+``_adopt`` of :class:`GreyImage` and :class:`DistanceMap`.  Adoption goes
+through the class's own ``__init__`` and runs every check a copy runs.  A
+:class:`Probe` adopts nothing: its values are always a fresh array
+(off-mask cells are zeroed into one), and its mask, a few KB at most, is
+copied like any caller array.
 """
 
 from __future__ import annotations
@@ -153,9 +154,8 @@ class Probe:
     m: float = DEFAULT_M
 
     def __post_init__(self):
-        v = np.asarray(_unwrap(self.values)[0], dtype=np.float64)
-        mask, adopt = _unwrap(self.mask)
-        mk = np.asarray(mask, dtype=bool)
+        v = np.asarray(self.values, dtype=np.float64)
+        mk = np.asarray(self.mask, dtype=bool)
         if mk.shape != v.shape:
             raise DimensionError(f"mask shape {mk.shape} != values shape {v.shape}")
         v = _raster(np.where(mk, v, 0.0), "probe")
@@ -167,14 +167,9 @@ class Probe:
         m = _check_m(self.m)
         require_regime(v, np.inf, "FM", "probe")  # finite: ]-inf, inf[
         object.__setattr__(self, "values", _frozen_array(v, True))  # np.where made it
-        object.__setattr__(self, "mask", _frozen_array(mk, adopt, dtype=bool))
+        object.__setattr__(self, "mask", _frozen_array(mk, False, dtype=bool))
         object.__setattr__(self, "anchor", (ar, ac))
         object.__setattr__(self, "m", m)
-
-    @classmethod
-    def _adopt(cls, values, mask, anchor, m):
-        """A probe holding ``values`` and ``mask``, which the library has just made, without a copy."""
-        return cls(_Fresh(values), _Fresh(mask), anchor, m)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -190,8 +185,8 @@ class Probe:
         return self.values[self.mask]
 
     def with_values(self, values) -> "Probe":
-        """Same geometry (mask, anchor, m), new values on the grid; the read-only mask is shared."""
-        return Probe(values, _Fresh(self.mask), self.anchor, self.m)
+        """Same geometry (mask, anchor, m), new values on the grid."""
+        return Probe(values, self.mask, self.anchor, self.m)
 
 
 @dataclass(frozen=True, eq=False)

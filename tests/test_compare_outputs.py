@@ -22,6 +22,9 @@ def test_same_tree_has_no_mismatch():
     # and each image, at least, through write_image and the three reads
     io = int(counts.split(" I/O results")[0].rsplit(" ", 1)[1])
     assert io >= 5 * 6 * 5 * 4
+    # and every probe kind, at every scale, through write_probe and read_probe
+    probe_io = int(counts.split(" probe)")[0].rsplit("(", 1)[1])
+    assert probe_io >= 5 * 6 * 2
     # and the CLI ran its commands on every probe kind with three image kinds, at every scale
     runs = int(counts.split(" CLI results")[0].rsplit(" ", 1)[1])
     assert runs >= 5 * 6 * 3 * 10

@@ -32,6 +32,7 @@ from lipmaps import (
     read_probe,
     write_image,
     write_map,
+    write_pgm8,
     write_probe,
 )
 from lipmaps import cli
@@ -236,10 +237,15 @@ class TestFmap:
             " (at byte offset 0)"
         )
 
+    def test_write_map_takes_no_mode(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_map(FmMap(np.zeros((1, 1)), None, 256.0), tmp_path / "x", mode="pgm8")
+        assert not (tmp_path / "x").exists()
+
     def test_pgm8_mode(self, tmp_path):
         vals = np.array([[0.0, 5.0], [10.0, np.inf]])
         p = tmp_path / "v.pgm"
-        write_map(RealMap(vals, None, 256.0), p, mode="pgm8")
+        write_pgm8(RealMap(vals, None, 256.0), p)
         img = read_pgm(p)
         # finite cells min-max normalised; +inf clamps to 255
         assert img.values.tolist() == [[0.0, 128.0], [255.0, 255.0]]
@@ -248,17 +254,29 @@ class TestFmap:
     def test_pgm8_minus_inf_clamps_to_zero(self, tmp_path):
         vals = np.array([[-np.inf, 3.0, 7.0]])
         p = tmp_path / "v.pgm"
-        write_map(DistanceMap(vals, None, 256.0), p, mode="pgm8")
+        write_pgm8(DistanceMap(vals, None, 256.0), p)
         assert read_pgm(p).values.tolist() == [[0.0, 0.0, 255.0]]
 
     def test_pgm8_constant_map(self, tmp_path):
         p = tmp_path / "v.pgm"
-        write_map(FmMap(np.full((2, 2), 3.0), None, 256.0), p, mode="pgm8")
+        write_pgm8(FmMap(np.full((2, 2), 3.0), None, 256.0), p)
         assert np.all(read_pgm(p).values == 0.0)
 
-    def test_unknown_mode(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_map(FmMap(np.zeros((1, 1)), None, 256.0), tmp_path / "x", mode="png")
+    def test_pgm8_image_view(self, tmp_path):
+        p = tmp_path / "v.pgm"
+        write_pgm8(GreyImage([[0.0, 128.0]]), p)
+        assert p.read_bytes() == b"P2\n2 1\n255\n0 255\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_pgm8_span_past_the_largest_float(self, tmp_path):
+        p = tmp_path / "v.pgm"
+        write_pgm8(DistanceMap(np.array([[-1e308, 0.0, 1e308]])), p)
+        assert p.read_bytes() == b"P2\n3 1\n255\n0 128 255\n"
+
+    def test_pgm8_subnormal_span_keeps_its_precision(self, tmp_path):
+        p = tmp_path / "v.pgm"
+        write_pgm8(DistanceMap(np.array([[5e-324, 1e-323, 0.0]])), p)
+        assert p.read_bytes() == b"P2\n3 1\n255\n128 255 0\n"
 
 
 class TestProbeFormat:

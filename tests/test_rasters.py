@@ -262,15 +262,12 @@ class TestCopyRule:
             RealMap._adopt(np.array([[-1.0]]), None, 256.0)
         with pytest.raises(DimensionError):
             DistanceMap._adopt(np.zeros((2, 2)), np.ones((1, 2), dtype=bool), 256.0)
-        with pytest.raises(DomainError, match="empty"):
-            Probe._adopt(np.ones((1, 1)), np.zeros((1, 1), dtype=bool), (0, 0), 256.0)
 
     def test_adopt_freezes_without_a_copy(self):
         v, mk = np.ones((2, 3)), np.ones((2, 3), dtype=bool)
         img, fm = GreyImage._adopt(v, 256.0), FmMap._adopt(v, mk, 256.0)
-        p = Probe._adopt(v, mk, (0, 0), 256.0)
-        assert img.values is v and fm.values is v and fm.full_mask is mk and p.mask is mk
-        assert not (v.flags.writeable or mk.flags.writeable or p.values.flags.writeable)
+        assert img.values is v and fm.values is v and fm.full_mask is mk
+        assert not (v.flags.writeable or mk.flags.writeable)
 
     @pytest.mark.parametrize("name", MAPS)
     def test_map_results_share_nothing_with_inputs(self, rng, name):

@@ -18,10 +18,11 @@ single-cell values, shared values in runs, negative values, off-mask
 anchors, more rows than one kernel strip, or reach no cell of the raster.
 Each map result is written with ``write_map`` and each image with
 ``write_image``, and the file is read back with ``read_map`` (with and
-without the probe) and with ``read_image``: the I/O round trips.  Each
-result is compared by the ``tobytes()`` of every array it returns (the
-file's bytes, for a write), or by the class and message of the exception
-it raised.
+without the probe) and with ``read_image``; each probe, once per case, is
+written with ``write_probe`` and read back with ``read_probe``: the I/O
+round trips.  Each result is compared by the ``tobytes()`` of every array
+it returns (the file's bytes, for a write), or by the class and message of
+the exception it raised.
 
 The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
 case of each scale, every probe kind with the strict, edge-valued and
@@ -176,7 +177,7 @@ def battery(lipmaps, seed, cases, heights, tmp):
     def fields(r):
         return r.values, getattr(r, "full_mask", None), np.float64(r.m)
 
-    def written(write, obj):
+    def written(write, obj, path=path):
         write(obj, path)
         return (np.fromfile(path, dtype=np.uint8),)
 
@@ -187,6 +188,17 @@ def battery(lipmaps, seed, cases, heights, tmp):
             return
         for name, read in reads.items():
             _, results[f"io {at} {name}"] = run(lambda: read(probe), fields)
+
+    probe_path = os.path.join(tmp, "out.probe")
+
+    def probe_round_trip(at, b):
+        """Write probe ``b`` and read it back: the file's bytes, then the probe's fields."""
+        done, results[f"io {at} write_probe"] = run(lambda: written(raster_io.write_probe, b, probe_path))
+        if done is not None:
+            _, results[f"io {at} read_probe"] = run(
+                lambda: raster_io.read_probe(probe_path),
+                lambda r: (r.values, r.mask, np.array(r.anchor), np.float64(r.m)),
+            )
 
     def files():
         return {name: Path(name).read_bytes() for name in sorted(os.listdir("."))}
@@ -224,6 +236,7 @@ def battery(lipmaps, seed, cases, heights, tmp):
             results[f"cli m={m:g} case={i} shape={shape} verify-link random"] = cli_run(random)
             for pname, values, mask, anchor in probes(rng, shape, m):
                 b = lipmaps.Probe(values, mask, anchor, m)
+                probe_round_trip(f"m={m:g} case={i} shape={shape} probe={pname}", b)
                 for iname, f in images(rng, shape, m):
                     image = lipmaps.GreyImage(f, m)
                     at = f"m={m:g} case={i} shape={shape} image={iname} probe={pname}"
@@ -278,9 +291,11 @@ def main(argv=None):
     raised = sum(1 for r in calls if r and isinstance(r[0], str))
     runs = [r for k, r in new.items() if k.startswith("cli ")]
     ok = sum(1 for r in runs if r[0] == 0)
+    probe_io = sum(1 for k in new if k.endswith(("write_probe", "read_probe")))
     print(
         f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
-        f"{len(new) - len(calls) - len(runs)} I/O results, {len(runs)} CLI results ({ok} exit 0), "
+        f"{len(new) - len(calls) - len(runs)} I/O results ({probe_io} probe), "
+        f"{len(runs)} CLI results ({ok} exit 0), "
         f"{len(mismatches)} mismatches"
     )
     for key in mismatches[:10]:
