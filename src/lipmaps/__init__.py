@@ -63,7 +63,7 @@ from .lip import (
     xi,
     xi_inv,
 )
-from .morphology import dilate, erode, full_overlap_mask, reflect
+from .morphology import dilate, erode, full_overlap_rect, reflect
 from .probing import (
     Detection,
     darken,

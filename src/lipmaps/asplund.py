@@ -33,12 +33,14 @@ inf/sup conditions, kept independent of the closed forms so they can
 serve as verification oracles.
 
 Window geometry: probe windows are clipped at raster borders.  Border
-cells get values computed over the clipped window; every map carries a
-``full_mask`` marking the cells with full probe overlap, where the
-invariance guarantees hold.  A cell whose clipped window is empty (only
-possible when the probe does not cover its own anchor) takes the lattice
-neutral values: ``mlub_mult`` 0, ``mglb_mult`` +inf, ``mlub_add`` -inf,
-``mglb_add`` m, and both distance maps -inf.
+cells get values computed over the clipped window; every map carries the
+rectangle ``full_rect`` of the cells with full probe overlap, where the
+invariance guarantees hold: four integers from
+:func:`lipmaps.morphology.full_overlap_rect`, no raster.  A cell whose
+clipped window is empty (only possible when the probe does not cover its
+own anchor) takes the lattice neutral values: ``mlub_mult`` 0,
+``mglb_mult`` +inf, ``mlub_add`` -inf, ``mglb_add`` m, and both distance
+maps -inf.
 
 One transform per family, through the strip loop of
 :mod:`lipmaps.morphology`: each kernel map makes one entry check and one
@@ -55,9 +57,8 @@ and ``-inf - (+inf) = -inf``; an ``m`` cell has ``xi = +inf`` and gives
 below ``m``, which rounding reaches once ``hi - lo`` passes about
 ``37 m``.  The kernel writes the finished rows into the one output
 raster, which the map adopts without a copy, so a map call holds its
-output and the kernel's strip scratch, besides the one-byte-per-cell
-full-overlap mask.  The
-transform checks nothing: every image it sees has passed a check at
+output and the kernel's strip scratch, nothing more.  The transform
+checks nothing: every image it sees has passed a check at
 least as strict, ``I*`` (``map_mult``), ``Ibar`` (the bound maps' own
 ``hat`` regime) or ``FM`` (``map_add``) at the entry point, or the
 ``GreyImage`` invariant ``FMbar`` (``mlub_add``/``mglb_add``, ``xi``'s own
@@ -73,7 +74,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
 from .lip import _first_bad, _hat, _require_not_m, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
-from .morphology import _stream, full_overlap_mask
+from .morphology import _stream, full_overlap_rect
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
 __all__ = [
@@ -205,7 +206,7 @@ def _require_add(f: GreyImage, b: Probe, strict_image: bool):
 
 
 def _streamed(f, b, t, finish, hi=True, lo=True):
-    """``(values, full_mask)`` of a map computed by the kernel with ``T = t``.
+    """``(values, full_rect)`` of a map computed by the kernel with ``T = t``.
 
     ``t`` is ``_hat`` (multiplicative: the dilation of ``hat(f)`` by
     ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``_xi``
@@ -219,7 +220,7 @@ def _streamed(f, b, t, finish, hi=True, lo=True):
     out = np.empty(f.shape)
     tb = b.with_values(t(b.values, m, np.empty(b.shape)))
     _stream(f.values, tb, [out], hi, lo, lambda level0: t(level0, m, level0), finish)
-    return out, full_overlap_mask(f.shape, b)
+    return out, full_overlap_rect(f.shape, b)
 
 
 def _exp(side):
@@ -336,7 +337,7 @@ def map_mult_via_add(f: GreyImage, b: Probe) -> RealMap:
         b.with_values(_complemented(b.values, m, "probe", b.mask)),
     )
     vals = xi(inner.values, m)
-    return RealMap._adopt(np.divide(vals, m, out=vals), inner.full_mask, m)
+    return RealMap._adopt(np.divide(vals, m, out=vals), inner.full_rect, m)
 
 
 def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
@@ -357,7 +358,7 @@ def map_add_via_mult(f1: GreyImage, b1: Probe) -> FmMap:
         b1.with_values(_to_strict(b1.values, m, "probe", b1.mask)),
     )
     vals = np.multiply(m, inner.values)
-    return FmMap._adopt(_xi_inv(vals, m, vals), inner.full_mask, m)
+    return FmMap._adopt(_xi_inv(vals, m, vals), inner.full_rect, m)
 
 
 def dist_metric_link(f: GreyImage, g: GreyImage) -> tuple[float, float]:

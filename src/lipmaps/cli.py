@@ -17,7 +17,7 @@ import numpy as np
 from . import asplund, probing, raster_io
 from .errors import DomainError, LipError, VerificationError
 from .lip import lip_mult
-from .morphology import _full_overlap_rect
+from .morphology import full_overlap_rect
 from .rasters import GreyImage, clamp_strict
 
 LINK_TOL = asplund.LINK_TOL
@@ -75,7 +75,7 @@ def cmd_detect(args) -> int:
 
 def _centre_window_pair(image, probe):
     """1xN image/probe pair over the most central full-overlap window."""
-    r0, r1, c0, c1 = _full_overlap_rect(image.shape, probe)
+    r0, r1, c0, c1 = full_overlap_rect(image.shape, probe)
     if r0 == r1:
         raise DomainError("no full-overlap cell: image is smaller than the probe")
     # the row-major middle cell of the rectangle

@@ -95,7 +95,7 @@ import numpy as np
 from .lip import _asvalues
 from .rasters import Probe
 
-__all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_mask"]
+__all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_rect"]
 
 # Output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
 _STRIP = 64
@@ -322,19 +322,14 @@ def reflect(b: Probe) -> Probe:
     )
 
 
-def _full_overlap_rect(shape, b: Probe) -> tuple[int, int, int, int]:
-    """The half-open rectangle ``(r0, r1, c0, c1)`` of :func:`full_overlap_mask`; all 0 when it is empty."""
+def full_overlap_rect(shape, b: Probe) -> tuple[int, int, int, int]:
+    """Cells whose probe window lies entirely inside a raster of ``shape``.
+
+    The half-open rectangle ``(r0, r1, c0, c1)`` of rows ``r0 <= r < r1``
+    and columns ``c0 <= c < c1``; ``(0, 0, 0, 0)`` when no cell qualifies.
+    """
     h, w = shape
     dys, dxs, _ = b.offsets()
     r0, r1 = max(0, -int(dys.min())), min(h, h - int(dys.max()))
     c0, c1 = max(0, -int(dxs.min())), min(w, w - int(dxs.max()))
     return (r0, r1, c0, c1) if r0 < r1 and c0 < c1 else (0, 0, 0, 0)
-
-
-def full_overlap_mask(shape, b: Probe) -> np.ndarray:
-    """Cells whose probe window lies entirely inside a raster of ``shape``."""
-    r0, r1, c0, c1 = _full_overlap_rect(shape, b)
-    out = np.zeros(shape, dtype=bool)
-    out[r0:r1, c0:c1] = True
-    return out
-

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lip import DEFAULT_M, lip_add
-from .rasters import GreyImage, Probe, _int_pair
+from .rasters import GreyImage, Probe, _ints
 
 __all__ = [
     "Detection",
@@ -67,7 +67,7 @@ def make_ring_probe(
     cells beyond are outside the probe domain.  Default values 161 (ring)
     and 4 (disk) on the 8-bit scale.
     """
-    outer_radius, inner_radius = _int_pair((outer_radius, inner_radius), "ring radii")
+    outer_radius, inner_radius = _ints((outer_radius, inner_radius), "ring radii")
     if not 0 < inner_radius < outer_radius:
         raise DomainError(
             f"need 0 < inner_radius < outer_radius, got {inner_radius}, {outer_radius}"
@@ -85,7 +85,7 @@ def make_ring_probe(
 
 def _size(height, width):
     """``(height, width)`` as two non-negative integers; a size of 0 is left to the container's check."""
-    shape = _int_pair((height, width), "raster size")
+    shape = _ints((height, width), "raster size")
     if min(shape) < 0:
         raise DomainError(f"raster size must be non-negative, got {(height, width)!r}")
     return shape
@@ -115,7 +115,7 @@ def plant_target(canvas: GreyImage, probe: Probe, at: tuple[int, int], transform
     is an exact match up to that change.  The whole probe footprint must
     fall inside the canvas.
     """
-    r0, c0 = _int_pair(at, "target position")
+    r0, c0 = _ints(at, "target position")
     dys, dxs, vals = probe.offsets()
     rows, cols = r0 + dys, c0 + dxs
     if (
@@ -138,21 +138,22 @@ def detect_minima(dist_map, threshold: float) -> list[Detection]:
     """All full-overlap cells with map value ``<= threshold``.
 
     Sorted by ascending value, ties broken in row-major cell order.  An
-    empty list is a valid result.  Cells outside the map's full-overlap
-    mask are never reported; a map read from a file has the mask its
-    header stores, or all cells when it stores none and no probe is given.
-    A NaN threshold, which no value lies at or below, raises
-    :class:`DomainError`; ``+inf`` lists every full-overlap cell.
+    empty list is a valid result.  Only the cells of the map's
+    ``full_rect`` are compared, so cells outside it are never reported; a
+    map read from a file has the rectangle its header stores, or the whole
+    raster when it stores none and no probe is given.  A NaN threshold,
+    which no value lies at or below, raises :class:`DomainError`; ``+inf``
+    lists every full-overlap cell.
     """
     threshold = float(threshold)
     if np.isnan(threshold):
         raise DomainError("detection threshold must not be NaN")
-    vals = dist_map.values
-    hit = dist_map.full_mask & (vals <= threshold)
-    rows, cols = np.nonzero(hit)
+    r0, r1, c0, c1 = dist_map.full_rect
+    vals = dist_map.values[r0:r1, c0:c1]
+    rows, cols = np.nonzero(vals <= threshold)
     order = np.lexsort((cols, rows, vals[rows, cols]))
     return [
-        Detection(int(rows[i]), int(cols[i]), float(vals[rows[i], cols[i]]), threshold)
+        Detection(int(rows[i]) + r0, int(cols[i]) + c0, float(vals[rows[i], cols[i]]), threshold)
         for i in order
     ]
 

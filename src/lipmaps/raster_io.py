@@ -8,9 +8,10 @@ Small formats, all defined bit-exact:
   images).  Header line ``fmap <width> <height> <m> f8le``, then exactly
   ``8 * width * height`` bytes: the cells as little-endian IEEE float64 in
   row-major order, so every bit round-trips, signs of zero included.  A
-  map written by :func:`write_map` appends its full-overlap mask to the
-  header as the half-open rectangle ``r0 r1 c0 c1`` (``0 0 0 0`` when the
-  mask is empty); :func:`write_image` writes no rectangle.  The body is
+  map written by :func:`write_map` appends its ``full_rect`` to the
+  header, the half-open rectangle ``r0 r1 c0 c1`` of its full-overlap
+  cells (``0 0 0 0`` when there are none); :func:`write_image` writes no
+  rectangle.  The body is
   written with one ``tofile`` call and read with one ``readinto`` once its
   byte count matches the header, so a header the file does not back
   allocates nothing.  Any other first line is a ``ParseError`` naming the
@@ -25,8 +26,9 @@ number in a header or a probe (``m`` and the probe's values) takes the
 grammar of Python's ``float()`` without ``_`` separators, NaN excluded,
 so every value the writers print reads back bit for bit.
 
-A map read from a file without a rectangle (an image) gets an all-cells
-mask, or the probe's full-overlap mask when a probe is given.
+A map read from a file without a rectangle (an image) gets the whole
+raster as its full-overlap rectangle, or the probe's when a probe is
+given.  No reader or writer builds a full-overlap raster.
 Each writer writes one format: :func:`write_map` and :func:`write_image`
 the ``fmap``, :func:`write_probe` the ``probe`` text, and :func:`write_pgm8`
 a lossy min-max normalised ``P2`` view of an image or a map, for eyeballing
@@ -41,7 +43,7 @@ import re
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .morphology import _full_overlap_rect
+from .morphology import full_overlap_rect
 from .rasters import DistanceMap, GreyImage, Probe
 
 __all__ = [
@@ -233,53 +235,31 @@ def _write_fmap(values: np.ndarray, m: float, path, rect=None):
         np.ascontiguousarray(values, dtype="<f8").tofile(fh)
 
 
-def _mask_rectangle(mask: np.ndarray) -> tuple[int, int, int, int]:
-    """The half-open rectangle ``(r0, r1, c0, c1)`` that ``mask`` is; all 0 when empty."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if rows.size == 0:
-        return 0, 0, 0, 0
-    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-    if not mask[r0:r1, c0:c1].all():
-        raise ValueError("full_mask is not one rectangle, the only shape an fmap header stores")
-    return r0, r1, c0, c1
-
-
 def read_map(path, probe: Probe | None = None) -> DistanceMap:
-    """Read a map file, with the full-overlap mask its header stores.
+    """Read a map file, with the full-overlap rectangle its header stores.
 
     A file that stores no rectangle (an image from :func:`write_image`)
-    gets ``probe``'s full-overlap mask, or an all-cells mask without a
+    gets ``probe``'s full-overlap rectangle, or the whole raster without a
     probe.  A stored rectangle that differs from ``probe``'s raises
-    :class:`DomainError` naming both.  A first line other than an ``fmap``
+    :class:`DomainError` naming both; an empty one is the empty region,
+    whatever corners it names.  A first line other than an ``fmap``
     header, such as that of a file in the earlier text format, raises
     :class:`ParseError` naming the expected header.
     """
-    values, m, rect = _read_fmap(path)
-    if probe is not None:
-        expected = _full_overlap_rect(values.shape, probe)
-        if rect is None:
-            rect = expected
-        # a stored empty rectangle is the empty region, whatever corners it names
-        elif (rect if rect[0] < rect[1] and rect[2] < rect[3] else (0, 0, 0, 0)) != expected:
-            raise DomainError(
-                "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % rect
-                + "but the probe's is %d %d %d %d" % expected
-            )
-    mask = None
-    if rect is not None:
-        mask = np.zeros(values.shape, dtype=bool)
-        mask[rect[0] : rect[1], rect[2] : rect[3]] = True
-    return DistanceMap._adopt(values, mask, m)
+    values, m, stored = _read_fmap(path)
+    expected = None if probe is None else full_overlap_rect(values.shape, probe)
+    dist_map = DistanceMap._adopt(values, stored or expected, m)
+    if stored is not None and expected is not None and dist_map.full_rect != expected:
+        raise DomainError(
+            "map stores full-overlap rectangle r0 r1 c0 c1 = %d %d %d %d, " % stored
+            + "but the probe's is %d %d %d %d" % expected
+        )
+    return dist_map
 
 
 def write_map(dist_map, path):
-    """Write a map in the bit-exact ``fmap`` container, with its full-overlap mask.
-
-    The mask is stored as a rectangle in the header; a mask that is not one
-    raises :class:`ValueError`.
-    """
-    _write_fmap(dist_map.values, dist_map.m, path, _mask_rectangle(dist_map.full_mask))
+    """Write a map in the bit-exact ``fmap`` container, with its ``full_rect`` in the header."""
+    _write_fmap(dist_map.values, dist_map.m, path, dist_map.full_rect)
 
 
 def write_pgm8(raster, path):
@@ -309,7 +289,7 @@ def write_pgm8(raster, path):
 
 
 def write_image(image: GreyImage, path):
-    """Write an image in the exact ``fmap`` container, with no mask rectangle."""
+    """Write an image in the exact ``fmap`` container, with no full-overlap rectangle."""
     _write_fmap(image.values, image.m, path)
 
 

@@ -29,7 +29,10 @@ is adopted instead, frozen in place without a copy, through the private
 through the class's own ``__init__`` and runs every check a copy runs.  A
 :class:`Probe` adopts nothing: its values are always a fresh array
 (off-mask cells are zeroed into one), and its mask, a few KB at most, is
-copied like any caller array.
+copied like any caller array.  A :class:`DistanceMap`'s full-overlap
+region is no array at all but four integers, the rectangle ``full_rect``;
+its ``full_mask`` is a fresh read-only raster built from them on each
+access.
 """
 
 from __future__ import annotations
@@ -75,17 +78,22 @@ def _frozen_array(a, adopt, dtype=np.float64):
     return a
 
 
-def _int_pair(pair, what):
-    """``pair`` as two ``int`` values, through ``operator.index``.
+_COUNT = {2: "two", 4: "four"}  # the lengths _ints is asked for, in words
 
-    numpy integers pass; a float, a string or anything but two values
-    raises :class:`DomainError` naming ``pair``.
+
+def _ints(values, what, n=2):
+    """``values`` as a tuple of ``n`` ``int`` values, through ``operator.index``.
+
+    numpy integers pass; a float, a string or any other number of values
+    raises :class:`DomainError` naming ``values``.
     """
     try:
-        a, b = pair
-        return operator.index(a), operator.index(b)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be two integers, got {pair!r}") from None
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        out = ()
+    if len(out) != n:
+        raise DomainError(f"{what} must be {_COUNT[n]} integers, got {values!r}")
+    return out
 
 
 def _raster(values, what):
@@ -161,7 +169,7 @@ class Probe:
         v = _raster(np.where(mk, v, 0.0), "probe")
         if not mk.any():
             raise DomainError("probe mask is empty: at least one cell must belong to the domain")
-        ar, ac = _int_pair(self.anchor, "anchor")
+        ar, ac = _ints(self.anchor, "anchor")
         if not (0 <= ar < v.shape[0] and 0 <= ac < v.shape[1]):
             raise DomainError(f"anchor ({ar}, {ac}) outside probe bounds {v.shape}")
         m = _check_m(self.m)
@@ -191,39 +199,51 @@ class Probe:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMap:
-    """Raster of per-cell comparison results plus a full-overlap mask.
+    """Raster of per-cell comparison results plus its full-overlap rectangle.
 
-    ``full_mask`` marks cells whose probe window lies entirely inside the
-    image; lighting-invariance guarantees only apply there.  Border cells
-    still hold values, computed over the clipped window.  Without a mask,
-    every cell counts as full overlap; :func:`lipmaps.raster_io.read_map`
-    passes the rectangle a map file stores, or a probe's mask.
+    ``full_rect = (r0, r1, c0, c1)`` is the half-open rectangle of cells
+    ``r0 <= r < r1``, ``c0 <= c < c1`` whose probe window lies entirely
+    inside the image; lighting-invariance guarantees only apply there.
+    Border cells still hold values, computed over the clipped window.  It
+    is four integers (numpy integers pass) with ``0 <= r0 <= r1 <= h`` and
+    ``0 <= c0 <= c1 <= w``; an empty rectangle is stored as ``(0, 0, 0, 0)``
+    and ``None`` stands for the whole raster.  The maps pass
+    :func:`lipmaps.morphology.full_overlap_rect`, and
+    :func:`lipmaps.raster_io.read_map` the rectangle a map file stores.
     """
 
     values: np.ndarray
-    full_mask: np.ndarray | None = None
+    full_rect: tuple[int, int, int, int] | None = None
     m: float = DEFAULT_M
 
     def __post_init__(self):
         values, adopt = _unwrap(self.values)
         v = _raster(values, "map")
         _asvalues(v, "map")
-        fm, adopt_mask = _unwrap(self.full_mask)
-        if fm is None:
-            fm, adopt_mask = np.ones(v.shape, dtype=bool), True
-        fm = np.asarray(fm, dtype=bool)
-        if fm.shape != v.shape:
-            raise DimensionError(f"full_mask shape {fm.shape} != values shape {v.shape}")
+        h, w = v.shape
+        rect = (0, h, 0, w) if self.full_rect is None else _ints(self.full_rect, "full_rect", 4)
+        r0, r1, c0, c1 = rect
+        if not (0 <= r0 <= r1 <= h and 0 <= c0 <= c1 <= w):
+            raise DomainError(f"full_rect {rect} does not fit a {w}x{h} map")
         m = _check_m(self.m)
         self._check_range(v, m)
         object.__setattr__(self, "values", _frozen_array(v, adopt))
-        object.__setattr__(self, "full_mask", _frozen_array(fm, adopt_mask, dtype=bool))
+        object.__setattr__(self, "full_rect", rect if r0 < r1 and c0 < c1 else (0, 0, 0, 0))
         object.__setattr__(self, "m", m)
 
     @classmethod
-    def _adopt(cls, values, full_mask, m):
-        """A map holding ``values`` and ``full_mask``, which the library has just made, without a copy."""
-        return cls(_Fresh(values), _Fresh(full_mask), m)
+    def _adopt(cls, values, full_rect, m):
+        """A map holding ``values``, which the library has just made, without a copy."""
+        return cls(_Fresh(values), full_rect, m)
+
+    @property
+    def full_mask(self) -> np.ndarray:
+        """The cells of ``full_rect`` as a fresh read-only bool raster."""
+        r0, r1, c0, c1 = self.full_rect
+        out = np.zeros(self.shape, dtype=bool)
+        out[r0:r1, c0:c1] = True
+        out.setflags(write=False)
+        return out
 
     def _check_range(self, v, m):
         pass

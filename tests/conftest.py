@@ -5,7 +5,7 @@ import pytest
 
 from lipmaps import GreyImage, Probe, RealMap, map_mult, mglb_mult, mlub_mult
 from lipmaps.asplund import _ratio_bounds, _require_mult
-from lipmaps.morphology import full_overlap_mask
+from lipmaps.morphology import full_overlap_rect
 
 M = 256.0
 
@@ -74,7 +74,7 @@ def reference(fn):
         else:
             with np.errstate(divide="ignore"):
                 values = np.subtract(np.log(lam, out=lam), np.log(mu, out=mu), out=mu)
-        return RealMap._adopt(values, full_overlap_mask(f.shape, b), f.m)
+        return RealMap._adopt(values, full_overlap_rect(f.shape, b), f.m)
 
     ratio.__name__ = f"{fn.__name__} reference"
     return ratio

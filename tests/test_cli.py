@@ -253,7 +253,7 @@ class TestVerifyLink:
             out = real(f, b)
             bad = np.array(out.values)
             bad[1, 1] += 1e-3
-            return type(out)(bad, out.full_mask, out.m)
+            return type(out)(bad, out.full_rect, out.m)
 
         monkeypatch.setattr(lipmaps.asplund, "map_mult_via_add", corrupted)
         rc = cli.main(["verify-link", "--image", image, "--probe", probe])

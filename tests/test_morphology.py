@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipmaps import DomainError, Probe, map_add, mglb_add
-from lipmaps.morphology import dilate, erode, full_overlap_mask, reflect
+from lipmaps.morphology import dilate, erode, full_overlap_rect, reflect
 
 from conftest import M, full_probe, grey
 
@@ -205,14 +205,11 @@ class TestReferenceScan:
 class TestMasks:
     def test_full_overlap_centre_anchor(self):
         b = full_probe(np.zeros((3, 3)))
-        fom = full_overlap_mask((4, 5), b)
-        expect = np.zeros((4, 5), dtype=bool)
-        expect[1:3, 1:4] = True
-        assert np.array_equal(fom, expect)
+        assert full_overlap_rect((4, 5), b) == (1, 3, 1, 4)
 
     def test_full_overlap_empty_when_probe_too_big(self):
         b = full_probe(np.zeros((5, 5)))
-        assert not full_overlap_mask((3, 3), b).any()
+        assert full_overlap_rect((3, 3), b) == (0, 0, 0, 0)
 
     @staticmethod
     def covered(shape, b):

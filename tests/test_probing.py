@@ -207,11 +207,16 @@ class TestDetectMinima:
         assert detect_minima(out, 0.5) == []
 
     def test_infinite_threshold_returns_all_full_overlap(self):
-        full = np.array([[True, False], [True, True]])
-        out = self.map_with([[1.0, 2.0], [3.0, 4.0]], full)
+        # rows 1..2, columns 1..2: the hits are placed back at their map cells
+        out = self.map_with([[0.0, 0.0, 0.0], [0.0, 4.0, 3.0], [0.0, 2.0, 1.0]], (1, 3, 1, 3))
         hits = detect_minima(out, np.inf)
-        assert len(hits) == 3
+        assert [(d.row, d.col, d.value) for d in hits] == [(2, 2, 1.0), (2, 1, 2.0), (1, 2, 3.0), (1, 1, 4.0)]
         assert all(isinstance(d, Detection) for d in hits)
+
+    def test_empty_full_rect_gives_empty(self):
+        out = self.map_with([[0.0, 1.0]], (1, 1, 0, 2))
+        assert out.full_rect == (0, 0, 0, 0)
+        assert detect_minima(out, np.inf) == []
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(DomainError, match="threshold must not be NaN"):

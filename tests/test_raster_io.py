@@ -504,8 +504,8 @@ class TestFmapBinary:
         write_map(dist, p)
         assert p.read_bytes().startswith(b"fmap 9 6 256 f8le 2 4 2 7\n")
         back = read_map(p)
+        assert back.full_rect == read_map(p, probe).full_rect == dist.full_rect == (2, 4, 2, 7)
         assert np.array_equal(back.full_mask, dist.full_mask)
-        assert np.array_equal(read_map(p, probe).full_mask, dist.full_mask)
         assert np.array_equal(read_image(p).values, dist.values)
 
     def test_empty_mask_is_zero_rectangle(self, tmp_path):
@@ -516,13 +516,32 @@ class TestFmapBinary:
         assert p.read_bytes().startswith(b"fmap 3 3 256 f8le 0 0 0 0\n")
         assert not read_map(p).full_mask.any()
 
-    def test_non_rectangular_mask_rejected(self, tmp_path):
-        mask = np.ones((3, 3), dtype=bool)
-        mask[1, 1] = False
+    def test_stored_empty_rectangle(self, tmp_path):
+        # an empty rectangle is the empty region, whatever corners it names
+        values = np.array([[1.5, 2.5]])
+        p = self.write(tmp_path, b"fmap 2 1 256 f8le 1 1 0 2\n", values.tobytes())
+        back = read_map(p)
+        assert back.full_mask.shape == (1, 2) and not back.full_mask.any()
+        again = tmp_path / "again.fmap"
+        write_map(back, again)
+        assert again.read_bytes() == binary_fmap(values, 256.0, (0, 0, 0, 0))
+        # a 3x3 probe has no full-overlap cell on a 1x2 map; a 1x1 probe has both
+        assert not read_map(p, full_probe(np.full((3, 3), 100.0))).full_mask.any()
+        with pytest.raises(DomainError) as exc:
+            read_map(p, full_probe([[100.0]]))
+        assert str(exc.value) == (
+            "map stores full-overlap rectangle r0 r1 c0 c1 = 1 1 0 2, but the probe's is 0 1 0 2"
+        )
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["map", "image with a probe"])
+    def test_read_map_holds_the_values_only(self, tmp_path, stored):
+        # the full-overlap region is four integers, no mask raster: besides the
+        # values, one transient bool raster of the NaN checks
+        values = np.zeros((512, 512))
         p = tmp_path / "m.fmap"
-        with pytest.raises(ValueError, match="not one rectangle"):
-            write_map(DistanceMap(np.zeros((3, 3)), mask, 256.0), p)
-        assert not p.exists()
+        p.write_bytes(binary_fmap(values, 256.0, (2, 510, 2, 510) if stored else None))
+        probe = make_ring_probe(2, 1)
+        assert traced_peak(lambda: read_map(p, probe)) < values.nbytes + values.size + 64 * 1024
 
     def test_probe_disagreeing_with_rectangle(self, tmp_path):
         p = tmp_path / "m.fmap"

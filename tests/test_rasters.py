@@ -23,6 +23,7 @@ from lipmaps import (
     mlub_add,
     mlub_mult,
 )
+from lipmaps.morphology import full_overlap_rect
 from lipmaps.rasters import check_same_scale, require_regime
 
 
@@ -125,9 +126,6 @@ class TestMaps:
         m = FmMap([[1.0, 2.0]], None)
         assert m.full_mask.all()
 
-    def test_mask_shape_checked(self):
-        with pytest.raises(DimensionError):
-            FmMap([[1.0, 2.0]], np.ones((2, 2), dtype=bool))
 
 
 class TestRegimes:
@@ -237,7 +235,7 @@ class TestCopyRule:
             return GreyImage([[1.0, 1.0], [1.0, 1.0]]).with_values(values)
         if kind == "Probe.with_values":
             return Probe([[1.0, 1.0], [1.0, 1.0]], mask, (0, 0)).with_values(values)
-        return {"DistanceMap": DistanceMap, "RealMap": RealMap, "FmMap": FmMap}[kind](values, mask)
+        return {"DistanceMap": DistanceMap, "RealMap": RealMap, "FmMap": FmMap}[kind](values, (0, 2, 1, 2))
 
     @pytest.mark.parametrize(
         "kind",
@@ -260,14 +258,14 @@ class TestCopyRule:
             GreyImage._adopt(np.array([[np.nan]]), 256.0)
         with pytest.raises(DomainError):
             RealMap._adopt(np.array([[-1.0]]), None, 256.0)
-        with pytest.raises(DimensionError):
-            DistanceMap._adopt(np.zeros((2, 2)), np.ones((1, 2), dtype=bool), 256.0)
+        with pytest.raises(DomainError, match="full_rect"):
+            DistanceMap._adopt(np.zeros((2, 2)), (0, 3, 0, 2), 256.0)
 
     def test_adopt_freezes_without_a_copy(self):
-        v, mk = np.ones((2, 3)), np.ones((2, 3), dtype=bool)
-        img, fm = GreyImage._adopt(v, 256.0), FmMap._adopt(v, mk, 256.0)
-        assert img.values is v and fm.values is v and fm.full_mask is mk
-        assert not (v.flags.writeable or mk.flags.writeable)
+        v = np.ones((2, 3))
+        img, fm = GreyImage._adopt(v, 256.0), FmMap._adopt(v, (0, 2, 1, 3), 256.0)
+        assert img.values is v and fm.values is v and fm.full_rect == (0, 2, 1, 3)
+        assert not v.flags.writeable
 
     @pytest.mark.parametrize("name", MAPS)
     def test_map_results_share_nothing_with_inputs(self, rng, name):
@@ -288,3 +286,55 @@ class TestCopyRule:
         before = [a.tobytes() for a in (f.values, b.values, b.mask)]
         MAPS[name](f, b)
         assert [a.tobytes() for a in (f.values, b.values, b.mask)] == before
+
+
+class TestFullRect:
+    """A map's full-overlap region is four integers, checked once by the container."""
+
+    @pytest.mark.parametrize(
+        "rect, message",
+        [
+            ((0.0, 1, 0, 1), "full_rect must be four integers, got (0.0, 1, 0, 1)"),
+            ("abcd", "full_rect must be four integers, got 'abcd'"),
+            ((0, 1, 0), "full_rect must be four integers, got (0, 1, 0)"),
+            ((0, 3, 0, 2), "full_rect (0, 3, 0, 2) does not fit a 2x2 map"),
+            ((0, 2, 1, 3), "full_rect (0, 2, 1, 3) does not fit a 2x2 map"),
+            ((-1, 1, 0, 2), "full_rect (-1, 1, 0, 2) does not fit a 2x2 map"),
+            ((1, 0, 0, 2), "full_rect (1, 0, 0, 2) does not fit a 2x2 map"),
+        ],
+        ids=["float", "str", "three", "past the rows", "past the columns", "negative", "reversed"],
+    )
+    def test_rejected(self, rect, message):
+        with pytest.raises(DomainError) as exc:
+            FmMap(np.zeros((2, 2)), rect)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_pass(self):
+        out = DistanceMap(np.zeros((2, 3)), (np.int64(0), np.int64(1), np.uint8(1), np.int32(3)))
+        assert out.full_rect == (0, 1, 1, 3)
+        assert all(type(x) is int for x in out.full_rect)
+
+    def test_none_is_the_whole_raster(self):
+        assert DistanceMap(np.zeros((2, 3))).full_rect == (0, 2, 0, 3)
+        assert FmMap(np.zeros((2, 3)), None).full_mask.all()
+
+    @pytest.mark.parametrize("rect", [(1, 1, 0, 2), (0, 1, 2, 2), (0, 0, 0, 0)])
+    def test_empty_stored_as_zeros(self, rect):
+        out = DistanceMap(np.zeros((1, 2)), rect)
+        assert out.full_rect == (0, 0, 0, 0)
+        assert not out.full_mask.any()
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_full_mask_is_a_fresh_frozen_raster_of_the_rect(self, rng, name):
+        f, b = _image_and_probe(rng)
+        out = MAPS[name](f, b)
+        assert out.full_rect == full_overlap_rect(f.shape, b) != (0, 0, 0, 0)
+        r0, r1, c0, c1 = out.full_rect
+        expect = np.zeros(f.shape, dtype=bool)
+        expect[r0:r1, c0:c1] = True
+        first, second = out.full_mask, out.full_mask
+        assert first is not second and not np.shares_memory(first, second)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = True
+        assert np.array_equal(first, expect) and np.array_equal(second, expect)

@@ -535,12 +535,12 @@ def scratch_floats(shape, b, sides):
 
 
 class TestMapMemory:
-    """A map call holds its output raster and the kernel's strip scratch, besides the full-overlap mask.
+    """A map call holds its output raster and the kernel's strip scratch, nothing more.
 
     The kernel applies ``T`` to each strip's rows of table level 0, and the
     map finishes each strip in the kernel's padded blocks and copies its rows
     into the one output raster, so no raster of ``T f``, ``hi`` or ``lo`` is
-    made; the mask takes one byte per cell.  The link maps hold their
+    made, and the full-overlap region is four integers.  The link maps hold their
     intermediate image besides, and the ratio reference ``tilde(f)``, both
     bounds and one block of quotient rows.
     """
@@ -571,7 +571,7 @@ class TestMapMemory:
     def test_peak_at_512(self, rng, call, rasters, sides):
         peak, f, ring = self.peak(rng, call)
         floats = rasters * f.values.size + scratch_floats(f.shape, ring, sides)
-        assert peak < floats * f.values.itemsize + f.values.size + 64 * 1024
+        assert peak < floats * f.values.itemsize + 64 * 1024
 
     @pytest.mark.parametrize("call, rasters", [(reference(map_mult), 3)], ids=["map_mult"])
     def test_ratio_peak_at_512(self, rng, call, rasters):
@@ -579,7 +579,7 @@ class TestMapMemory:
         # its strided ufuncs in up to 192 KiB
         peak, f, _ = self.peak(rng, call)
         floats = rasters * f.values.size + _RATIO_ROWS * f.shape[1]
-        assert peak < floats * f.values.itemsize + f.values.size + 256 * 1024
+        assert peak < floats * f.values.itemsize + 256 * 1024
 
 
 def offset_loop(f, b, pick, empty):
