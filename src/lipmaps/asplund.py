@@ -73,7 +73,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import _first_bad, _hat, _require_not_m, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
+from .lip import _first_bad, _hat, _require_not_m, _within, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
 from .morphology import _stream, full_overlap_rect
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
@@ -298,6 +298,8 @@ def _rounds_to_m(out, m, values, mask, what, why):
 
     That cell raises, named as the caller gave it.
     """
+    if _within(out, m, hi_open=True):  # no cell reaches m
+        return out
     bad = (out == m) & mask
     if bad.any():
         idx, where = _first_bad(bad)

@@ -92,18 +92,48 @@ def _first_bad(bad):
     return idx, f" at index {idx[0]}" if len(idx) == 1 else f" at cell {idx}"
 
 
+def _within(v, hi=None, lo=None, hi_open=False, lo_open=False):
+    """Whether every value of ``v`` passes the bounds given, by one reduction each and no bool raster.
+
+    ``hi`` bounds ``v.max()`` and ``lo`` bounds ``v.min()``, strictly where
+    open; ``None`` skips that reduction.  A NaN carries through either
+    reduction and fails it; an empty array passes.  The reductions are
+    compared as Python floats with invalid-value warnings off, so a NaN
+    warns on no numpy version.  The full-raster checks call this first and
+    build their bool mask only when it fails, to name the first bad cell.
+    """
+    if v.size == 0:
+        return True
+    with np.errstate(invalid="ignore"):
+        if hi is not None:
+            top = float(v.max())
+            if not (top < hi if hi_open else top <= hi):
+                return False
+        if lo is not None:
+            bottom = float(v.min())
+            if not (bottom > lo if lo_open else bottom >= lo):
+                return False
+    return True
+
+
 def require_regime(values, m, regime, what="image", mask=None):
     """Check every value against a named regime and return the values as float64.
 
     ``regime`` is a name from the table in the module docstring; NaN lies
     outside every regime.  With ``mask`` given, only masked cells are
     checked (probe domains).  The first offending cell (row-major) and its
-    value appear in the :class:`RegimeError` message.
+    value appear in the :class:`RegimeError` message.  A passing array
+    costs one or two reductions (``max`` against ``m``, and ``min`` against
+    the lower bound where the regime has one) and no bool raster; the
+    cell-by-cell test runs only when a reduction fails.
     """
     lo, lo_open, hi_open = _REGIMES[regime]
     v = np.asarray(values, dtype=np.float64)
+    has_lo = lo_open or lo > -np.inf  # a closed -inf bound holds for every other value
+    if _within(v, m, lo if has_lo else None, hi_open, lo_open):
+        return v
     ok = (v < m) if hi_open else (v <= m)  # NaN fails every comparison
-    if lo_open or lo > -np.inf:  # a closed -inf bound holds for every other value
+    if has_lo:
         ok &= (v > lo) if lo_open else (v >= lo)
     if mask is not None:
         ok |= ~np.asarray(mask, dtype=bool)
@@ -117,6 +147,8 @@ def require_regime(values, m, regime, what="image", mask=None):
 
 def _require_not_m(values, m, what, mask=None):
     """Raise :class:`SingularityError` naming the first cell equal to ``m``, the pole of ``f (-) g`` in ``g``."""
+    if _within(values, m, hi_open=True):  # no cell reaches m
+        return
     at_m = values == m
     if mask is not None:
         at_m &= mask

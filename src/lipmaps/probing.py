@@ -143,14 +143,16 @@ def detect_minima(dist_map, threshold: float) -> list[Detection]:
     map read from a file has the rectangle its header stores, or the whole
     raster when it stores none and no probe is given.  A NaN threshold,
     which no value lies at or below, raises :class:`DomainError`; ``+inf``
-    lists every full-overlap cell.
+    lists every full-overlap cell.  The hits come from ``np.flatnonzero``
+    on the rectangle's comparison, in row-major order, and their row and
+    column from ``divmod`` by the rectangle's width.
     """
     threshold = float(threshold)
     if np.isnan(threshold):
         raise DomainError("detection threshold must not be NaN")
     r0, r1, c0, c1 = dist_map.full_rect
     vals = dist_map.values[r0:r1, c0:c1]
-    rows, cols = np.nonzero(vals <= threshold)
+    rows, cols = np.divmod(np.flatnonzero(vals <= threshold), c1 - c0)
     order = np.lexsort((cols, rows, vals[rows, cols]))
     return [
         Detection(int(rows[i]) + r0, int(cols[i]) + c0, float(vals[rows[i], cols[i]]), threshold)

@@ -43,6 +43,7 @@ import re
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .lip import _within
 from .morphology import full_overlap_rect
 from .rasters import DistanceMap, GreyImage, Probe
 
@@ -157,11 +158,11 @@ def read_pgm(path) -> GreyImage:
             raise ParseError(
                 f"truncated raster: expected {n} bytes, got {len(raster)}", len(data)
             )
-        values = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
-        bad = values > maxval
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(f"pixel value {int(values[i])} exceeds maxval {maxval}", start + i)
+        pixels = np.frombuffer(raster, dtype=np.uint8)
+        if not _within(pixels, maxval):  # checked on the bytes, before they are widened
+            i = int(np.argmax(pixels > maxval))
+            raise ParseError(f"pixel value {int(pixels[i])} exceeds maxval {maxval}", start + i)
+        values = pixels.astype(np.float64)
     else:
         # a list, so that a header the data does not back allocates nothing
         pixels = []
@@ -218,9 +219,8 @@ def _read_fmap(path):
         got = fh.readinto(values)
     if got != expected:  # the file shrank after the size check
         raise ParseError(f"binary body: expected {expected} bytes, found {got}", len(line))
-    nan = np.isnan(values)
-    if nan.any():
-        r, c = divmod(int(np.argmax(nan)), width)
+    if not _within(values, np.inf):  # the max is NaN
+        r, c = divmod(int(np.argmax(np.isnan(values))), width)
         raise ParseError(f"NaN not allowed at row {r}, column {c}")
     return values, m, tuple(rect) or None
 

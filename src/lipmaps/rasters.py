@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .lip import DEFAULT_M, _asvalues, _check_m, _first_bad, require_regime
+from .lip import DEFAULT_M, _asvalues, _check_m, _first_bad, _within, require_regime
 
 __all__ = [
     "GreyImage",
@@ -261,6 +261,8 @@ class RealMap(DistanceMap):
     """
 
     def _check_range(self, v, m):
+        if _within(v, lo=0.0):
+            return
         bad = (v < 0) & (v != -np.inf)
         if bad.any():
             idx, where = _first_bad(bad)

@@ -28,6 +28,9 @@ def test_same_tree_has_no_mismatch():
     # and the CLI ran its commands on every probe kind with three image kinds, at every scale
     runs = int(counts.split(" CLI results")[0].rsplit(" ", 1)[1])
     assert runs >= 5 * 6 * 3 * 10
+    # and every check met a 300x300 raster whose only bad cell is its last: each map
+    # and both fmap readers at every scale, and the P5 file read two ways, all raising
+    assert f"{5 * (8 + 2) + 2} check results ({5 * (8 + 2) + 2} exceptions)" in counts
 
 
 def test_needs_both_trees():

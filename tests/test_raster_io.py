@@ -535,13 +535,13 @@ class TestFmapBinary:
 
     @pytest.mark.parametrize("stored", [True, False], ids=["map", "image with a probe"])
     def test_read_map_holds_the_values_only(self, tmp_path, stored):
-        # the full-overlap region is four integers, no mask raster: besides the
-        # values, one transient bool raster of the NaN checks
+        # the full-overlap region is four integers, no mask raster, and the NaN
+        # checks are reductions: the values and no raster besides
         values = np.zeros((512, 512))
         p = tmp_path / "m.fmap"
         p.write_bytes(binary_fmap(values, 256.0, (2, 510, 2, 510) if stored else None))
         probe = make_ring_probe(2, 1)
-        assert traced_peak(lambda: read_map(p, probe)) < values.nbytes + values.size + 64 * 1024
+        assert traced_peak(lambda: read_map(p, probe)) < values.nbytes + 64 * 1024
 
     def test_probe_disagreeing_with_rectangle(self, tmp_path):
         p = tmp_path / "m.fmap"

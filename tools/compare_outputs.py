@@ -24,6 +24,14 @@ round trips.  Each result is compared by the ``tobytes()`` of every array
 it returns (the file's bytes, for a write), or by the class and message of
 the exception it raised.
 
+The check battery feeds each full-raster check a 300x300 raster whose only
+bad cell is its last, where a check that reduces the raster first must
+still name that cell: at every scale, one image per map, out of the regime
+that map checks (``CHECK_LAST``, through the ``GreyImage`` container where
+the map accepts all it holds), and an ``fmap`` whose last cell is NaN, read
+with ``read_map`` and ``read_image``; once, a ``P5`` file whose last byte
+exceeds its maxval, read with ``read_pgm`` and ``read_image``.
+
 The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
 case of each scale, every probe kind with the strict, edge-valued and
 below-zero images goes through ``map-mult``, ``map-add``, ``detect`` with
@@ -96,6 +104,20 @@ def probes(rng, shape, m):
     ]
 
 
+#: Last cell, relative to ``m``, of each map's check image: outside the
+#: regime the map checks, or, for the link maps, a cell whose transform rounds to ``m``.
+CHECK_LAST = {
+    "mlub_mult": -float("inf"),
+    "mglb_mult": -1e-3,
+    "map_mult": 0.0,
+    "mlub_add": float("nan"),
+    "mglb_add": 2.0,
+    "map_add": -float("inf"),
+    "map_mult_via_add": 1e-300,
+    "map_add_via_mult": -1e6,
+}
+CHECK_SHAPE = (300, 300)  # every raster of the check battery
+
 #: Image kinds the CLI battery runs, with every probe kind, on the first case of
 #: each scale: maps that succeed, edge values that only ``--clamp`` admits to
 #: ``map-mult``, values below 0.
@@ -126,7 +148,8 @@ def cli_commands(m):
 def battery(lipmaps, seed, cases, heights, tmp):
     """``{case name: result}``; the names of I/O round trips start with ``io``, of CLI runs with ``cli``.
 
-    A result is a tuple of bytes, ``None`` for a side not asked for, or the
+    The names of the check battery's results start with ``check``.  A result
+    is a tuple of bytes, ``None`` for a side not asked for, or the
     ``(class, message)`` of the exception raised; a CLI run's is its exit
     code, stdout, stderr and the ``(name, bytes)`` of each file it wrote.
     Files go to directory ``tmp``; the CLI runs in its subdirectory ``cli``
@@ -225,11 +248,43 @@ def battery(lipmaps, seed, cases, heights, tmp):
         for name, argv in cli_commands(image.m):
             results[f"cli {at} {name}"] = cli_run(argv)
 
+    def check_battery(m):
+        """Each map, and the ``fmap`` readers, on a raster whose only bad cell is its last."""
+        b = lipmaps.Probe(np.full((3, 3), 0.5 * m), np.ones((3, 3), dtype=bool), (1, 1), m)
+        for name, last in CHECK_LAST.items():
+            f = check_rng.uniform(0.001, 0.999, size=CHECK_SHAPE) * m
+            f[-1, -1] = last * m
+            _, results[f"check m={m:g} {name}"] = run(
+                lambda: maps[name](lipmaps.GreyImage(f, m), b), lambda r: (r.values, r.full_mask)
+            )
+        h, w = CHECK_SHAPE
+        values = check_rng.uniform(-2.0, 0.999, size=CHECK_SHAPE) * m
+        values[-1, -1] = np.nan
+        path = os.path.join(tmp, "nan.fmap")
+        with open(path, "wb") as fh:
+            fh.write(f"fmap {w} {h} {m!r} f8le\n".encode("ascii") + values.astype("<f8").tobytes())
+        for name, read in (("read_map", raster_io.read_map), ("read_image", raster_io.read_image)):
+            _, results[f"check m={m:g} NaN fmap {name}"] = run(lambda: read(path), fields)
+
+    def check_pgm():
+        """A ``P5`` file whose last byte exceeds its maxval, read as a PGM and as an image."""
+        h, w = CHECK_SHAPE
+        pixels = check_rng.integers(0, 201, size=h * w, dtype=np.uint8)
+        pixels[-1] = 201
+        path = os.path.join(tmp, "bad.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n%d %d\n200\n" % (w, h) + pixels.tobytes())
+        for name, read in (("read_pgm", raster_io.read_pgm), ("read_image", raster_io.read_image)):
+            _, results[f"check P5 above maxval {name}"] = run(lambda: read(path), fields)
+
     os.makedirs(os.path.join(tmp, "cli"))
     os.chdir(os.path.join(tmp, "cli"))
     results = {}
     rng = np.random.default_rng(seed)
+    check_rng = np.random.default_rng((seed, 1))  # its own stream, so the cases above stay as they were
+    check_pgm()
     for m in SCALES:
+        check_battery(m)
         for i in range(cases):
             shape = (heights[i % len(heights)], int(rng.integers(1, 14)))
             random = ["verify-link", "--random", str(shape[1]), str(shape[0]), "--seed", str(seed + i)]
@@ -287,15 +342,17 @@ def main(argv=None):
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = collect(args.old, args), collect(args.new, args)
     mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli "))]
+    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli ", "check "))]
+    checks = [r for k, r in new.items() if k.startswith("check ")]
     raised = sum(1 for r in calls if r and isinstance(r[0], str))
     runs = [r for k, r in new.items() if k.startswith("cli ")]
     ok = sum(1 for r in runs if r[0] == 0)
     probe_io = sum(1 for k in new if k.endswith(("write_probe", "read_probe")))
     print(
         f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
-        f"{len(new) - len(calls) - len(runs)} I/O results ({probe_io} probe), "
+        f"{len(new) - len(calls) - len(runs) - len(checks)} I/O results ({probe_io} probe), "
         f"{len(runs)} CLI results ({ok} exit 0), "
+        f"{len(checks)} check results ({sum(1 for r in checks if isinstance(r[0], str))} exceptions), "
         f"{len(mismatches)} mismatches"
     )
     for key in mismatches[:10]:
