@@ -16,7 +16,13 @@ Small formats, all defined bit-exact:
   byte count matches the header, so a header the file does not back
   allocates nothing.  Any other first line is a ``ParseError`` naming the
   expected header; a NaN cell is one naming the first NaN in row-major
-  order.
+  order.  Both writers write over an existing regular file in place,
+  without truncating it first: the header with its magic ``fmap`` as zero
+  bytes, the body, a truncation at the body's end, and the magic last.  A
+  write that stops part way leaves a file both readers reject on its
+  magic, never old and new cells that read as valid.  A path that is not
+  a regular file (``/dev/null``, a pipe) is written straight through,
+  magic first.  Nothing is synced to disk: no durability is promised.
 * ``probe``: an ASCII text file, header ``probe <width> <height>
   <anchor_x> <anchor_y> <m>``, then one line per row whose tokens are
   either a value (cell inside the probe domain) or ``_`` (outside).
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -60,6 +67,7 @@ __all__ = [
 
 _WS = b" \t\r\n\f\v"
 
+_MAGIC = b"fmap"
 _ENCODING = b"f8le"  # fmap body: little-endian IEEE float64, row-major
 _HEADER = "fmap <w> <h> <m> f8le [r0 r1 c0 c1]"
 #: An fmap header line must end within this many bytes; one is
@@ -153,7 +161,7 @@ def read_pgm(path) -> GreyImage:
         if pos >= len(data) or data[pos : pos + 1] not in _WS:
             raise ParseError("missing separator after maxval", pos)
         start = pos + 1
-        raster = data[start : start + n]
+        raster = memoryview(data)[start : start + n]  # a view: no raster-sized copy
         if len(raster) < n:
             raise ParseError(
                 f"truncated raster: expected {n} bytes, got {len(raster)}", len(data)
@@ -192,9 +200,9 @@ def _read_fmap(path):
         line = fh.readline(_HEADER_MAX)
         head = line.split()
         text = line.decode("latin-1").rstrip()
-        if head[:1] == [b"fmap"] and not line.endswith(b"\n"):
+        if head[:1] == [_MAGIC] and not line.endswith(b"\n"):
             raise ParseError(f"map header has no newline within its first {_HEADER_MAX} bytes", 0)
-        if head[:1] != [b"fmap"] or len(head) not in (5, 9):
+        if head[:1] != [_MAGIC] or len(head) not in (5, 9):
             raise ParseError(f"bad map header {text!r}, expected {_HEADER!r}", 0)
         if head[4] != _ENCODING:
             raise ParseError(f"unknown fmap body encoding {head[4].decode('latin-1')!r}", 0)
@@ -227,12 +235,22 @@ def _read_fmap(path):
 
 def _write_fmap(values: np.ndarray, m: float, path, rect=None):
     h, w = values.shape
-    head = f"fmap {w} {h} {_f17(m)} {_ENCODING.decode()}"
+    rest = f" {w} {h} {_f17(m)} {_ENCODING.decode()}"
     if rect is not None:
-        head += " %d %d %d %d" % rect
-    with open(path, "wb") as fh:
-        fh.write(head.encode("ascii") + b"\n")
+        rest += " %d %d %d %d" % rect
+    rest = rest.encode("ascii") + b"\n"
+    # no O_TRUNC: freeing an existing file's blocks costs more than writing
+    # over them; unbuffered, so that tofile also writes to a pipe
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb", buffering=0) as fh:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        # a regular file gets its magic last, so that no reader accepts it half written
+        fh.write((bytes(len(_MAGIC)) if regular else _MAGIC) + rest)
         np.ascontiguousarray(values, dtype="<f8").tofile(fh)
+        if regular:
+            fh.truncate()
+            fh.seek(0)
+            fh.write(_MAGIC)
 
 
 def read_map(path, probe: Probe | None = None) -> DistanceMap:
@@ -299,7 +317,7 @@ def read_image(path) -> GreyImage:
         magic = fh.read(4)
     if magic[:2] in (b"P2", b"P5"):
         return read_pgm(path)
-    if magic == b"fmap":
+    if magic == _MAGIC:
         values, m, _ = _read_fmap(path)
         return GreyImage._adopt(values, m)
     raise ParseError(f"unrecognised image format (magic {magic!r})", 0)

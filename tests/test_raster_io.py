@@ -1,6 +1,10 @@
 """File formats: PGM parsing, fmap/probe round trips, error positions."""
 
+import errno
+import os
+import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -69,6 +73,14 @@ class TestPgm:
         p2.write_text(f"P2\n7 5\n255\n{rows}\n")
         p5.write_bytes(b"P5 7 5 255\n" + bytes(int(v) for v in vals.ravel()))
         assert np.array_equal(read_pgm(p2).values, read_pgm(p5).values)
+
+    def test_p5_raster_is_a_view_of_the_file_bytes(self, tmp_path):
+        # the peak is the bytes read and the float64 values, with no
+        # raster-sized copy of the bytes between them
+        data = b"P5\n512 512\n255\n" + bytes(range(256)) * 1024
+        p = tmp_path / "big.pgm"
+        p.write_bytes(data)
+        assert traced_peak(lambda: read_pgm(p)) < len(data) + 512 * 512 * 8 + 64 * 1024
 
     def test_comments_anywhere_in_header(self, tmp_path):
         p = tmp_path / "c.pgm"
@@ -551,6 +563,110 @@ class TestFmapBinary:
         assert str(exc.value) == (
             "map stores full-overlap rectangle r0 r1 c0 c1 = 2 4 2 7, but the probe's is 1 5 1 8"
         )
+
+
+def _map(values):
+    return DistanceMap(values, (1, values.shape[0] - 1, 2, values.shape[1]), 256.0)
+
+
+# each fmap writer, with the raster it writes made from float64 values
+_FMAP_WRITERS = {"write_map": (write_map, _map), "write_image": (write_image, GreyImage)}
+
+
+@pytest.mark.parametrize("writer", _FMAP_WRITERS)
+class TestFmapOverAnOldFile:
+    """The fmap writers write over an existing file in place, its magic last."""
+
+    @pytest.mark.parametrize("old", ["longer", "shorter", "same size"])
+    def test_bytes_of_a_fresh_write(self, tmp_path, rng, writer, old):
+        write, raster = _FMAP_WRITERS[writer]
+        new = raster(rng.uniform(0.0, 255.0, (6, 9)))
+        fresh, p = tmp_path / "fresh.fmap", tmp_path / "old.fmap"
+        write(new, fresh)
+        size = len(fresh.read_bytes())
+        if old == "same size":
+            write(raster(rng.uniform(0.0, 255.0, (6, 9))), p)
+        else:
+            p.write_bytes(bytes(range(256)) * (size // 256 + 1) if old == "longer" else b"fmap 1")
+        write(new, p)
+        assert p.read_bytes() == fresh.read_bytes()
+
+    def test_interrupted_body_leaves_a_file_no_reader_accepts(self, tmp_path, rng, monkeypatch, writer):
+        write, raster = _FMAP_WRITERS[writer]
+        old, new = (raster(rng.uniform(0.0, 255.0, (6, 9))) for _ in range(2))
+        p = tmp_path / "m.fmap"
+        write(old, p)
+        size = len(p.read_bytes())
+        contiguous = np.ascontiguousarray
+
+        class HalfBody:
+            """An array whose ``tofile`` writes half its bytes, then fails."""
+
+            def __init__(self, values, dtype):
+                self.body = contiguous(values, dtype=dtype).tobytes()
+
+            def tofile(self, fh):
+                fh.write(self.body[: len(self.body) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ascontiguousarray", HalfBody)
+            with pytest.raises(OSError, match="No space left on device"):
+                write(new, p)
+        data = p.read_bytes()
+        # half the new cells over the old ones, under a header with no magic
+        assert len(data) == size and data.startswith(bytes(4))
+        with pytest.raises(ParseError, match="bad map header"):
+            read_map(p)
+        with pytest.raises(ParseError, match="unrecognised image format"):
+            read_image(p)
+
+    def test_new_file_mode_as_open_gives_it(self, tmp_path, writer):
+        write, raster = _FMAP_WRITERS[writer]
+        umask = os.umask(0o027)
+        try:
+            write(raster(np.zeros((2, 3))), tmp_path / "new.fmap")
+            with open(tmp_path / "reference", "wb"):
+                pass
+        finally:
+            os.umask(umask)
+        mode = stat.S_IMODE((tmp_path / "new.fmap").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("where", ["missing/m.fmap", "."], ids=["missing directory", "directory"])
+    def test_os_error_as_open_gives_it(self, tmp_path, writer, where):
+        write, raster = _FMAP_WRITERS[writer]
+        p = tmp_path / where
+        with pytest.raises(OSError) as expected:
+            open(p, "wb")
+        with pytest.raises(type(expected.value)) as exc:
+            write(raster(np.zeros((2, 3))), p)
+        assert str(exc.value) == str(expected.value)
+
+    def test_dev_null(self, writer):
+        write, raster = _FMAP_WRITERS[writer]
+        write(raster(np.zeros((2, 3))), os.devnull)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_gets_the_bytes_of_a_regular_file(self, tmp_path, rng, writer):
+        write, raster = _FMAP_WRITERS[writer]
+        values = raster(rng.uniform(0.0, 255.0, (100, 90)))  # a body longer than a 64 KiB pipe buffer
+        fifo, regular = tmp_path / "fifo", tmp_path / "regular.fmap"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write(values, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        write(values, regular)
+        assert got == [regular.read_bytes()]
+
+
+def test_cli_lighting_to_dev_null(tmp_path):
+    scene = tmp_path / "scene.pgm"
+    scene.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 17, 255, 128, 9, 64]))
+    assert cli.main(["lighting", "--image", str(scene), "--out", os.devnull, "--add", "200"]) == 0
 
 
 def test_cli_pipeline_writes_reference_bytes(tmp_path, capsys):

@@ -18,9 +18,12 @@ single-cell values, shared values in runs, negative values, off-mask
 anchors, more rows than one kernel strip, or reach no cell of the raster.
 Each map result is written with ``write_map`` and each image with
 ``write_image``, and the file is read back with ``read_map`` (with and
-without the probe) and with ``read_image``; each probe, once per case, is
-written with ``write_probe`` and read back with ``read_probe``: the I/O
-round trips.  Each result is compared by the ``tobytes()`` of every array
+without the probe) and with ``read_image``.  Every such write goes to
+one ``out.fmap``, whose size changes with the raster's height and width
+and with the header's rectangle, so the battery writes over longer,
+shorter and same-size files; a longer old file pins the writer's
+truncation.  Each probe, once per case, is written with ``write_probe``
+and read back with ``read_probe``: the I/O round trips.  Each result is compared by the ``tobytes()`` of every array
 it returns (the file's bytes, for a write), or by the class and message of
 the exception it raised.
 
@@ -36,10 +39,14 @@ The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
 case of each scale, every probe kind with the strict, edge-valued and
 below-zero images goes through ``map-mult``, ``map-add``, ``detect`` with
 and without ``--probe``, ``lighting --add`` and ``--mult``, and
-``verify-link --image/--probe``, some under ``--clamp``; and each case runs
-``verify-link --random W H --seed N``.  Its working directory is the
-temporary directory and its file names are relative, so that messages
-match across trees.  Each run is compared by its exit code, stdout, stderr
+``verify-link --image/--probe``, some under ``--clamp``, and writes a map
+into a missing directory and an image to a directory path.  Each command
+that wrote a file then runs twice more: once over its own output, and
+once over a longer file of junk bytes placed under the same name, so that
+writing over an existing file must give a fresh write's bytes.  Each case
+also runs ``verify-link --random W H --seed N``.  Its working directory
+is the temporary directory and its file names are relative, so that
+messages match across trees.  Each run is compared by its exit code, stdout, stderr
 and the bytes of every file it wrote.  The script prints the counts and
 the first mismatches, and exits 1 on any mismatch.
 """
@@ -142,6 +149,8 @@ def cli_commands(m):
         ("lighting mult", ["lighting", "--image", "f.fmap", "--out", "lit-mult.fmap", "--mult", "2"]),
         ("verify-link", ["verify-link", *inputs]),
         ("clamp verify-link", ["--clamp", eps, "verify-link", *inputs]),
+        ("map-add missing directory", ["map-add", *inputs, "--out", "missing/add.fmap"]),
+        ("lighting directory", ["lighting", "--image", "f.fmap", "--out", ".", "--add", k]),
     ]
 
 
@@ -245,8 +254,16 @@ def battery(lipmaps, seed, cases, heights, tmp):
             os.remove(name)
         raster_io.write_image(image, "f.fmap")
         raster_io.write_probe(b, "b.probe")
-        for name, argv in cli_commands(image.m):
+        commands = cli_commands(image.m)
+        for name, argv in commands:
             results[f"cli {at} {name}"] = cli_run(argv)
+        for name, argv in commands:  # each file written again: over itself, then over longer junk
+            out = argv[argv.index("--out") + 1] if "--out" in argv else ""
+            if not os.path.isfile(out):
+                continue
+            results[f"cli {at} {name} again"] = cli_run(argv)
+            Path(out).write_bytes(bytes(range(256)) * (os.path.getsize(out) // 256 + 17))
+            results[f"cli {at} {name} over junk"] = cli_run(argv)
 
     def check_battery(m):
         """Each map, and the ``fmap`` readers, on a raster whose only bad cell is its last."""
