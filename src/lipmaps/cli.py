@@ -10,6 +10,7 @@ values uniform in [10, 240].
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -129,6 +130,7 @@ def cmd_verify_link(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipmaps",

@@ -19,9 +19,10 @@ as ``log1p(-f/m)`` and ``1 - exp(y)`` as ``-expm1(y)``, which keeps full
 relative precision for grey values near 0.  All functions are pure: none
 writes into its input.  Each transform (``tilde``, ``hat``, ``hat_inv``,
 ``xi``, ``xi_inv``) allocates one output of its input's shape and finishes
-in it with ``out=`` ufuncs; ``lip_add`` allocates its output and one
-temporary.  The bodies of ``tilde``, ``hat``, ``xi`` and ``xi_inv`` are
-the private ``_tilde``, ``_hat``, ``_xi`` and ``_xi_inv``, which write
+in it with ``out=`` ufuncs; ``lip_add`` allocates its output and fills
+it in blocks of 2**15 cells through one block of scratch.  The bodies of
+``tilde``, ``hat``, ``xi`` and ``xi_inv`` are the private ``_tilde``,
+``_hat``, ``_xi`` and ``_xi_inv``, which write
 into a given ``out`` and check nothing; ``_hat`` and ``_xi`` finish
 ``_tilde``'s result in place, and the distance maps call them on each
 row strip.  The in-place steps are the literal formulas reordered by
@@ -209,6 +210,11 @@ def _ret(out, *inputs):
     return out
 
 
+#: Output elements per ``lip_add`` block: 256 KiB of float64, so that a block
+#: of each operand, of the output and of the scratch stay in a 2 MiB L2 cache.
+_BLOCK = 2**15
+
+
 def lip_add(f, g, m=DEFAULT_M):
     """LIP addition ``f (+) g = f + g - f*g/m``.
 
@@ -216,16 +222,37 @@ def lip_add(f, g, m=DEFAULT_M):
     and associative; 0 is neutral, ``m`` is absorbing.  Both operands must
     lie in ``]-inf, m]`` (the closure value ``m`` is allowed; ``-inf`` is
     not, since ``-inf (+) g`` has no value).
+
+    The output is filled in row-major blocks of ``_BLOCK`` cells, each by
+    the formula's four ufuncs in its order (``f + g`` into the output,
+    ``f * g`` into one block of scratch, ``/ m``, then the difference), so
+    every cell is bit for bit the formula's.  A scalar operand is broadcast
+    per block, and an operand not in row-major order is gathered one block
+    at a time, never copied whole.
     """
     m = _check_m(m)
-    fa, ga = _asvalues(f, "f"), _asvalues(g, "g")
-    _check_shapes(fa, ga)
-    require_regime(fa, m, "FMm", "f")
-    require_regime(ga, m, "FMm", "g")
-    out = np.add(fa, ga, out=_out(fa, ga))
-    p = np.multiply(fa, ga, out=_out(fa, ga))
-    np.divide(p, m, out=p)
-    return _ret(np.subtract(out, p, out=out), f, g)
+    fa = np.asarray(f, dtype=np.float64)
+    ga = np.asarray(g, dtype=np.float64) if _within(fa, m, -np.inf, lo_open=True) else None
+    if ga is None or not _within(ga, m, -np.inf, lo_open=True):
+        # a NaN, -inf or value above m: these checks name the first bad cell, in their usual order
+        fa, ga = _asvalues(f, "f"), _asvalues(g, "g")
+        _check_shapes(fa, ga)
+        require_regime(fa, m, "FMm", "f")
+        require_regime(ga, m, "FMm", "g")
+    else:
+        _check_shapes(fa, ga)
+    out = _out(fa, ga)
+    p = np.empty(min(out.size, _BLOCK))
+    flags = ["external_loop", "buffered", "zerosize_ok"]
+    ops = [["readonly"], ["readonly"], ["writeonly"]]
+    with np.nditer([fa, ga, out], flags, ops, order="C", buffersize=_BLOCK) as blocks:
+        for a, b, o in blocks:
+            q = p[: o.size]
+            np.add(a, b, out=o)
+            np.multiply(a, b, out=q)
+            np.divide(q, m, out=q)
+            np.subtract(o, q, out=o)
+    return _ret(out, f, g)
 
 
 def lip_mult(lam, f, m=DEFAULT_M):

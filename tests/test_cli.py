@@ -346,3 +346,59 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert proc.stderr == "lipmaps: error: non-ASCII byte b'\\xff' in probe file (at byte offset 18)\n"
         assert not (tmp_path / "o.fmap").exists()
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process, and calls in sequence share no options."""
+
+    SEQUENCE = (
+        ["--clamp", "0.5", "map-mult", "--image", "f.fmap", "--probe", "b.probe", "--out", "clamped.fmap"],
+        # without --clamp the 0 cell is rejected: a --clamp left over from the call before would admit it
+        ["map-mult", "--image", "f.fmap", "--probe", "b.probe", "--out", "mult.fmap"],
+        ["map-add", "--image", "f.fmap", "--probe", "b.probe", "--out", "add.fmap"],
+        ["lighting", "--image", "f.fmap", "--out", "lit.fmap", "--add", "40"],
+        # a --add left over from the call before would win over --mult
+        ["lighting", "--image", "f.fmap", "--out", "lit.fmap", "--mult", "2"],
+        ["lighting", "--image", "f.fmap", "--out", "both.fmap", "--add", "40", "--mult", "2"],
+        ["detect", "--map", "add.fmap", "--threshold", "inf"],
+    )
+
+    @staticmethod
+    def inputs(directory):
+        values = np.linspace(0.0, 250.0, 6 * 7).reshape(6, 7)
+        (directory / "f.fmap").write_bytes(binary_fmap(values, M))
+        (directory / "b.probe").write_text("probe 3 3 1 1 256\n70 90 70\n90 120 90\n70 90 70\n")
+
+    @staticmethod
+    def files(directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_sequence_equal_separate_runs(self, tmp_path, monkeypatch, capsys):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        self.inputs(shared)
+        monkeypatch.chdir(shared)
+        codes = []
+        for i, argv in enumerate(self.SEQUENCE):
+            # the files a separate process writes from the same files as this call starts from
+            alone = tmp_path / f"alone{i}"
+            alone.mkdir()
+            for name, data in self.files(shared).items():
+                (alone / name).write_bytes(data)
+            proc = subprocess.run([sys.executable, "-m", "lipmaps.cli", *argv], cwd=alone, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+            assert self.files(shared) == self.files(alone), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0, 2, 0]

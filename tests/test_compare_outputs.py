@@ -29,8 +29,15 @@ def test_same_tree_has_no_mismatch():
     runs = int(counts.split(" CLI results")[0].rsplit(" ", 1)[1])
     assert runs >= 5 * 6 * 3 * 10
     # and every check met a 300x300 raster whose only bad cell is its last: each map
-    # and both fmap readers at every scale, and the P5 file read two ways, all raising
-    assert f"{5 * (8 + 2) + 2} check results ({5 * (8 + 2) + 2} exceptions)" in counts
+    # and both fmap readers at every scale, and the P5 file read two ways, all raising;
+    # at every scale, lip_add (bad f or g, beside an array or a scalar) and FmMap with a
+    # last cell NaN, -inf or above m, and two cases of each with a second fault, all
+    # raising but the FmMap that holds -inf
+    checks = 5 * (8 + 2 + 3 * (4 + 1) + 2 + 2) + 2
+    assert f"{checks} check results ({checks - 5} exceptions)" in counts
+    # and lip_add crossed its block seams at every scale: 4 sizes, 5 layouts, 4 operand
+    # pairs, with overflow raising and ignored
+    assert f", {5 * 4 * 5 * 4 * 2} lip results (" in counts
 
 
 def test_needs_both_trees():

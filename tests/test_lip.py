@@ -431,6 +431,15 @@ class TestOneBuffer:
         assert traced_peak(lambda: out.append(lip_mult(2.0, f, M))) < 1.1 * f.nbytes
         assert not np.shares_memory(out[0], f)
 
+    def test_lip_add_holds_one_raster(self):
+        # the output and one block of scratch; a transposed operand adds one gathered block, never a copy
+        f = np.random.default_rng(5).uniform(-300.0, 250.0, size=(1024, 1024))
+        f.setflags(write=False)
+        for a, b in ((f, 30.0), (30.0, f), (f.T, 30.0), (f, f.T)):
+            out = []
+            assert traced_peak(lambda: out.append(lip_add(a, b, M))) < 1.1 * f.nbytes
+            assert not np.shares_memory(out[0], f)
+
     @staticmethod
     def inputs(m, writable):
         a = np.array([[x for x in _edges(m) if 0 <= x <= m]] * 2)
@@ -459,3 +468,53 @@ class TestOneBuffer:
         for x in (100.0, np.float64(100.0), np.array(100.0)):
             assert type(fn(x, M)) is float
         assert type(lip_add(np.float64(1.0), np.array(2.0), M)) is float
+
+
+#: Element counts around ``lip_add``'s block of 2**15 output cells, each with a 2-D shape of that size.
+BLOCK_SIZES = {2**15 - 1: (217, 151), 2**15: (128, 256), 2**15 + 1: (99, 331), 3 * 2**15 + 7: (17, 5783)}
+
+
+def _block_operand(rng, shape, m, layout):
+    """A read-only FMm operand of ``shape`` in the given memory layout, with edge values at the block seams."""
+    n = int(np.prod(shape))
+    flat = rng.uniform(-2.0, 1.0, size=n) * m
+    for i, x in zip((0, 2**15 - 1, 2**15, n - 1), (m, 0.0, -0.0, m / 3)):
+        flat[min(i, n - 1)] = x
+    values = flat.reshape(shape)
+    if layout == "transposed":
+        values = np.ascontiguousarray(values.T).T
+    elif layout == "strided":
+        base = np.zeros(shape[:-1] + (2 * shape[-1],))
+        base[..., ::2] = values
+        values = base[..., ::2]
+    values.setflags(write=False)
+    return values
+
+
+class TestLipAddBlocks:
+    """``lip_add`` fills its output block by block, bit for bit the formula, on every layout."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", ONE_BUFFER_SCALES)
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_equals_literal_formula_across_blocks(self, size, layout, m):
+        rng = np.random.default_rng(size)
+        shapes = [BLOCK_SIZES[size]] + ([(size,)] if layout != "transposed" else [])
+        for shape in shapes:
+            f, g = _block_operand(rng, shape, m, layout), _block_operand(rng, shape, m, "contiguous")
+            before = f.tobytes(), g.tobytes()
+            for a, b in ((f, g), (g, f), (f, f), (f, m / 3), (m / 3, f), (f, -0.0), (f, m)):
+                # warnings as errors: an overflow at m = 1e200 must raise in both, the same way
+                assert _outcome(lambda: lip_add(a, b, m)) == _outcome(lambda: _literal_lip_add(a, b, m))
+                with np.errstate(over="ignore"):
+                    assert lip_add(a, b, m).tobytes() == _literal_lip_add(a, b, m).tobytes()
+            assert (f.tobytes(), g.tobytes()) == before
+
+    def test_empty_zero_d_and_three_d_operands(self):
+        assert lip_add(np.full((3, 0), 10.0), 5.0, M).shape == (3, 0)
+        assert lip_add(np.array(10.0), 5.0, M) == lip_add(10.0, 5.0, M) == _literal_lip_add(10.0, 5.0, M)
+        f = np.full((2, 3, 2**14 + 1), 10.0).transpose(2, 0, 1)
+        out = lip_add(f, 5.0, M)
+        assert out.shape == (2**14 + 1, 2, 3) and out.flags.c_contiguous
+        assert out.tobytes() == _literal_lip_add(f, 5.0, M).tobytes()

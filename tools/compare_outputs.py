@@ -32,8 +32,21 @@ bad cell is its last, where a check that reduces the raster first must
 still name that cell: at every scale, one image per map, out of the regime
 that map checks (``CHECK_LAST``, through the ``GreyImage`` container where
 the map accepts all it holds), and an ``fmap`` whose last cell is NaN, read
-with ``read_map`` and ``read_image``; once, a ``P5`` file whose last byte
+with ``read_map`` and ``read_image``; ``lip_add`` with an ``f`` or a ``g``
+whose last cell is NaN, ``-inf`` or above ``m`` (``CHECK_LAST_LIP``), beside
+an array or a scalar, and an ``FmMap`` holding such values; and, for which
+fault a check names first, ``lip_add`` of an ``f`` above ``m`` with a NaN
+``g`` or a narrower one, and an ``FmMap`` with a NaN or a value above ``m``
+and a rectangle that does not fit.  Once, a ``P5`` file whose last byte
 exceeds its maxval, read with ``read_pgm`` and ``read_image``.
+
+The ``lip`` battery runs ``lip_add`` across its block seams: at every
+scale, at each element count of ``LIP_SIZES`` (one below, at and above
+the 2**15-cell block, and three blocks and a part), 1-D and 2-D, on
+row-major, transposed and strided operands with the edge values ``m``,
+0, -0.0, 5e-324 and ``-1e300`` at the seams, with array and scalar
+operands in both orders, once with overflow raising and once with it
+ignored.  Its results are compared by a SHA-256 digest of each array.
 
 The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
 case of each scale, every probe kind with the strict, edge-valued and
@@ -44,9 +57,10 @@ into a missing directory and an image to a directory path.  Each command
 that wrote a file then runs twice more: once over its own output, and
 once over a longer file of junk bytes placed under the same name, so that
 writing over an existing file must give a fresh write's bytes.  Each case
-also runs ``verify-link --random W H --seed N``.  Its working directory
-is the temporary directory and its file names are relative, so that
-messages match across trees.  Each run is compared by its exit code, stdout, stderr
+also runs ``verify-link --random W H --seed N``, and each scale once runs
+``lighting --add`` on a ``LIP_BIG`` image, larger than one ``lip_add``
+block.  The CLI's working directory is the temporary directory and its
+file names are relative, so that messages match across trees.  Each run is compared by its exit code, stdout, stderr
 and the bytes of every file it wrote.  The script prints the counts and
 the first mismatches, and exits 1 on any mismatch.
 """
@@ -55,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import pickle
@@ -124,6 +139,13 @@ CHECK_LAST = {
     "map_add_via_mult": -1e6,
 }
 CHECK_SHAPE = (300, 300)  # every raster of the check battery
+#: Last cell, relative to ``m``, of the check battery's ``lip_add`` operands and ``FmMap`` values.
+CHECK_LAST_LIP = {"NaN": float("nan"), "-inf": -float("inf"), "above m": 2.0}
+
+#: Element counts of the ``lip`` battery around ``lip_add``'s block of 2**15
+#: output cells, each with a 2-D shape of that size.
+LIP_SIZES = {2**15 - 1: (217, 151), 2**15: (128, 256), 2**15 + 1: (99, 331), 3 * 2**15 + 7: (17, 5783)}
+LIP_BIG = (181, 182)  # the CLI's ``lighting --add`` raster, larger than one block
 
 #: Image kinds the CLI battery runs, with every probe kind, on the first case of
 #: each scale: maps that succeed, edge values that only ``--clamp`` admits to
@@ -294,14 +316,81 @@ def battery(lipmaps, seed, cases, heights, tmp):
         for name, read in (("read_pgm", raster_io.read_pgm), ("read_image", raster_io.read_image)):
             _, results[f"check P5 above maxval {name}"] = run(lambda: read(path), fields)
 
+    def check_lip(m):
+        """``lip_add``, array and scalar operands, and ``FmMap``, on rasters whose only bad cell is their last."""
+        k = 0.3 * m
+        for bad, last in CHECK_LAST_LIP.items():
+            f, g = (check_rng.uniform(-2.0, 0.999, size=CHECK_SHAPE) * m for _ in "fg")
+            worse = f.copy()
+            worse[-1, -1] = last * m
+            at = f"check m={m:g} last {bad}"
+            for name, (a, b) in {"f": (worse, g), "f k": (worse, k), "g": (f, worse), "k g": (k, worse)}.items():
+                _, results[f"{at} lip_add {name}"] = run(lambda: (lipmaps.lip_add(a, b, m),))
+            _, results[f"{at} FmMap"] = run(lambda: lipmaps.FmMap(worse, None, m), lambda r: (r.values, r.full_mask))
+        # two bad inputs at once: which one a check names first
+        f, g = (check_rng.uniform(-2.0, 0.999, size=CHECK_SHAPE) * m for _ in "fg")
+        f[-1, -1], g[-1, -1] = 2.0 * m, np.nan
+        _, results[f"check m={m:g} lip_add f above m, g NaN"] = run(lambda: (lipmaps.lip_add(f, g, m),))
+        narrow = check_rng.uniform(-2.0, 0.999, size=(CHECK_SHAPE[0], CHECK_SHAPE[1] - 1)) * m
+        _, results[f"check m={m:g} lip_add f above m, g narrower"] = run(lambda: (lipmaps.lip_add(f, narrow, m),))
+        for name, v in (("NaN", g), ("above m", f)):
+            _, results[f"check m={m:g} FmMap {name}, rectangle too large"] = run(
+                lambda: lipmaps.FmMap(v, (0, 301, 0, 300), m), lambda r: (r.values, r.full_mask)
+            )
+
+    def lip_operand(shape, m, layout):
+        """An FMm operand of ``shape`` in the given memory layout, with edge values at the block seams."""
+        n = int(np.prod(shape))
+        flat = lip_rng.uniform(-2.0, 0.999, size=n) * m
+        seams = (0, 2**15 - 1, 2**15, 2**15 + 1, n - 1)
+        for i, x in zip(seams, (m, 0.0, -0.0, 5e-324, -1e300 * min(m, 1.0))):
+            flat[min(i, n - 1)] = x
+        values = flat.reshape(shape)
+        if layout == "transposed":
+            return np.ascontiguousarray(values.T).T
+        if layout == "strided":
+            base = np.zeros(shape[:-1] + (2 * shape[-1],))
+            base[..., ::2] = values
+            return base[..., ::2]
+        return values
+
+    def lip_battery(m):
+        """``lip_add`` across block seams: 1-D and 2-D, every layout, array and scalar operands, overflow raising or not."""
+        k = 0.3 * m
+        for size, shape2 in LIP_SIZES.items():
+            for shape, layout in (((size,), "contiguous"), ((size,), "strided"), (shape2, "contiguous"),
+                                  (shape2, "transposed"), (shape2, "strided")):
+                f, g = lip_operand(shape, m, layout), lip_operand(shape, m, "contiguous")
+                for pair, (a, b) in {"f g": (f, g), "g f": (g, f), "f k": (f, k), "k f": (k, f)}.items():
+                    for over in ("raise", "ignore"):
+                        with np.errstate(over=over):
+                            _, r = run(lambda: (lipmaps.lip_add(a, b, m),))
+                        if not isinstance(r[0], str):  # a digest for each array: they are up to 786 KB
+                            r = tuple(hashlib.sha256(x).digest() for x in r)
+                        results[f"lip m={m:g} size={size} shape={shape} {layout} {pair} over={over}"] = r
+
+    def cli_big(m):
+        """``lighting --add`` on an image larger than one ``lip_add`` block."""
+        for name in os.listdir("."):
+            os.remove(name)
+        values = lip_rng.uniform(-1.0, 0.999, size=LIP_BIG) * m
+        values.flat[[0, 2**15 - 1, 2**15]] = (m, 0.0, -1e300 * min(m, 1.0))
+        raster_io.write_image(lipmaps.GreyImage(values, m), "big.fmap")
+        argv = ["lighting", "--image", "big.fmap", "--out", "lit-big.fmap", "--add", repr(0.3 * m)]
+        results[f"cli m={m:g} shape={LIP_BIG} lighting add"] = cli_run(argv)
+
     os.makedirs(os.path.join(tmp, "cli"))
     os.chdir(os.path.join(tmp, "cli"))
     results = {}
     rng = np.random.default_rng(seed)
     check_rng = np.random.default_rng((seed, 1))  # its own stream, so the cases above stay as they were
+    lip_rng = np.random.default_rng((seed, 2))
     check_pgm()
     for m in SCALES:
         check_battery(m)
+        check_lip(m)
+        lip_battery(m)
+        cli_big(m)
         for i in range(cases):
             shape = (heights[i % len(heights)], int(rng.integers(1, 14)))
             random = ["verify-link", "--random", str(shape[1]), str(shape[0]), "--seed", str(seed + i)]
@@ -359,17 +448,19 @@ def main(argv=None):
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = collect(args.old, args), collect(args.new, args)
     mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli ", "check "))]
+    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli ", "check ", "lip "))]
     checks = [r for k, r in new.items() if k.startswith("check ")]
+    lips = [r for k, r in new.items() if k.startswith("lip ")]
     raised = sum(1 for r in calls if r and isinstance(r[0], str))
     runs = [r for k, r in new.items() if k.startswith("cli ")]
     ok = sum(1 for r in runs if r[0] == 0)
     probe_io = sum(1 for k in new if k.endswith(("write_probe", "read_probe")))
     print(
         f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
-        f"{len(new) - len(calls) - len(runs) - len(checks)} I/O results ({probe_io} probe), "
+        f"{len(new) - len(calls) - len(runs) - len(checks) - len(lips)} I/O results ({probe_io} probe), "
         f"{len(runs)} CLI results ({ok} exit 0), "
         f"{len(checks)} check results ({sum(1 for r in checks if isinstance(r[0], str))} exceptions), "
+        f"{len(lips)} lip results ({sum(1 for r in lips if isinstance(r[0], str))} exceptions), "
         f"{len(mismatches)} mismatches"
     )
     for key in mismatches[:10]:
