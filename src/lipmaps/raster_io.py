@@ -12,7 +12,8 @@ Small formats, all defined bit-exact:
   header, the half-open rectangle ``r0 r1 c0 c1`` of its full-overlap
   cells (``0 0 0 0`` when there are none); :func:`write_image` writes no
   rectangle.  The body is
-  written with one ``tofile`` call and read with one ``readinto`` once its
+  written with one ``tofile`` call (raw writes to a path that is not a
+  regular file) and read with one ``readinto`` once its
   byte count matches the header, so a header the file does not back
   allocates nothing.  Any other first line is a ``ParseError`` naming the
   expected header; a NaN cell is one naming the first NaN in row-major
@@ -240,17 +241,24 @@ def _write_fmap(values: np.ndarray, m: float, path, rect=None):
         rest += " %d %d %d %d" % rect
     rest = rest.encode("ascii") + b"\n"
     # no O_TRUNC: freeing an existing file's blocks costs more than writing
-    # over them; unbuffered, so that tofile also writes to a pipe
+    # over them; unbuffered, so that every write goes straight to the file
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb", buffering=0) as fh:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         # a regular file gets its magic last, so that no reader accepts it half written
         fh.write((bytes(len(_MAGIC)) if regular else _MAGIC) + rest)
-        np.ascontiguousarray(values, dtype="<f8").tofile(fh)
+        body = np.ascontiguousarray(values, dtype="<f8")
         if regular:
+            body.tofile(fh)
             fh.truncate()
             fh.seek(0)
             fh.write(_MAGIC)
+        else:
+            # tofile flushes its last partial block holding the GIL, which deadlocks on a
+            # full pipe drained by a thread of this process; a raw write releases it
+            view = memoryview(body.reshape(-1).view(np.uint8))
+            while view:
+                view = view[fh.write(view) :]
 
 
 def read_map(path, probe: Probe | None = None) -> DistanceMap:

@@ -1,7 +1,10 @@
 """File formats: PGM parsing, fmap/probe round trips, error positions."""
 
+import contextlib
 import errno
+import fcntl
 import os
+import signal
 import stat
 import tempfile
 import threading
@@ -573,6 +576,22 @@ def _map(values):
 _FMAP_WRITERS = {"write_map": (write_map, _map), "write_image": (write_image, GreyImage)}
 
 
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise ``TimeoutError`` after ``seconds``, also out of a write blocked on a full pipe."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("writer", _FMAP_WRITERS)
 class TestFmapOverAnOldFile:
     """The fmap writers write over an existing file in place, its magic last."""
@@ -656,11 +675,37 @@ class TestFmapOverAnOldFile:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        write(values, fifo)
+        with _time_limit(30):
+            write(values, fifo)
         reader.join(timeout=30)
         assert not reader.is_alive()
         write(values, regular)
         assert got == [regular.read_bytes()]
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="no pipe buffer sizes")
+    def test_fifo_of_one_page_drained_by_a_thread(self, tmp_path, rng, writer):
+        # a host over its pipe page quota gives new pipes a page or two; numpy's tofile then
+        # blocked on its last partial block while holding the GIL that the reader needs
+        write, raster = _FMAP_WRITERS[writer]
+        values = raster(rng.uniform(0.0, 255.0, (100, 90)))
+        regular = tmp_path / "regular.fmap"
+        write(values, regular)
+        for i in range(10):
+            fifo = tmp_path / f"fifo{i}"
+            os.mkfifo(fifo)
+            hold = os.open(fifo, os.O_RDWR)  # keeps the pipe, and so its size, until the write is done
+            try:
+                fcntl.fcntl(hold, fcntl.F_SETPIPE_SZ, 4096)
+                got = []
+                reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+                reader.start()
+                with _time_limit(10):
+                    write(values, fifo)
+            finally:
+                os.close(hold)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert got == [regular.read_bytes()]
 
 
 def test_cli_lighting_to_dev_null(tmp_path):
