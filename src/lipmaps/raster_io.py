@@ -11,13 +11,11 @@ Small formats, all defined bit-exact:
   map written by :func:`write_map` appends its ``full_rect`` to the
   header, the half-open rectangle ``r0 r1 c0 c1`` of its full-overlap
   cells (``0 0 0 0`` when there are none); :func:`write_image` writes no
-  rectangle.  The body is
-  written with one ``tofile`` call (raw writes to a path that is not a
-  regular file) and read with one ``readinto`` once its
-  byte count matches the header, so a header the file does not back
-  allocates nothing.  Any other first line is a ``ParseError`` naming the
-  expected header; a NaN cell is one naming the first NaN in row-major
-  order.  Both writers write over an existing regular file in place,
+  rectangle.  The body is written with raw writes of one byte view and
+  read with one ``readinto`` once its byte count matches the header, so a
+  header the file does not back allocates nothing.  Any other first line
+  is a ``ParseError`` naming the expected header; a NaN cell is one
+  naming the first NaN in row-major order.  Both writers write over an existing regular file in place,
   without truncating it first: the header with its magic ``fmap`` as zero
   bytes, the body, a truncation at the body's end, and the magic last.  A
   write that stops part way leaves a file both readers reject on its
@@ -247,18 +245,15 @@ def _write_fmap(values: np.ndarray, m: float, path, rect=None):
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         # a regular file gets its magic last, so that no reader accepts it half written
         fh.write((bytes(len(_MAGIC)) if regular else _MAGIC) + rest)
-        body = np.ascontiguousarray(values, dtype="<f8")
+        # raw writes release the GIL; tofile flushes its last partial block holding it,
+        # which deadlocks on a full pipe drained by a thread of this process
+        view = memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8))
+        while view:
+            view = view[fh.write(view) :]
         if regular:
-            body.tofile(fh)
             fh.truncate()
             fh.seek(0)
             fh.write(_MAGIC)
-        else:
-            # tofile flushes its last partial block holding the GIL, which deadlocks on a
-            # full pipe drained by a thread of this process; a raw write releases it
-            view = memoryview(body.reshape(-1).view(np.uint8))
-            while view:
-                view = view[fh.write(view) :]
 
 
 def read_map(path, probe: Probe | None = None) -> DistanceMap:

@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import fcntl
+import io
 import os
 import signal
 import stat
@@ -42,7 +43,7 @@ from lipmaps import (
     write_pgm8,
     write_probe,
 )
-from lipmaps import cli
+from lipmaps import cli, raster_io
 
 
 def edge_floats(rng, shape):
@@ -616,20 +617,21 @@ class TestFmapOverAnOldFile:
         p = tmp_path / "m.fmap"
         write(old, p)
         size = len(p.read_bytes())
-        contiguous = np.ascontiguousarray
 
-        class HalfBody:
-            """An array whose ``tofile`` writes half its bytes, then fails."""
+        class HalfBody(io.FileIO):
+            """A file whose first write after the header writes half its bytes, then fails."""
 
-            def __init__(self, values, dtype):
-                self.body = contiguous(values, dtype=dtype).tobytes()
+            writes = 0
 
-            def tofile(self, fh):
-                fh.write(self.body[: len(self.body) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
+            def write(self, b):
+                self.writes += 1
+                if self.writes == 2:
+                    super().write(memoryview(b)[: len(b) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
 
         with monkeypatch.context() as patch:
-            patch.setattr(np, "ascontiguousarray", HalfBody)
+            patch.setattr(raster_io, "open", lambda fd, mode, buffering: HalfBody(fd, mode), raising=False)
             with pytest.raises(OSError, match="No space left on device"):
                 write(new, p)
         data = p.read_bytes()
