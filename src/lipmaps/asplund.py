@@ -49,9 +49,13 @@ call of ``_streamed``, which hands the kernel the private ``_hat`` or
 per strip, the finish turns the window max ``hi`` and min ``lo`` of
 ``T f(x+h) - T b(h)`` into the map's rows.  ``T = hat``: ``exp(hi)``,
 ``exp(lo)``, ``hi - lo``.  ``T = xi``, which turns LIP subtraction into
-subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``, ``xi_inv(hi - lo)``.  An
-empty window keeps ``hi = -inf`` and ``lo = +inf``, which the arithmetic
-carries to the neutrals: ``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m``
+subtraction: ``xi_inv(hi)``, ``xi_inv(lo)``, ``xi_inv(hi - lo)``.  The
+finish also owns the sign of a zero: a difference, and an additive bound
+before ``xi_inv``, gets ``+ 0.0``, so no map returns a ``-0.0`` that the
+order of the kernel's folds made.  The kernel sets a cell whose window is
+empty to ``hi = -inf`` and ``lo = +inf`` (it is NaN in every difference,
+and only a probe off its anchor has one), which the arithmetic carries to
+the neutrals: ``xi_inv(-inf) = -inf``, ``xi_inv(+inf) = m``
 and ``-inf - (+inf) = -inf``; an ``m`` cell has ``xi = +inf`` and gives
 ``m`` back exactly.  ``xi_inv(hi - lo)`` is capped at the largest float
 below ``m``, which rounding reaches once ``hi - lo`` passes about
@@ -74,7 +78,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
 from .lip import _first_bad, _hat, _require_not_m, _within, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
-from .morphology import _stream, full_overlap_rect
+from .morphology import _stream, _unsigned_zeros, full_overlap_rect
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
 __all__ = [
@@ -259,7 +263,7 @@ def map_mult(f: GreyImage, b: Probe) -> RealMap:
     image and probe value must lie in ``]0, m[``.
     """
     _require_mult(f, b, strict_image=True)
-    return RealMap._adopt(*_streamed(f, b, _hat, lambda hi, lo: np.subtract(hi, lo, out=lo)), f.m)
+    return RealMap._adopt(*_streamed(f, b, _hat, lambda hi, lo: _unsigned_zeros(np.subtract(hi, lo, out=lo))), f.m)
 
 
 def mlub_add(f: GreyImage, b: Probe) -> FmMap:
@@ -269,13 +273,13 @@ def mlub_add(f: GreyImage, b: Probe) -> FmMap:
     probe must have values strictly below ``m``.
     """
     _require_add(f, b, strict_image=False)
-    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi: _xi_inv(hi, f.m, hi), lo=False), f.m)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi: _xi_inv(_unsigned_zeros(hi), f.m, hi), lo=False), f.m)
 
 
 def mglb_add(f: GreyImage, b: Probe) -> FmMap:
     """Additive map of greatest lower bounds, the min dual of :func:`mlub_add`."""
     _require_add(f, b, strict_image=False)
-    return FmMap._adopt(*_streamed(f, b, _xi, lambda lo: _xi_inv(lo, f.m, lo), hi=False), f.m)
+    return FmMap._adopt(*_streamed(f, b, _xi, lambda lo: _xi_inv(_unsigned_zeros(lo), f.m, lo), hi=False), f.m)
 
 
 def map_add(f: GreyImage, b: Probe) -> FmMap:
@@ -285,7 +289,11 @@ def map_add(f: GreyImage, b: Probe) -> FmMap:
     value that rounding carries to ``m`` is returned one ulp below ``m``.
     """
     _require_add(f, b, strict_image=True)
-    return FmMap._adopt(*_streamed(f, b, _xi, lambda hi, lo: _lip_distance(np.subtract(hi, lo, out=lo), f.m)), f.m)
+
+    def finish(hi, lo):
+        return _unsigned_zeros(_lip_distance(np.subtract(hi, lo, out=lo), f.m))
+
+    return FmMap._adopt(*_streamed(f, b, _xi, finish), f.m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,20 @@ maps of :mod:`lipmaps.asplund` finish them into their values.  Only the
 ratio reference of :mod:`lipmaps.asplund`, ``_ratio_bounds``, keeps a
 per-offset loop, independent of the kernel.  Erosion is the min side;
 dilation is the max side on the reflected probe with negated values,
-since ``x - (-v)`` is ``x + v`` bit for bit in IEEE arithmetic.  The kernel pads the raster with NaN, read
-as "no value here", and reduces and folds with ``np.fmax``/``np.fmin``,
-which skip NaN, so every window is exactly the clipped one; each output
-starts at the lattice neutral of its side (``-inf`` for the max, ``+inf``
-for the min), which an empty window leaves in place.  The image itself
-must therefore be NaN-free (:func:`dilate` and :func:`erode` reject a NaN
-cell).  The kernel splits the probe into horizontal runs of equal value
-(the chord decomposition of Urbach & Wilkinson, IEEE TIP 2008).  The
-running max/min of the image along a run comes from a log-step table
+since ``x - (-v)`` is ``x + v`` bit for bit in IEEE arithmetic.  The
+kernel pads the raster with NaN, read as "no value here", and reduces and
+folds with ``np.fmax``/``np.fmin``, which skip NaN, so every window is
+exactly the clipped one.  The image itself must therefore be NaN-free
+(:func:`dilate` and :func:`erode` reject a NaN cell).  Each side starts
+as the differences of its first probe value, and the folds of the other
+values skip the NaN of an empty window, so a NaN is left only where a
+cell's whole clipped window is empty; one fold with the lattice neutral
+of the side (``-inf`` for the max, ``+inf`` for the min) then sets those
+cells.  The anchor's own offset always lands inside the raster, so only a
+probe whose anchor is off its mask has such a cell, and only such a probe
+runs that pass.  The kernel splits the probe into horizontal runs of
+equal value (the chord decomposition of Urbach & Wilkinson, IEEE TIP
+2008).  The running max/min of the image along a run comes from a log-step table
 (van Herk 1992): level ``k`` holds the max/min over ``2**k`` consecutive
 columns.  A run whose length ``L`` is ``2**k`` reads level ``k``; for any
 other length, with ``2**k < L < 2**(k+1)``, a chord-length table ``H_L``
@@ -46,13 +51,16 @@ place into the strip's result, and the loop copies the strip's rows of it
 into the output raster the caller passed in; without a finish
 (:func:`spread`) each side's block is copied into its own raster.  So no
 full raster of ``T f`` or of either extremum is made, and no view of the
-scratch leaves the loop.
+scratch leaves the loop.  The ranges a strip reads and writes depend only
+on its height, so their views are made once for the full strips and once
+more for a shorter last strip, and each strip only runs its passes.
 
 A probe value held by a single cell (one run of length 1 after clipping)
 reads one level-0 slice, which is both its window max and its window min,
-so it gets one subtraction whose result is folded into both outputs; on a
-probe cut from a real image, with no two equal neighbours, that is every
-value.
+so it gets one subtraction whose result is folded into both outputs (the
+first such value's result starts the max block and is copied into the min
+block); on a probe cut from a real image, with no two equal neighbours,
+that is every value.
 The other values are then reduced and subtracted one side at a time, over
 levels ``1..top`` rebuilt in place above level 0.  Per value, the runs
 are grouped by clipped length, and each ``H_L`` is built into one shared
@@ -83,15 +91,21 @@ Max/min accumulation is order-independent and subtraction is
 non-decreasing under IEEE rounding, so the result equals the literal
 per-cell, per-offset loop bit for bit, up to the sign of a zero: max/min
 ties keep one operand and ``-0.0 == 0.0``, so the sign the folds leave
-depends on the order in which ties are met.  After the folds, each
-block gets ``+ 0.0``, which turns every zero result into ``+0.0`` and
-changes nothing else.
+depends on the order in which ties are met.  ``+ 0.0`` turns a zero into
+``+0.0`` and changes nothing else, and the finish adds it once, where it
+can change a result: :func:`spread` to each block after the folds, the
+distance maps of :mod:`lipmaps.asplund` to their finished difference
+(``hi - lo`` is ``-0.0`` only for ``-0.0 - +0.0``, so this gives the bits
+of adding it to both sides first), and the additive bound maps to their
+side before ``xi_inv``, which keeps a zero's sign.  The multiplicative
+bound maps add none: ``exp`` sends either zero to 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError
 from .lip import _asvalues
 from .rasters import Probe
 
@@ -186,6 +200,10 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     ``T`` and no finish.
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 2:
+        raise DimensionError(f"image must be a 2-D raster, got shape {f.shape}")
+    if not (hi or lo):
+        return None, None
     outs = [np.empty(f.shape) if side else None for side in (hi, lo)]
     _stream(f, b, [out for out in outs if out is not None], hi, lo)
     return tuple(outs)
@@ -201,11 +219,19 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
     ``rows x width`` array at the table's row stride whose columns past
     ``w`` are padding; it finishes them in place and returns the block that
     holds the strip's result, which is copied into the one raster of
-    ``outs``.  Without a finish, each side's block is copied into its own
-    raster of ``outs``, in the same order, and the results are those of the
-    literal per-cell loop on ``T f``, zeros as ``+0.0``: ``T`` is applied
-    cell by cell, once per image row, and on the NaN padding, which it
-    leaves NaN.
+    ``outs``.  The blocks' zeros keep the sign the folds left, so the finish
+    owns the sign of a zero result, and a padding cell may hold any value,
+    NaN included.  Without a finish, each side's block gets ``+ 0.0`` and is
+    copied into its own raster of ``outs``, in the same order, and the
+    results are those of the literal per-cell loop on ``T f``, zeros as
+    ``+0.0``: ``T`` is applied cell by cell, once per image row, and on the
+    NaN padding, which it leaves NaN.
+
+    Each side's block starts as its first value's differences, the first
+    single cell's for both sides when the probe has one; its tail past the
+    last row's ``w`` columns, which no fold writes, holds the neutral.  The
+    neutral pass over the folded blocks runs only when ``b``'s anchor is off
+    its mask, and a strip with no source row is all neutral.
     """
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
@@ -227,20 +253,55 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
     hl = np.empty(max((rel[-1] + ns_max for ls in groups.values() for _, d, _, rel in ls if d), default=0))
     acc = np.empty(_STRIP * width)
     pads = [np.empty((_STRIP, width)) for _ in sides]
+    # only a probe off its anchor leaves a cell of the raster an empty window
+    off_anchor = not b.mask[b.anchor]
+
+    def views(n):
+        """``(blocks, reads)``: the padded blocks of a strip of ``n`` rows, and the views :func:`_fold` takes."""
+        # a slice of n rows: its flat range ends at column w - 1 of its last row
+        ns = (n - 1) * width + w
+        blocks = [pad[:n] for pad in pads]
+        # level k + 1 is only needed (and only valid) on the first
+        # width - 2**(k+1) + 1 columns of each row; its flat range ends
+        # there on the last row, where the level-k range it reads ends
+        levels = []
+        for k in range(top):
+            ne = (n + span) * width - (2 << k) + 1
+            levels.append((flat[k, :ne], flat[k, 1 << k : (1 << k) + ne], flat[k + 1, :ne]))
+        shared = []
+        for v, lengths in groups.items():
+            steps = []
+            for k, d, base, rel in lengths:
+                src, build = flat[k, base:], None
+                if d:
+                    # H_L over the flat range of this length's chords; its last
+                    # read is the last cell of the last chord's second level-k
+                    # slice, inside the built range.  A value's first length, if
+                    # it has one chord, is built straight into the accumulator:
+                    # a view into H_L left as the value's running extremum would
+                    # be overwritten by the value's next length
+                    ne = rel[-1] + ns
+                    src = acc if not steps and len(rel) == 1 else hl
+                    build = (flat[k, base : base + ne], flat[k, base + d : base + d + ne], src[:ne])
+                steps.append((build, [src[at : at + ns] for at in rel]))
+            shared.append((v, steps))
+        singles = [(v, flat[0, at : at + ns]) for v, at in cells.items()]
+        strips = [block.reshape(-1)[:ns] for block in blocks]
+        tails = [block.reshape(-1)[ns:] for block in blocks]
+        return blocks, (strips, tails, acc[:ns], levels, singles, shared)
+
     # whether the previous strip built its table; the strips with a source row
     # are consecutive, so each but the first of them follows one that did
     carried = False
+    n = 0
     for r0 in range(0, h, _STRIP):
         r1 = min(h, r0 + _STRIP)
         rows = r1 - r0 + span
         n0 = r0 + y_lo  # the source row of table row 0
-        # a slice of r1 - r0 rows: its flat range ends at column w - 1 of its last row
-        ns = (r1 - r0 - 1) * width + w
-        blocks = [pad[: r1 - r0] for pad in pads]
-        strips = [block.reshape(-1)[:ns] for block in blocks]
-        # the whole block, so the last row's padding columns hold no stale value either
-        for block, (_, neutral) in zip(blocks, sides):
-            block.fill(neutral)
+        if r1 - r0 != n:
+            # the previous height's views go before the next are made
+            n, reads = r1 - r0, None
+            blocks, reads = views(n)
         if max(0, n0) < min(h, n0 + rows):
             first = 0
             if carried:
@@ -264,41 +325,69 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
                 # on the rows' whole flat range: T of a NaN padding cell is NaN
                 t(flat[0, i0 * width : i1 * width])
             carried = True
-            for v, at in cells.items():
-                part = np.subtract(flat[0, at : at + ns], v, out=acc[:ns])
-                for (reduce, _), strip in zip(sides, strips):
-                    reduce(strip, part, out=strip)
-            for (reduce, _), strip in zip(sides, strips) if groups else ():
-                for k in range(top):
-                    # level k + 1 is only needed (and only valid) on the first
-                    # width - 2**(k+1) + 1 columns of each row; its flat range ends
-                    # there on the last row, where the level-k range it reads ends
-                    step = 1 << k
-                    ne = rows * width - (2 << k) + 1
-                    reduce(flat[k, :ne], flat[k, step : step + ne], out=flat[k + 1, :ne])
-                for v, lengths in groups.items():
-                    win = None
-                    for k, d, base, rel in lengths:
-                        src = flat[k, base:]
-                        if d:
-                            # H_L over the flat range of this length's chords; its last
-                            # read is the last cell of the last chord's second level-k
-                            # slice, inside the built range.  A value's first length, if
-                            # it has one chord, is built straight into the accumulator:
-                            # a view into H_L left as `win` would be overwritten by the
-                            # value's next length
-                            ne = rel[-1] + ns
-                            into = acc if win is None and len(rel) == 1 else hl
-                            src = reduce(src[:ne], flat[k, base + d : base + d + ne], out=into[:ne])
-                        for at in rel:
-                            part = src[at : at + ns]
-                            win = part if win is None else reduce(win, part, out=acc[:ns])
-                    reduce(strip, np.subtract(win, v, out=acc[:ns]), out=strip)
-            # + 0.0 turns a -0.0 into +0.0, whatever order the folds met the ties in
-            for strip in strips:
-                np.add(strip, 0.0, out=strip)
-        for out, block in zip(outs, blocks if finish is None else [finish(*blocks)]):
-            out[r0:r1] = block[:, :w]
+            _fold(sides, off_anchor, *reads)
+        else:
+            for block, (_, neutral) in zip(blocks, sides):
+                block.fill(neutral)
+        if finish is None:
+            for out, block in zip(outs, blocks):
+                out[r0:r1] = _unsigned_zeros(block)[:, :w]
+        else:
+            outs[0][r0:r1] = finish(*blocks)[:, :w]
+
+
+def _fold(sides, off_anchor, strips, tails, accum, levels, singles, shared):
+    """Fold a strip's window extrema into its padded blocks, in place.
+
+    Per side, ``strips`` holds the block's flat range of the strip's rows,
+    which the folds write, and ``tails`` the rest of it; ``accum`` is the
+    accumulator over that range.  ``levels`` holds the ``(level k, level k
+    shifted, level k + 1)`` ranges of each level's build, ``singles`` a
+    ``(v, level-0 slice)`` per single-cell value, and ``shared`` a ``(v,
+    steps)`` per other value, one ``(build, slices)`` step per chord
+    length: the ``H_L`` build's three ranges (``None`` where a level is read
+    as it is) and each chord's slice.  The views depend only on the strip's
+    height, so :func:`_stream` makes them once per height.
+    """
+    # no fold writes a block's tail, the last row's padding columns: it gets
+    # the neutral, so no stale value reaches a finish
+    for tail, (_, neutral) in zip(tails, sides):
+        tail.fill(neutral)
+    # each side's block starts as its first value's difference and folds in the others
+    for i, (v, src) in enumerate(singles):
+        if i:
+            np.subtract(src, v, accum)
+            for (reduce, _), strip in zip(sides, strips):
+                reduce(strip, accum, strip)
+        else:
+            np.subtract(src, v, strips[0])
+            for strip in strips[1:]:
+                np.copyto(strip, strips[0])
+    for (reduce, _), strip in zip(sides, strips) if shared else ():
+        for level in levels:
+            reduce(*level)
+        # i is 0 for the side's first value, which has no single cell before it
+        for i, (v, steps) in enumerate(shared, bool(singles)):
+            win = None
+            for build, slices in steps:
+                if build:
+                    reduce(*build)
+                for src in slices:
+                    win = src if win is None else reduce(win, src, accum)
+            if i:
+                reduce(strip, np.subtract(win, v, accum), strip)
+            else:
+                np.subtract(win, v, strip)
+    if off_anchor:
+        # an empty window is NaN in every value's difference; the folds skip
+        # NaN, so it is left only there, and only an off-mask anchor has one
+        for (reduce, neutral), strip in zip(sides, strips):
+            reduce(strip, neutral, strip)
+
+
+def _unsigned_zeros(a):
+    """``a + 0.0`` in place: each ``-0.0`` becomes ``+0.0``, and no other value changes."""
+    return np.add(a, 0.0, out=a)
 
 
 def dilate(f: np.ndarray, b: Probe) -> np.ndarray:

@@ -17,17 +17,17 @@ def test_same_tree_has_no_mismatch():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     counts = proc.stdout.splitlines()[0]
     assert counts.endswith(", 0 mismatches")
-    # every scale ran every probe and image kind through all 14 calls
-    assert counts.startswith(f"{5 * 6 * 5 * 14} results")
+    # every scale ran every probe kind (7) and image kind (5) through all 14 calls
+    assert counts.startswith(f"{5 * 7 * 5 * 14} results")
     # and each image, at least, through write_image and the three reads
     io = int(counts.split(" I/O results")[0].rsplit(" ", 1)[1])
-    assert io >= 5 * 6 * 5 * 4
+    assert io >= 5 * 7 * 5 * 4
     # and every probe kind, at every scale, through write_probe and read_probe
     probe_io = int(counts.split(" probe)")[0].rsplit("(", 1)[1])
-    assert probe_io >= 5 * 6 * 2
+    assert probe_io >= 5 * 7 * 2
     # and the CLI ran its commands on every probe kind with three image kinds, at every scale
     runs = int(counts.split(" CLI results")[0].rsplit(" ", 1)[1])
-    assert runs >= 5 * 6 * 3 * 10
+    assert runs >= 5 * 7 * 3 * 10
     # and every check met a 300x300 raster whose only bad cell is its last: each map
     # and both fmap readers at every scale, and the P5 file read two ways, all raising;
     # at every scale, lip_add (bad f or g, beside an array or a scalar) and FmMap with a

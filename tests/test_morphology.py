@@ -1,10 +1,12 @@
 """Dilation/erosion with clipped windows: examples, adjunction, lattice laws."""
 
+import re
+
 import numpy as np
 import pytest
 
-from lipmaps import DomainError, Probe, map_add, mglb_add
-from lipmaps.morphology import dilate, erode, full_overlap_rect, reflect
+from lipmaps import DimensionError, DomainError, Probe, map_add, mglb_add, morphology
+from lipmaps.morphology import dilate, erode, full_overlap_rect, reflect, spread
 
 from conftest import M, full_probe, grey
 
@@ -63,6 +65,27 @@ class TestHandEnumerated:
         f[3, 0] = f[1, 2] = np.nan
         with pytest.raises(DomainError, match=r"NaN at cell \(1, 2\)"):
             op(f, full_probe(np.ones((3, 3))))
+
+
+class TestRasterShape:
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)])
+    @pytest.mark.parametrize("op", [dilate, erode, spread])
+    def test_not_two_d_names_the_shape(self, op, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"got shape {shape}")):
+            op(np.zeros(shape), full_probe(np.ones((3, 3))))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_rasters_give_empty_outputs(self, shape):
+        f, b = np.zeros(shape), full_probe(np.ones((3, 3)))
+        for out in (dilate(f, b), erode(f, b), *spread(f, b)):
+            assert out.shape == shape
+
+    def test_no_side_runs_no_kernel(self, rng, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise AssertionError("the strip loop ran")
+
+        monkeypatch.setattr(morphology, "_stream", kernel)
+        assert spread(rng.uniform(-5, 5, size=(6, 7)), full_probe(np.ones((3, 3))), hi=False, lo=False) == (None, None)
 
 
 class TestReflect:

@@ -682,11 +682,18 @@ class TestZeroSign:
             for hi, lo in ((True, True), (True, False), (False, True)):
                 self.assert_no_negative_zero(*spread(f, b, hi=hi, lo=lo))
             self.assert_no_negative_zero(dilate(f, b), erode(f, b))
-            self.assert_no_negative_zero(map_add(GreyImage(f, M), b).values)
-            # the multiplicative maps need a strict image and probe: zeros come
-            # from windows whose max and min meet
+            image = GreyImage(f, M)
+            for call in (map_add, mlub_add, mglb_add):
+                self.assert_no_negative_zero(call(image, b).values)
+            # the multiplicative maps need a strict probe; map_mult a strict image,
+            # whose zeros come from windows whose max and min meet, while the bound
+            # maps admit the edge value 0 and its sign, which hat sends to -inf
+            strict = b.with_values(np.where(b.values > 0, 100.0, 200.0))
             g = GreyImage(np.where(f > 0, 100.0, 200.0), M)
-            self.assert_no_negative_zero(map_mult(g, b.with_values(np.where(b.values > 0, 100.0, 200.0))).values)
+            self.assert_no_negative_zero(map_mult(g, strict).values)
+            edges = GreyImage(np.where(f > 0, 100.0, np.where(f < 0, 200.0, f)), M)
+            for call in (mlub_mult, mglb_mult):
+                self.assert_no_negative_zero(call(edges, strict).values)
 
 
 def two_step(name, f, b):
@@ -754,7 +761,7 @@ class TestStreamedMaps:
 
     @staticmethod
     def probes(rng, h, m):
-        """Rings, runs among single cells, empty windows, no reach, and reach beyond one strip."""
+        """Rings, runs among single cells, empty windows, no reach, reach beyond one strip, a first value with empty windows."""
         def probe(values, mask, anchor):
             return Probe(np.asarray(values, dtype=float) / 256.0 * m, mask, anchor, m)
 
@@ -773,6 +780,10 @@ class TestStreamedMaps:
         below[-1] = True
         tall = rng.random((2 * _STRIP + 6, 3)) < 0.1
         tall[[0, -1], 1] = True
+        # the smallest value, the first in the kernel's order, lies two cells right of
+        # the anchor, whose value covers the last two columns: each side starts NaN
+        # there, and a later value must replace it.  Single-cell values, then runs of two
+        cells, pairs = np.ones((1, 3), dtype=bool), np.ones((2, 4), dtype=bool)
         return [
             probe(ring.values, ring.mask, ring.anchor),
             probe(mixed, mask, anchor),
@@ -783,6 +794,8 @@ class TestStreamedMaps:
             probe(np.full(below.shape, 70.0), below, (0, 0)),
             probe(np.full(below.shape, 70.0), below[::-1], (below.shape[0] - 1, 1)),
             probe(rng.uniform(5.0, 250.0, size=tall.shape), tall, (_STRIP + 3, 1)),
+            probe([[200.0, 120.0, 10.0]], cells, (0, 0)),
+            probe([[200.0, 200.0, 10.0, 10.0], [120.0, 120.0, 10.0, 10.0]], pairs, (0, 0)),
         ]
 
     @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])

@@ -12,10 +12,11 @@ each choice of sides, and the ratio closed form of the multiplicative
 bounds (``asplund._ratio_bounds`` after the bound maps' entry check
 ``asplund._require_mult``, the reference the tests check the kernel
 against), at the scales m in {1e-6, 1, 256, 65536, 1e200}.  Images are strict, carry the edge values 0 and ``m``, run
-below ``-m`` (with or without ``-inf``, ``m`` and ``-1e300`` cells), or
-are quantised to a few levels; probes have
-single-cell values, shared values in runs, negative values, off-mask
-anchors, more rows than one kernel strip, or reach no cell of the raster.
+below ``-m`` (with ``-0.0`` cells, and with or without ``-inf``, ``m``
+and ``-1e300`` cells), or are quantised to a few levels; probes have
+single-cell values, shared values in runs, negative values (with 0.0
+and -0.0), off-mask anchors (one with empty windows in the last column),
+more rows than one kernel strip, or reach no cell of the raster.
 Each map result is written with ``write_map`` and each image with
 ``write_image``, and the file is read back with ``read_map`` (with and
 without the probe) and with ``read_image``.  Every such write goes to
@@ -90,6 +91,7 @@ def images(rng, shape, m):
     edges = strict.copy()
     edges.flat[rng.integers(edges.size, size=2)] = (0.0, m)
     below = rng.uniform(-3.0, 0.999, size=shape) * m
+    below.flat[::3] = -0.0  # ties with the zeros of the probes: a zero's sign is compared
     closure = below.copy()
     closure.flat[rng.integers(closure.size, size=3)] = (-np.inf, m, -1e300 * min(m, 1.0))
     levels = np.array([0.1, 0.3, 0.5, 0.9]) * m
@@ -108,6 +110,7 @@ def probes(rng, shape, m):
     holes = rng.random((4, 7)) < 0.8
     holes[1, 3] = False
     negative = rng.uniform(-2.0, 0.9, size=(2, 3)) * m
+    negative[0, 0], negative[1, 2] = 0.0, -0.0
     far = np.zeros((h + 3, 3))
     far[-1] = rng.uniform(0.1, 0.9, size=3) * m
     far_mask = np.zeros(far.shape, dtype=bool)
@@ -115,6 +118,11 @@ def probes(rng, shape, m):
     tall = rng.uniform(0.001, 0.999, size=(70, 3)) * m
     tall_mask = rng.random(tall.shape) < 0.1
     tall_mask[[0, -1], 1] = True
+    # cells only right of the anchor, which is off the mask: the last column's windows are empty
+    empty = np.zeros((2, 4))
+    empty[:, 1:] = rng.uniform(0.001, 0.999, size=(2, 3)) * m
+    empty[:, 1] = empty[:, 1].min()  # one value shared by two cells, the others single
+    empty_mask = empty != 0
     full = np.ones
     return [
         ("single", single, full(single.shape, dtype=bool), (1, 2)),
@@ -123,6 +131,7 @@ def probes(rng, shape, m):
         ("negative", negative, full(negative.shape, dtype=bool), (0, 1)),
         ("no-cell", far, far_mask, (0, 1)),
         ("tall", tall, tall_mask, (35, 1)),
+        ("empty-window", empty, empty_mask, (0, 0)),
     ]
 
 
