@@ -38,9 +38,10 @@ folded once.  Rounded subtraction of a fixed ``v`` is non-decreasing, so
 probe value ``v``: the runs of one value are reduced into one accumulator
 and ``v`` is subtracted once per distinct value.
 
-The strip loop.  :func:`_stream` runs one loop over fixed strips of
-output rows, and every caller goes through it.  Per strip, level 0, the
-padded image, is built once and shared by both sides: the rows the
+The strip loop.  :func:`_stream` runs one loop over strips of output
+rows, and every caller goes through it.  The raster is cut into the
+fewest strips of at most ``_STRIP`` rows, all of one height.  Per strip,
+level 0, the padded image, is built once and shared by both sides: the rows the
 previous strip's table also held are moved up from it, the new rows are
 copied from the image, and a caller's transform ``T`` (``hat`` or ``xi``
 for the distance maps) is applied to them in place, over their contiguous
@@ -52,8 +53,9 @@ into the output raster the caller passed in; without a finish
 (:func:`spread`) each side's block is copied into its own raster.  So no
 full raster of ``T f`` or of either extremum is made, and no view of the
 scratch leaves the loop.  The ranges a strip reads and writes depend only
-on its height, so their views are made once for the full strips and once
-more for a shorter last strip, and each strip only runs its passes.
+on its height, so their views are made once, before the loop, and each
+strip only runs its passes; the last strip computes its rows past the
+raster on the NaN rows below it, and they are not copied out.
 
 A probe value held by a single cell (one run of length 1 after clipping)
 reads one level-0 slice, which is both its window max and its window min,
@@ -111,7 +113,7 @@ from .rasters import Probe
 
 __all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_rect"]
 
-# Output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
+# The maximum output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
 _STRIP = 64
 
 
@@ -217,8 +219,9 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
     transformed.  Per strip, ``finish`` receives the padded block of each
     side asked for, the max before the min, each a C-contiguous
     ``rows x width`` array at the table's row stride whose columns past
-    ``w`` are padding; it finishes them in place and returns the block that
-    holds the strip's result, which is copied into the one raster of
+    ``w`` are padding, as are the last strip's rows past the raster; it
+    finishes them in place and returns the block that holds the strip's
+    result, whose rows inside the raster are copied into the one raster of
     ``outs``.  The blocks' zeros keep the sign the folds left, so the finish
     owns the sign of a zero result, and a padding cell may hold any value,
     NaN included.  Without a finish, each side's block gets ``+ 0.0`` and is
@@ -227,11 +230,15 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
     ``+0.0``: ``T`` is applied cell by cell, once per image row, and on the
     NaN padding, which it leaves NaN.
 
-    Each side's block starts as its first value's differences, the first
-    single cell's for both sides when the probe has one; its tail past the
-    last row's ``w`` columns, which no fold writes, holds the neutral.  The
-    neutral pass over the folded blocks runs only when ``b``'s anchor is off
-    its mask, and a strip with no source row is all neutral.
+    The raster is cut into the fewest strips of at most ``_STRIP`` rows,
+    all of one height, so every strip runs the same passes on one set of
+    views, made before the loop.  Each side's block starts as its first
+    value's differences, the first single cell's for both sides when the
+    probe has one; its tail past the last row's ``w`` columns, which no
+    fold writes, holds the neutral, and so does the whole block of a probe
+    that reaches no cell.  The neutral pass over the folded blocks runs only
+    when ``b``'s anchor is off its mask; it also sets a strip with no source
+    row, whose folds read only NaN.
     """
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
@@ -244,110 +251,94 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
     cells = {v: ls[0][2] for v, ls in groups.items() if len(ls) == 1 and ls[0][0] == 0 and ls[0][3] == [0]}
     for v in cells:
         del groups[v]
+    # the fewest strips of at most _STRIP rows, each n rows high; the last one
+    # computes its rows past the raster on the NaN rows below it
+    n = -(-h // -(-h // _STRIP)) if h else 1
+    rows = n + span
+    # a slice of n rows: its flat range ends at column w - 1 of its last row
+    ns = (n - 1) * width + w
     # levels 0..top of one table, level 0 shared by both sides, one H_L
     # buffer, one accumulator, and per side a padded strip at the table's row stride
-    tables = np.empty((top + 1, _STRIP + span, width))
+    tables = np.empty((top + 1, rows, width))
     flat = tables.reshape(top + 1, -1)
-    # H_L spans its chords' first start to last start plus one slice of the tallest strip
-    ns_max = (min(h, _STRIP) - 1) * width + w
-    hl = np.empty(max((rel[-1] + ns_max for ls in groups.values() for _, d, _, rel in ls if d), default=0))
-    acc = np.empty(_STRIP * width)
-    pads = [np.empty((_STRIP, width)) for _ in sides]
+    # H_L spans its chords' first start to last start plus one slice
+    hl = np.empty(max((rel[-1] + ns for ls in groups.values() for _, d, _, rel in ls if d), default=0))
+    acc = np.empty(ns)
+    blocks = [np.empty((n, width)) for _ in sides]
+    # level k + 1 is only needed (and only valid) on the first
+    # width - 2**(k+1) + 1 columns of each row; its flat range ends
+    # there on the last row, where the level-k range it reads ends
+    levels = []
+    for k in range(top):
+        ne = rows * width - (2 << k) + 1
+        levels.append((flat[k, :ne], flat[k, 1 << k : (1 << k) + ne], flat[k + 1, :ne]))
+    shared = []
+    for v, lengths in groups.items():
+        steps = []
+        for k, d, base, rel in lengths:
+            src, build = flat[k, base:], None
+            if d:
+                # H_L over the flat range of this length's chords; its last
+                # read is the last cell of the last chord's second level-k
+                # slice, inside the built range.  A value's first length, if
+                # it has one chord, is built straight into the accumulator:
+                # a view into H_L left as the value's running extremum would
+                # be overwritten by the value's next length
+                ne = rel[-1] + ns
+                src = acc if not steps and len(rel) == 1 else hl
+                build = (flat[k, base : base + ne], flat[k, base + d : base + d + ne], src[:ne])
+            steps.append((build, [src[at : at + ns] for at in rel]))
+        shared.append((v, steps))
+    singles = [(v, flat[0, at : at + ns]) for v, at in cells.items()]
+    strips = [block.reshape(-1)[:ns] for block in blocks]
+    # no fold writes a block's tail, nor any of a probe that reaches no cell
+    tails = [block.reshape(-1)[ns if singles or shared else 0 :] for block in blocks]
     # only a probe off its anchor leaves a cell of the raster an empty window
     off_anchor = not b.mask[b.anchor]
 
-    def views(n):
-        """``(blocks, reads)``: the padded blocks of a strip of ``n`` rows, and the views :func:`_fold` takes."""
-        # a slice of n rows: its flat range ends at column w - 1 of its last row
-        ns = (n - 1) * width + w
-        blocks = [pad[:n] for pad in pads]
-        # level k + 1 is only needed (and only valid) on the first
-        # width - 2**(k+1) + 1 columns of each row; its flat range ends
-        # there on the last row, where the level-k range it reads ends
-        levels = []
-        for k in range(top):
-            ne = (n + span) * width - (2 << k) + 1
-            levels.append((flat[k, :ne], flat[k, 1 << k : (1 << k) + ne], flat[k + 1, :ne]))
-        shared = []
-        for v, lengths in groups.items():
-            steps = []
-            for k, d, base, rel in lengths:
-                src, build = flat[k, base:], None
-                if d:
-                    # H_L over the flat range of this length's chords; its last
-                    # read is the last cell of the last chord's second level-k
-                    # slice, inside the built range.  A value's first length, if
-                    # it has one chord, is built straight into the accumulator:
-                    # a view into H_L left as the value's running extremum would
-                    # be overwritten by the value's next length
-                    ne = rel[-1] + ns
-                    src = acc if not steps and len(rel) == 1 else hl
-                    build = (flat[k, base : base + ne], flat[k, base + d : base + d + ne], src[:ne])
-                steps.append((build, [src[at : at + ns] for at in rel]))
-            shared.append((v, steps))
-        singles = [(v, flat[0, at : at + ns]) for v, at in cells.items()]
-        strips = [block.reshape(-1)[:ns] for block in blocks]
-        tails = [block.reshape(-1)[ns:] for block in blocks]
-        return blocks, (strips, tails, acc[:ns], levels, singles, shared)
-
-    # whether the previous strip built its table; the strips with a source row
-    # are consecutive, so each but the first of them follows one that did
-    carried = False
-    n = 0
-    for r0 in range(0, h, _STRIP):
-        r1 = min(h, r0 + _STRIP)
-        rows = r1 - r0 + span
+    # the padding columns, and the rows above the raster, stay NaN from here on
+    tables[0].fill(np.nan)
+    for r0 in range(0, h, n):
         n0 = r0 + y_lo  # the source row of table row 0
-        if r1 - r0 != n:
-            # the previous height's views go before the next are made
-            n, reads = r1 - r0, None
-            blocks, reads = views(n)
-        if max(0, n0) < min(h, n0 + rows):
-            first = 0
-            if carried:
-                # the previous strip's rows _STRIP.. are this strip's rows 0..span-1,
-                # moved up in blocks of at most _STRIP rows so no block overlaps its source
-                for i in range(0, span, _STRIP):
-                    j = min(span, i + _STRIP)
-                    flat[0, i * width : j * width] = flat[0, (i + _STRIP) * width : (j + _STRIP) * width]
-                first = span
-            else:
-                tables[0, :rows].fill(np.nan)
-            # rows first..rows-1 are built: T f inside the raster, NaN below it (the
-            # padding columns stay NaN from the first fill).  A strip that moves rows
-            # up follows one whose rows reached into the raster, so none of its new
-            # rows lies above it
-            i0 = min(rows, max(first, -n0))
-            i1 = max(i0, min(rows, h - n0))
-            tables[0, i1:rows].fill(np.nan)
-            tables[0, i0:i1, -c_lo : w - c_lo] = f[n0 + i0 : n0 + i1]
-            if t is not None:
-                # on the rows' whole flat range: T of a NaN padding cell is NaN
-                t(flat[0, i0 * width : i1 * width])
-            carried = True
-            _fold(sides, off_anchor, *reads)
-        else:
-            for block, (_, neutral) in zip(blocks, sides):
-                block.fill(neutral)
+        first = 0
+        if r0:
+            # the previous strip's rows n.. are this strip's rows 0..span-1,
+            # moved up in blocks of at most n rows so no block overlaps its source
+            for i in range(0, span, n):
+                j = min(span, i + n)
+                flat[0, i * width : j * width] = flat[0, (i + n) * width : (j + n) * width]
+            first = span
+        # rows first..rows-1 are built: T f inside the raster, NaN below it; those
+        # above it are NaN from the first fill or from the rows moved up
+        i0 = min(rows, max(first, -n0))
+        i1 = max(i0, min(rows, h - n0))
+        tables[0, i1:rows].fill(np.nan)
+        tables[0, i0:i1, -c_lo : w - c_lo] = f[n0 + i0 : n0 + i1]
+        if t is not None:
+            # on the rows' whole flat range: T of a NaN padding cell is NaN
+            t(flat[0, i0 * width : i1 * width])
+        _fold(sides, off_anchor, strips, tails, acc, levels, singles, shared)
+        r1 = min(h, r0 + n)
         if finish is None:
             for out, block in zip(outs, blocks):
-                out[r0:r1] = _unsigned_zeros(block)[:, :w]
+                out[r0:r1] = _unsigned_zeros(block)[: r1 - r0, :w]
         else:
-            outs[0][r0:r1] = finish(*blocks)[:, :w]
+            outs[0][r0:r1] = finish(*blocks)[: r1 - r0, :w]
 
 
 def _fold(sides, off_anchor, strips, tails, accum, levels, singles, shared):
     """Fold a strip's window extrema into its padded blocks, in place.
 
     Per side, ``strips`` holds the block's flat range of the strip's rows,
-    which the folds write, and ``tails`` the rest of it; ``accum`` is the
+    which the folds write, and ``tails`` the rest of it, or all of it when
+    no value is folded; ``accum`` is the
     accumulator over that range.  ``levels`` holds the ``(level k, level k
     shifted, level k + 1)`` ranges of each level's build, ``singles`` a
     ``(v, level-0 slice)`` per single-cell value, and ``shared`` a ``(v,
     steps)`` per other value, one ``(build, slices)`` step per chord
     length: the ``H_L`` build's three ranges (``None`` where a level is read
-    as it is) and each chord's slice.  The views depend only on the strip's
-    height, so :func:`_stream` makes them once per height.
+    as it is) and each chord's slice.  Every strip has the same height, so
+    :func:`_stream` makes the views once per call.
     """
     # no fold writes a block's tail, the last row's padding columns: it gets
     # the neutral, so no stale value reaches a finish

@@ -127,7 +127,7 @@ def images(rng, shape):
 
 
 class TestLongRuns:
-    @pytest.mark.parametrize("height", [1, 5, _STRIP - 1, _STRIP, _STRIP + 1])
+    @pytest.mark.parametrize("height", [1, 5, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP + 2])
     @pytest.mark.parametrize("width", [5, 23])
     def test_power_of_two_runs(self, rng, height, width):
         # 65-cell rows: runs of 16 and 17 are wider than a 5- or 23-wide raster
@@ -157,7 +157,7 @@ class TestLongRuns:
 
     def test_strips_below_the_probes_reach(self, rng):
         # every probe cell lies 99 or 100 rows below the off-mask anchor, so no
-        # row of the raster is a source for the strips from row _STRIP down
+        # row of the raster is a source for the strips after the first
         values = rng.uniform(5.0, 250.0, size=(101, 4))
         values[100] = 40.0
         mask = np.zeros(values.shape, dtype=bool)
@@ -303,7 +303,7 @@ class TestSingleCells:
     """Values held by one cell: one subtraction per strip, folded into both the max and the min."""
 
     @pytest.mark.parametrize("shape", [(5, 5), (1, 7), (7, 1)])
-    @pytest.mark.parametrize("height", [1, _STRIP - 1, _STRIP, _STRIP + 1])
+    @pytest.mark.parametrize("height", [1, _STRIP - 1, _STRIP, _STRIP + 1, 2 * _STRIP + 2])
     def test_run_free_probes(self, rng, shape, height):
         for holes in (False, True):
             values, mask, anchor = with_mask(rng, rng.uniform(5.0, 250.0, size=shape), holes)
@@ -439,7 +439,9 @@ class TestFlatLayout:
     row stride, padding columns included, and folds it into a padded
     accumulator of the same stride.  These cases put a range's end on the
     last valid column of its level, make the padding wider than the raster,
-    and leave a last strip of one row; every map must still match the loop.
+    and compute a last strip's rows past the raster (at ``_STRIP + 1`` rows,
+    two strips of 33, the last with one row past it); every map must still
+    match the loop.
     """
 
     def probes(self, rng):
@@ -512,11 +514,13 @@ class TestFlatLayout:
                 want = spread(np.ascontiguousarray(f), b)
                 assert all(x.tobytes() == y.tobytes() for x, y in zip(spread(f, b), want))
 
+    @pytest.mark.parametrize("height", [9, _STRIP + 1, 2 * _STRIP + 2])
     @pytest.mark.parametrize("sides", [1, 2])
-    def test_scratch_memory_bound(self, rng, sides):
-        # the strip scratch and the outputs
+    def test_scratch_memory_bound(self, rng, sides, height):
+        # the strip scratch and the outputs: strips of 9, 33 and 44 rows, a
+        # table clipped to the ring's rows that reach the raster
         ring = make_ring_probe(30, 15)
-        f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
+        f = rng.uniform(1.0, 255.0, size=(height, 200))
         floats = scratch_floats(f.shape, ring, sides) + sides * f.size
         assert traced_peak(lambda: spread(f, ring, lo=sides == 2)) < floats * f.itemsize + 64 * 1024
 
@@ -525,13 +529,15 @@ def scratch_floats(shape, b, sides):
     """Floats of ``spread``'s strip scratch.
 
     The table, the ``H_L`` buffer (at most one table level), the accumulator
-    and one padded block per side.
+    and one padded block per side, for strips of ``n`` rows: the fewest
+    strips of at most ``_STRIP`` rows, all of one height.  The table holds
+    ``n`` rows plus the span of the probe's rows that reach the raster.
     """
-    dy, dx, n, _ = probe_runs(b)
-    top = int(np.frexp(n.max())[1]) - 1
-    span = int(dy.max() - dy.min())
-    width = shape[1] + max(0, int((dx + n - 1).max())) - min(0, int(dx.min()))
-    return (top + 2) * (_STRIP + span) * width + (1 + sides) * _STRIP * width
+    h = shape[0]
+    n = -(-h // -(-h // _STRIP))
+    y_lo, y_hi, _, width, groups = _chords(b, shape)
+    top = max(k for lengths in groups.values() for k, *_ in lengths)
+    return (top + 2) * (n + y_hi - y_lo) * width + (1 + sides) * n * width
 
 
 class TestMapMemory:
@@ -734,7 +740,8 @@ class TestStreamedMaps:
     The maps apply ``T`` to each strip of table level 0 and finish each strip
     into the output; the reference transforms whole rasters, calls
     :func:`spread` and finishes whole rasters.  Heights cover one row, one
-    strip, one strip and a row, and two strips and a row; the images carry
+    full strip, two strips of 33 rows, three of 43, and three of 44 whose
+    last one computes two rows past the raster; the images carry
     the cells ``T`` sends to ``-inf`` or ``+inf`` (``hat(0)``, ``hat(m)``,
     ``xi(-inf)``, ``xi(m)``) where a map's regime admits them.
     """
@@ -799,7 +806,7 @@ class TestStreamedMaps:
         ]
 
     @pytest.mark.parametrize("m", [1e-6, 1.0, 256.0, 65536.0, 1e200])
-    @pytest.mark.parametrize("height", [1, _STRIP, _STRIP + 1, 2 * _STRIP + 1])
+    @pytest.mark.parametrize("height", [1, _STRIP, _STRIP + 1, 2 * _STRIP + 1, 2 * _STRIP + 2])
     def test_against_two_steps(self, rng, m, height):
         families = self.images(rng, (height, 9), m)
         for b in self.probes(rng, height, m):
@@ -811,8 +818,9 @@ class TestStreamedMaps:
     @pytest.mark.parametrize("reach", [_STRIP + 7, -(_STRIP + 7), 2 * _STRIP + 2])
     def test_strips_with_empty_tables(self, rng, reach):
         # a probe reaching only far below (or above) leaves the last (or first)
-        # strips without a source row; the first strip that has one builds its
-        # whole table, and the strips after it move rows up from theirs
+        # strips of 50 rows without a source row: they fold only NaN, which the
+        # off-anchor pass turns into the neutral, and every strip after the
+        # first moves rows up from the one before
         rows = abs(reach) + 1
         mask = np.zeros((rows, 3), dtype=bool)
         mask[-1 if reach > 0 else 0] = True

@@ -17,6 +17,10 @@ and ``-1e300`` cells), or are quantised to a few levels; probes have
 single-cell values, shared values in runs, negative values (with 0.0
 and -0.0), off-mask anchors (one with empty windows in the last column),
 more rows than one kernel strip, or reach no cell of the raster.
+Raster heights cycle over ``--heights``, by default 1, 64, 65, 129 and
+130: one row, one full kernel strip, two strips of 33 rows, three of 43,
+and three of 44 whose last one computes two rows past the raster.  The
+default of five cases per scale runs each of them once.
 Each map result is written with ``write_map`` and each image with
 ``write_image``, and the file is read back with ``read_map`` (with and
 without the probe) and with ``read_image``.  Every such write goes to
@@ -446,8 +450,8 @@ def main(argv=None):
     parser.add_argument("old", nargs="?")
     parser.add_argument("new", nargs="?")
     parser.add_argument("--seed", type=int, default=14)
-    parser.add_argument("--cases", type=int, default=4, help="cases per scale, each with every probe and image kind")
-    parser.add_argument("--heights", default="1,64,65,129", help="raster heights, cycled over the cases")
+    parser.add_argument("--cases", type=int, default=5, help="cases per scale, each with every probe and image kind")
+    parser.add_argument("--heights", default="1,64,65,129,130", help="raster heights, cycled over the cases")
     parser.add_argument("--emit", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     heights = [int(h) for h in args.heights.split(",")]
