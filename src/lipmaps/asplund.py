@@ -77,7 +77,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError, RegimeError, SingularityError, VerificationError
-from .lip import _first_bad, _hat, _require_not_m, _within, _xi, _xi_inv, lip_sub, require_regime, tilde, xi
+from .lip import _first_bad, _hat, _lip_sub, _require_not_m, _tilde, _within, _xi, _xi_inv, require_regime, tilde, xi
 from .morphology import _stream, _unsigned_zeros, full_overlap_rect
 from .rasters import FmMap, GreyImage, Probe, RealMap, check_same_scale
 
@@ -128,7 +128,8 @@ def _lip_distance(d, m):
 def _mult_bounds(f, g, regime):
     """``(lam, mu)`` of ``f`` against ``g``, with ``f`` checked against ``regime``."""
     _check_pair(f, g, regime, "I*")
-    ratios = tilde(f.values, f.m) / tilde(g.values, g.m)
+    # the checks above are at least as strict as tilde's own Ibar, so tilde's check is not repeated
+    ratios = _tilde(f.values, f.m, np.empty(f.shape)) / _tilde(g.values, g.m, np.empty(g.shape))
     return float(ratios.max()), float(ratios.min())
 
 
@@ -156,7 +157,8 @@ def dist_mult(f: GreyImage, g: GreyImage) -> float:
 def add_bounds(f: GreyImage, g: GreyImage) -> tuple[float, float]:
     """Closed-form bracket scalars ``(c1, c2)``: extrema of ``f (-) g``."""
     _check_pair(f, g, "FM", "FM")
-    cs = lip_sub(f.values, g.values, f.m)
+    # the FM check above is lip_sub's own check on g, so it is not repeated
+    cs = _lip_sub(f.values, g.values, f.m)
     return float(cs.max()), float(cs.min())
 
 
@@ -193,7 +195,7 @@ def _require_mult(f: GreyImage, b: Probe, strict_image: bool):
     require_regime(b.values, b.m, "I*", what="probe", mask=b.mask)
     # the ratio tilde(f) / tilde(b) has a pole where ln(1 - b/m) is 0 (where
     # hat(b) is -inf) and overflows where it is too small
-    tb = tilde(b.values, b.m)
+    tb = _tilde(b.values, b.m, np.empty(b.shape))
     small = b.mask & (np.abs(tb) < _PROBE_TILDE_MIN)
     if small.any():
         idx, where = _first_bad(small)
@@ -218,14 +220,15 @@ def _streamed(f, b, t, finish, hi=True, lo=True):
     ``-hat(reflect(b))`` and its erosion by ``hat(b)``) or ``_xi``
     (additive: ``xi`` of ``f(x+h) (-) b(h)``); the caller has already
     checked image and probe.  ``finish`` goes to the kernel: per strip it
-    gets the padded block of each side asked for, the window max and min of
-    ``t(f)(x+h) - t(b)(h)``, turns them in place into the map's values and
-    returns the block that holds them.
+    gets the flat strip range of each side asked for, the window max and
+    min of ``t(f)(x+h) - t(b)(h)``, and turns them in place into the map's
+    values, left in the last side, whose rows the kernel copies into the
+    map's raster.
     """
     m = f.m
     out = np.empty(f.shape)
     tb = b.with_values(t(b.values, m, np.empty(b.shape)))
-    _stream(f.values, tb, [out], hi, lo, lambda level0: t(level0, m, level0), finish)
+    _stream(f.values, tb, [out], finish, hi, lo, lambda level0: t(level0, m, level0))
     return out, full_overlap_rect(f.shape, b)
 
 
@@ -467,8 +470,8 @@ def oracle_scan_mult(f: GreyImage, g: GreyImage, step_ratio: float = 1.0001) -> 
     """
     _check_pair(f, g, "I*", "I*")
     step_ratio = float(step_ratio)
-    if not step_ratio > 1.0:
-        raise DomainError(f"step_ratio must exceed 1, got {step_ratio}")
+    if not 1.0 < step_ratio < np.inf:
+        raise DomainError(f"step_ratio must be finite and exceed 1, got {step_ratio}")
     m = f.m
     fv = f.values.ravel()
     tg = 1.0 - g.values.ravel() / m
@@ -524,8 +527,11 @@ def oracle_scan_add(f: GreyImage, g: GreyImage, step: float = 0.001, c_min: floa
     """
     _check_pair(f, g, "FM", "FM")
     step = float(step)
-    if not step > 0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < np.inf:
+        raise DomainError(f"step must be finite and positive, got {step}")
+    lo = -1.0 if c_min is None else float(c_min)
+    if not np.isfinite(lo):
+        raise DomainError(f"c_min must be finite, got {lo}")
     m = f.m
     fv = f.values.ravel()
     gv = g.values.ravel()
@@ -533,7 +539,6 @@ def oracle_scan_add(f: GreyImage, g: GreyImage, step: float = 0.001, c_min: floa
     def shifted(c):
         return c + gv - c * gv / m
 
-    lo = -1.0 if c_min is None else float(c_min)
     for _ in range(4200):
         if np.all(shifted(lo) <= fv):
             break

@@ -299,7 +299,12 @@ def lip_sub(f, g, m=DEFAULT_M):
     _check_shapes(fa, ga)
     _require_not_m(ga, m, "g")
     require_regime(ga, m, "FM", "g")
-    return _ret((fa - ga) / (1.0 - ga / m), f, g)
+    return _ret(_lip_sub(fa, ga, m), f, g)
+
+
+def _lip_sub(fa, ga, m):
+    """``(fa - ga) / (1 - ga/m)``; ``ga`` is not checked."""
+    return (fa - ga) / (1.0 - ga / m)
 
 
 def transmittance(f, m=DEFAULT_M):

@@ -46,16 +46,17 @@ previous strip's table also held are moved up from it, the new rows are
 copied from the image, and a caller's transform ``T`` (``hat`` or ``xi``
 for the distance maps) is applied to them in place, over their contiguous
 flat range.  The folds then fill one padded block per side asked for with
-the strip's window extrema.  A caller's finish (``exp``, ``xi_inv`` or a
-difference, for the maps of :mod:`lipmaps.asplund`) turns the blocks in
-place into the strip's result, and the loop copies the strip's rows of it
-into the output raster the caller passed in; without a finish
-(:func:`spread`) each side's block is copied into its own raster.  So no
-full raster of ``T f`` or of either extremum is made, and no view of the
-scratch leaves the loop.  The ranges a strip reads and writes depend only
-on its height, so their views are made once, before the loop, and each
-strip only runs its passes; the last strip computes its rows past the
-raster on the NaN rows below it, and they are not copied out.
+the strip's window extrema.  Every caller passes a finish (``exp``,
+``xi_inv`` or a difference for the maps of :mod:`lipmaps.asplund`,
+``+ 0.0`` on each side for :func:`spread`), which turns the blocks' strip
+ranges in place into the strip's result, and the loop copies the strip's
+rows of the last blocks, one per output raster the caller passed in, into
+those rasters.  So no full raster of ``T f`` or of either extremum is
+made, and no view of the scratch leaves the loop.  The ranges a strip
+reads and writes depend only on its height, so their views are made
+once, before the loop, and each strip only runs its passes; the last
+strip computes its rows past the raster on the NaN rows below it, and
+they are not copied out.
 
 A probe value held by a single cell (one run of length 1 after clipping)
 reads one level-0 slice, which is both its window max and its window min,
@@ -87,7 +88,8 @@ row.  The padding columns between the rows are computed along with the
 window and dropped when each strip is copied out of its padded block.
 Each range ends on its last row, so nothing is read past the rows the
 strip built, and every value read comes from level 0, NaN-filled for
-whole rows, or from a level built from it.
+whole rows, or from a level built from it; the last row's padding
+columns of a block are neither written nor read.
 
 Max/min accumulation is order-independent and subtraction is
 non-decreasing under IEEE rounding, so the result equals the literal
@@ -95,7 +97,7 @@ per-cell, per-offset loop bit for bit, up to the sign of a zero: max/min
 ties keep one operand and ``-0.0 == 0.0``, so the sign the folds leave
 depends on the order in which ties are met.  ``+ 0.0`` turns a zero into
 ``+0.0`` and changes nothing else, and the finish adds it once, where it
-can change a result: :func:`spread` to each block after the folds, the
+can change a result: :func:`spread` to each side after the folds, the
 distance maps of :mod:`lipmaps.asplund` to their finished difference
 (``hi - lo`` is ``-0.0`` only for ``-0.0 - +0.0``, so this gives the bits
 of adding it to both sides first), and the additive bound maps to their
@@ -199,7 +201,7 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     NaN-free; a NaN cell would be read as lying outside the raster.
 
     This is the strip loop of the module docstring with the identity for
-    ``T`` and no finish.
+    ``T`` and a finish that adds ``+ 0.0`` to each side.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
@@ -207,43 +209,46 @@ def spread(f, b: Probe, hi: bool = True, lo: bool = True):
     if not (hi or lo):
         return None, None
     outs = [np.empty(f.shape) if side else None for side in (hi, lo)]
-    _stream(f, b, [out for out in outs if out is not None], hi, lo)
+    # the finish adds + 0.0 to each side, so a zero result is +0.0
+    _stream(f, b, [out for out in outs if out is not None], lambda *sides: [_unsigned_zeros(s) for s in sides], hi, lo)
     return tuple(outs)
 
 
-def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=None):
+def _stream(f, b: Probe, outs, finish, hi: bool = True, lo: bool = True, t=None):
     """Write the window extrema of ``T f(x + h) - b(h)``, finished, into ``outs``: the module's strip loop.
 
     ``t(x)`` applies ``T`` in place to a contiguous range of table level 0;
     without it ``T`` is the identity.  ``b`` holds the probe values already
-    transformed.  Per strip, ``finish`` receives the padded block of each
-    side asked for, the max before the min, each a C-contiguous
-    ``rows x width`` array at the table's row stride whose columns past
-    ``w`` are padding, as are the last strip's rows past the raster; it
-    finishes them in place and returns the block that holds the strip's
-    result, whose rows inside the raster are copied into the one raster of
-    ``outs``.  The blocks' zeros keep the sign the folds left, so the finish
-    owns the sign of a zero result, and a padding cell may hold any value,
-    NaN included.  Without a finish, each side's block gets ``+ 0.0`` and is
-    copied into its own raster of ``outs``, in the same order, and the
-    results are those of the literal per-cell loop on ``T f``, zeros as
-    ``+0.0``: ``T`` is applied cell by cell, once per image row, and on the
-    NaN padding, which it leaves NaN.
+    transformed.  Per strip, ``finish`` receives the flat strip range of
+    each side asked for, the max before the min: the ``(n - 1) * width + w``
+    floats from the block's first cell to column ``w - 1`` of its last row,
+    at the table's row stride ``width``, whose columns past ``w`` are
+    padding, as are the last strip's rows past the raster.  It finishes them
+    in place and leaves the result in the last ``len(outs)`` sides, whose
+    rows inside the raster are then copied into ``outs``, in the same order.
+    The ranges' zeros keep the sign the folds left, so the finish owns the
+    sign of a zero result, and a padding cell may hold any value, NaN
+    included.  With a finish that adds ``+ 0.0`` to each side, the results
+    are those of the literal per-cell loop on ``T f``, zeros as ``+0.0``:
+    ``T`` is applied cell by cell, once per image row, and on the NaN
+    padding, which it leaves NaN.
 
     The raster is cut into the fewest strips of at most ``_STRIP`` rows,
     all of one height, so every strip runs the same passes on one set of
-    views, made before the loop.  Each side's block starts as its first
-    value's differences, the first single cell's for both sides when the
-    probe has one; its tail past the last row's ``w`` columns, which no
-    fold writes, holds the neutral, and so does the whole block of a probe
-    that reaches no cell.  The neutral pass over the folded blocks runs only
-    when ``b``'s anchor is off its mask; it also sets a strip with no source
-    row, whose folds read only NaN.
+    views, made before the loop.  Each side's strip range starts as its
+    first value's differences, the first single cell's for both sides when
+    the probe has one.  A probe that reaches no cell reads as one
+    single-cell value on rows below the raster, all NaN.  The neutral pass
+    over the folded ranges runs only when ``b``'s anchor is off its mask,
+    as it is for every probe that reaches no cell of a non-empty raster
+    (the anchor's own offset lands inside it); it also sets a strip with
+    no source row, whose folds read only NaN.
     """
     h, w = f.shape
     sides = [(np.fmax, -np.inf)] * hi + [(np.fmin, np.inf)] * lo
-    # a probe that reaches no cell: every strip's source rows start below the raster
-    y_lo, y_hi, c_lo, width, groups = _chords(b, f.shape) or (h, h, 0, w, {})
+    # a probe that reaches no cell: one single-cell value whose source rows
+    # start below the raster, so it folds NaN and the neutral pass sets it
+    y_lo, y_hi, c_lo, width, groups = _chords(b, f.shape) or (h, h, 0, w, {0.0: [(0, 0, 0, [0])]})
     span = y_hi - y_lo
     top = max((k for lengths in groups.values() for k, *_ in lengths), default=0)
     # a value on one clipped cell (one length, level 0 so length 1, one chord)
@@ -291,8 +296,6 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
         shared.append((v, steps))
     singles = [(v, flat[0, at : at + ns]) for v, at in cells.items()]
     strips = [block.reshape(-1)[:ns] for block in blocks]
-    # no fold writes a block's tail, nor any of a probe that reaches no cell
-    tails = [block.reshape(-1)[ns if singles or shared else 0 :] for block in blocks]
     # only a probe off its anchor leaves a cell of the raster an empty window
     off_anchor = not b.mask[b.anchor]
 
@@ -317,33 +320,26 @@ def _stream(f, b: Probe, outs, hi: bool = True, lo: bool = True, t=None, finish=
         if t is not None:
             # on the rows' whole flat range: T of a NaN padding cell is NaN
             t(flat[0, i0 * width : i1 * width])
-        _fold(sides, off_anchor, strips, tails, acc, levels, singles, shared)
+        _fold(sides, off_anchor, strips, acc, levels, singles, shared)
+        finish(*strips)
         r1 = min(h, r0 + n)
-        if finish is None:
-            for out, block in zip(outs, blocks):
-                out[r0:r1] = _unsigned_zeros(block)[: r1 - r0, :w]
-        else:
-            outs[0][r0:r1] = finish(*blocks)[: r1 - r0, :w]
+        for out, block in zip(outs, blocks[-len(outs) :]):
+            out[r0:r1] = block[: r1 - r0, :w]
 
 
-def _fold(sides, off_anchor, strips, tails, accum, levels, singles, shared):
+def _fold(sides, off_anchor, strips, accum, levels, singles, shared):
     """Fold a strip's window extrema into its padded blocks, in place.
 
     Per side, ``strips`` holds the block's flat range of the strip's rows,
-    which the folds write, and ``tails`` the rest of it, or all of it when
-    no value is folded; ``accum`` is the
-    accumulator over that range.  ``levels`` holds the ``(level k, level k
-    shifted, level k + 1)`` ranges of each level's build, ``singles`` a
-    ``(v, level-0 slice)`` per single-cell value, and ``shared`` a ``(v,
-    steps)`` per other value, one ``(build, slices)`` step per chord
-    length: the ``H_L`` build's three ranges (``None`` where a level is read
-    as it is) and each chord's slice.  Every strip has the same height, so
-    :func:`_stream` makes the views once per call.
+    which the folds write; ``accum`` is the accumulator over that range.
+    ``levels`` holds the ``(level k, level k shifted, level k + 1)`` ranges
+    of each level's build, ``singles`` a ``(v, level-0 slice)`` per
+    single-cell value, and ``shared`` a ``(v, steps)`` per other value, one
+    ``(build, slices)`` step per chord length: the ``H_L`` build's three
+    ranges (``None`` where a level is read as it is) and each chord's
+    slice.  Every strip has the same height, so :func:`_stream` makes the
+    views once per call.
     """
-    # no fold writes a block's tail, the last row's padding columns: it gets
-    # the neutral, so no stale value reaches a finish
-    for tail, (_, neutral) in zip(tails, sides):
-        tail.fill(neutral)
     # each side's block starts as its first value's difference and folds in the others
     for i, (v, src) in enumerate(singles):
         if i:

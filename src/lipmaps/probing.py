@@ -101,6 +101,10 @@ def make_canvas(
 ) -> GreyImage:
     """Uniform mid-grey canvas with seeded uniform noise in ``+-noise`` grey levels."""
     values = np.full(_size(height, width), float(background))
+    noise = float(noise)
+    # the noise range is 2 * noise wide, and numpy needs that width finite
+    if not 0.0 <= 2.0 * noise < np.inf:
+        raise DomainError(f"noise must be non-negative with 2 * noise finite, got {noise}")
     rng = np.random.default_rng(seed)
     if noise:
         values = values + rng.uniform(-noise, noise, size=values.shape)
@@ -160,6 +164,17 @@ def detect_minima(dist_map, threshold: float) -> list[Detection]:
     ]
 
 
+def _range(low, high):
+    """``(low, high)`` as floats for ``rng.uniform``: both finite, in order, ``high - low`` finite."""
+    low, high = float(low), float(high)
+    for name, v in (("low", low), ("high", high)):
+        if not np.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
+    if not 0.0 <= high - low < np.inf:
+        raise DomainError(f"need low <= high with high - low finite, got low={low}, high={high}")
+    return low, high
+
+
 def random_image(
     height: int,
     width: int,
@@ -169,7 +184,7 @@ def random_image(
     m: float = DEFAULT_M,
 ) -> GreyImage:
     """Seeded uniform random image in ``[low, high]`` (PCG64 generator)."""
-    return GreyImage(rng.uniform(low, high, size=_size(height, width)), m)
+    return GreyImage(rng.uniform(*_range(low, high), size=_size(height, width)), m)
 
 
 def random_probe(
@@ -182,6 +197,6 @@ def random_probe(
 ) -> Probe:
     """Seeded full-mask random probe anchored at its centre cell."""
     height, width = _size(height, width)
-    values = rng.uniform(low, high, size=(height, width))
+    values = rng.uniform(*_range(low, high), size=(height, width))
     mask = np.ones((height, width), dtype=bool)
     return Probe(values, mask, (height // 2, width // 2), m)

@@ -100,6 +100,21 @@ class TestValidation:
         with pytest.raises(DomainError):
             oracle_scan_add(f, g, 0.0)
 
+    @pytest.mark.parametrize("c_min", [-np.inf, np.inf, np.nan])
+    def test_non_finite_c_min(self, c_min):
+        with pytest.raises(DomainError, match="c_min must be finite"):
+            oracle_scan_add(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), c_min=c_min)
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan])
+    def test_non_finite_step(self, step):
+        with pytest.raises(DomainError, match="step must be finite"):
+            oracle_scan_add(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), step)
+
+    @pytest.mark.parametrize("step_ratio", [np.inf, np.nan])
+    def test_non_finite_step_ratio(self, step_ratio):
+        with pytest.raises(DomainError, match="step_ratio must be finite"):
+            oracle_scan_mult(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), step_ratio)
+
     def test_strict_regime(self):
         with pytest.raises(Exception):
             oracle_scan_mult(grey([[0.0, 10.0]]), grey([[10.0, 10.0]]))

@@ -130,6 +130,11 @@ class TestCanvas:
             make_canvas(*size)
         assert str(exc.value) == f"raster size must be {what}, got {size!r}"
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -1.0, 1e308])
+    def test_noise_must_be_non_negative_with_a_finite_range(self, noise):
+        with pytest.raises(DomainError, match="noise must be non-negative with 2 \\* noise finite"):
+            make_canvas(4, 4, noise=noise)
+
 
 class TestRandomRasters:
     @SIZE_CASES
@@ -143,6 +148,29 @@ class TestRandomRasters:
         with pytest.raises(DomainError) as exc:
             random_probe(*size, np.random.default_rng(0))
         assert str(exc.value) == f"raster size must be {what}, got {size!r}"
+
+    @pytest.mark.parametrize("make", [random_image, random_probe])
+    @pytest.mark.parametrize("low", [np.nan, np.inf, -np.inf])
+    def test_low_must_be_finite(self, make, low):
+        with pytest.raises(DomainError, match="low must be finite"):
+            make(3, 3, np.random.default_rng(0), low=low)
+
+    @pytest.mark.parametrize("make", [random_image, random_probe])
+    @pytest.mark.parametrize("high", [np.nan, np.inf, -np.inf])
+    def test_high_must_be_finite(self, make, high):
+        with pytest.raises(DomainError, match="high must be finite"):
+            make(3, 3, np.random.default_rng(0), high=high)
+
+    @pytest.mark.parametrize("make", [random_image, random_probe])
+    @pytest.mark.parametrize("low, high", [(200.0, 100.0), (-1e308, 1e308)])
+    def test_low_and_high_must_span_a_finite_range(self, make, low, high):
+        with pytest.raises(DomainError, match="need low <= high with high - low finite"):
+            make(3, 3, np.random.default_rng(0), low=low, high=high)
+
+    @pytest.mark.parametrize("make", [random_image, random_probe])
+    def test_equal_bounds_give_that_value(self, make):
+        out = make(3, 3, np.random.default_rng(0), low=50.0, high=50.0)
+        assert np.all(out.values == 50.0)
 
 
 class TestPlantTarget:

@@ -357,6 +357,40 @@ class TestSingleCells:
         assert_dilate_erode(f, Probe(values - 120.0, mask, anchor, M))
 
 
+class TestNoReach:
+    """A probe that reaches no cell: every window is empty, on every strip, and takes the neutral."""
+
+    @staticmethod
+    def probes(rng, h, w):
+        """One cell ``h + 2`` rows below the anchor, a run of three past the last column, two values up-left."""
+        below = np.zeros((h + 3, 1), dtype=bool)
+        below[-1] = True
+        right = np.zeros((1, w + 4), dtype=bool)
+        right[0, -3:] = True
+        above = np.zeros((h + 2, w + 2), dtype=bool)
+        above[0, :2] = True
+        return [
+            Probe(rng.uniform(-20.0, 20.0, size=below.shape), below, (0, 0), M),
+            Probe(np.full(right.shape, 7.0), right, (0, 0), M),
+            Probe(rng.uniform(-20.0, 20.0, size=above.shape), above, (h + 1, w + 1), M),
+        ]
+
+    @pytest.mark.parametrize("height", [1, _STRIP + 1, 2 * _STRIP + 2])
+    def test_every_cell_neutral(self, rng, height):
+        f = rng.uniform(-50.0, 50.0, size=(height, 7))
+        f[rng.random(f.shape) < 0.1] = np.inf
+        f[rng.random(f.shape) < 0.1] = -np.inf
+        hi, lo = np.full(f.shape, -np.inf), np.full(f.shape, np.inf)
+        for b in self.probes(rng, *f.shape):
+            assert _chords(b, f.shape) is None
+            both = spread(f, b)
+            assert np.array_equal(both[0], hi) and np.array_equal(both[1], lo)
+            assert np.array_equal(spread(f, b, lo=False)[0], hi)
+            assert np.array_equal(spread(f, b, hi=False)[1], lo)
+            assert np.array_equal(dilate(f, b), hi)
+            assert np.array_equal(erode(f, b), lo)
+
+
 class TestAdditiveAgainstLipDifference:
     """The additive maps, read through ``xi``, against the direct LIP difference ``(x - v)/(1 - v/m)``.
 
