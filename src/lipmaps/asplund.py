@@ -437,6 +437,14 @@ def _ratio_bounds(f, b):
 
 
 _CHUNK = 4_000_000  # grid-points x cells per predicate evaluation block
+_GRID_POINTS = 10_000_000  # the most points an oracle scan's grid may hold (80 MB of float64)
+
+
+def _grid_size(count, name, value):
+    """``count`` grid points as an ``int``; a finer grid than ``_GRID_POINTS`` names its step."""
+    if not count <= _GRID_POINTS:
+        raise DomainError(f"{name} {value!r} gives a grid of {count:.3g} points, more than {_GRID_POINTS}")
+    return int(count)
 
 
 def _scan_first_last(grid_eval, n_points, n_cells):
@@ -466,7 +474,8 @@ def oracle_scan_mult(f: GreyImage, g: GreyImage, step_ratio: float = 1.0001) -> 
     scaling literally at every grid point (no closed form involved).  The
     grid extends itself by doubling/halving from 1 until it straddles both
     thresholds, so the true ``lam`` lies in ``[result/step_ratio, result]``
-    and ``mu`` in ``[result, result*step_ratio]``.
+    and ``mu`` in ``[result, result*step_ratio]``.  A ``step_ratio`` that
+    gives a grid of more than ``_GRID_POINTS`` points raises ``DomainError``.
     """
     _check_pair(f, g, "I*", "I*")
     step_ratio = float(step_ratio)
@@ -500,7 +509,7 @@ def oracle_scan_mult(f: GreyImage, g: GreyImage, step_ratio: float = 1.0001) -> 
     else:
         raise DomainError("alpha scan failed to find an upper bracket")
 
-    n = int(np.ceil(np.log(hi / lo) / np.log(step_ratio))) + 2
+    n = _grid_size(np.ceil(np.log(hi / lo) / np.log(step_ratio)) + 2, "step_ratio", step_ratio)
     alphas = lo * step_ratio ** np.arange(n)
 
     def grid_eval(i0, i1):
@@ -524,6 +533,8 @@ def oracle_scan_add(f: GreyImage, g: GreyImage, step: float = 0.001, c_min: floa
     ``c_min`` (default -1, doubled downward until it straddles the lower
     threshold) up to ``m`` in steps of ``step``, so ``c1`` lies in
     ``[result - step, result]`` and ``c2`` in ``[result, result + step]``.
+    A ``step`` that gives a grid of more than ``_GRID_POINTS`` points
+    raises ``DomainError``.
     """
     _check_pair(f, g, "FM", "FM")
     step = float(step)
@@ -546,7 +557,7 @@ def oracle_scan_add(f: GreyImage, g: GreyImage, step: float = 0.001, c_min: floa
     else:
         raise DomainError("constant scan failed to find a lower bracket")
 
-    n = int(np.ceil((m - lo) / step))
+    n = _grid_size(np.ceil((m - lo) / step), "step", step)
     cs = lo + step * np.arange(n)
     cs = cs[cs < m]
     n = cs.size

@@ -40,9 +40,13 @@ and ``v`` is subtracted once per distinct value.
 
 The strip loop.  :func:`_stream` runs one loop over strips of output
 rows, and every caller goes through it.  The raster is cut into the
-fewest strips of at most ``_STRIP`` rows, all of one height.  Per strip,
-level 0, the padded image, is built once and shared by both sides: the rows the
-previous strip's table also held are moved up from it, the new rows are
+fewest strips of at most ``_STRIP`` rows, all of one height, and of at
+most ``_STRIP_FLOATS // width`` rows (at least one) on a table of
+``width`` columns, so one strip range stays within ``_STRIP_FLOATS``
+floats (288 KiB): a table of up to 576 columns gets strips of 64 rows,
+and the 1036 columns of a 1024-wide raster with the r=6 ring get 35.
+Per strip, level 0, the padded image, is built once and shared by both
+sides: the rows the previous strip's table also held are moved up from it, the new rows are
 copied from the image, and a caller's transform ``T`` (``hat`` or ``xi``
 for the distance maps) is applied to them in place, over their contiguous
 flat range.  The folds then fill one padded block per side asked for with
@@ -74,9 +78,17 @@ when it has a single run, is built straight into the accumulator.  The
 scratch memory, one table of ``top + 1`` levels, the ``H_L`` buffer (at
 most one level), one accumulator and one padded block per side,
 stays O(levels x strip x width) whatever the number of values or
-lengths.  Per strip and side, map cost is one fold per run plus one
-partial build per distinct non-power-of-two length of each value: it
-grows with the probe's number of runs, not its number of cells.
+lengths.  All of it is carved out of one flat buffer per thread, kept
+between calls and replaced by a larger one only when a call needs more,
+so a thread's calls after its largest one allocate no scratch and fault
+in no fresh pages; the thread keeps that largest call's scratch.  A call
+takes the buffer out of its thread's slot until it returns, so a call
+made from inside it (by a finish or ``T``) makes its own, and it fills
+level 0 with NaN before it reads any of it, so no value an earlier call
+left in the buffer is read.  Per strip and side, map cost is one fold
+per run plus one partial build per distinct non-power-of-two length of
+each value: it grows with the probe's number of runs, not its number of
+cells.
 
 Every arithmetic operation of a strip, ``T`` and the callers' finishes
 included, runs on one contiguous 1-D range at the table's row stride
@@ -107,6 +119,8 @@ bound maps add none: ``exp`` sends either zero to 1.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import DimensionError
@@ -117,6 +131,10 @@ __all__ = ["spread", "probe_runs", "dilate", "erode", "reflect", "full_overlap_r
 
 # The maximum output rows per kernel pass; bounds the log-step tables to O(levels x strip x width).
 _STRIP = 64
+# The maximum floats of one strip range: a table wider than 576 columns gets strips of fewer rows.
+_STRIP_FLOATS = 64 * 576
+# Per thread, the flat buffer the kernel's scratch is carved from, kept between calls.
+_scratch = threading.local()
 
 
 def probe_runs(b: Probe):
@@ -233,9 +251,10 @@ def _stream(f, b: Probe, outs, finish, hi: bool = True, lo: bool = True, t=None)
     ``T`` is applied cell by cell, once per image row, and on the NaN
     padding, which it leaves NaN.
 
-    The raster is cut into the fewest strips of at most ``_STRIP`` rows,
-    all of one height, so every strip runs the same passes on one set of
-    views, made before the loop.  Each side's strip range starts as its
+    The raster is cut into the fewest strips of at most ``_STRIP`` rows
+    and ``_STRIP_FLOATS // width`` rows, all of one height, so every strip
+    runs the same passes on one set of views of the thread's scratch
+    buffer, made before the loop.  Each side's strip range starts as its
     first value's differences, the first single cell's for both sides when
     the probe has one.  A probe that reaches no cell reads as one
     single-cell value on rows below the raster, all NaN.  The neutral pass
@@ -256,20 +275,29 @@ def _stream(f, b: Probe, outs, finish, hi: bool = True, lo: bool = True, t=None)
     cells = {v: ls[0][2] for v, ls in groups.items() if len(ls) == 1 and ls[0][0] == 0 and ls[0][3] == [0]}
     for v in cells:
         del groups[v]
-    # the fewest strips of at most _STRIP rows, each n rows high; the last one
-    # computes its rows past the raster on the NaN rows below it
-    n = -(-h // -(-h // _STRIP)) if h else 1
+    # the fewest strips of at most _STRIP rows and _STRIP_FLOATS floats a
+    # strip range, each n rows high; the last one computes its rows past the
+    # raster on the NaN rows below it
+    n = -(-h // -(-h // max(1, min(_STRIP, _STRIP_FLOATS // max(1, width))))) if h else 1
     rows = n + span
     # a slice of n rows: its flat range ends at column w - 1 of its last row
     ns = (n - 1) * width + w
-    # levels 0..top of one table, level 0 shared by both sides, one H_L
-    # buffer, one accumulator, and per side a padded strip at the table's row stride
-    tables = np.empty((top + 1, rows, width))
+    # levels 0..top of one table, level 0 shared by both sides, one H_L buffer
+    # (spanning its chords' first start to last start plus one slice), one
+    # accumulator, and per side a padded strip at the table's row stride
+    hl_floats = max((rel[-1] + ns for ls in groups.values() for _, d, _, rel in ls if d), default=0)
+    sizes = [(top + 1) * rows * width, hl_floats, ns] + [n * width] * len(sides)
+    total = sum(sizes)
+    # all are views of the thread's buffer, which this call holds until it
+    # returns, so a call made from inside it (by a finish or T) makes its own
+    scratch, _scratch.buf = getattr(_scratch, "buf", None), None
+    if scratch is None or scratch.size < total:
+        del scratch  # freed before its larger replacement is made
+        scratch = np.empty(total)
+    tables, hl, acc, *blocks = np.split(scratch[:total], np.cumsum(sizes[:-1]))
+    tables = tables.reshape(top + 1, rows, width)
     flat = tables.reshape(top + 1, -1)
-    # H_L spans its chords' first start to last start plus one slice
-    hl = np.empty(max((rel[-1] + ns for ls in groups.values() for _, d, _, rel in ls if d), default=0))
-    acc = np.empty(ns)
-    blocks = [np.empty((n, width)) for _ in sides]
+    blocks = [block.reshape(n, width) for block in blocks]
     # level k + 1 is only needed (and only valid) on the first
     # width - 2**(k+1) + 1 columns of each row; its flat range ends
     # there on the last row, where the level-k range it reads ends
@@ -299,32 +327,36 @@ def _stream(f, b: Probe, outs, finish, hi: bool = True, lo: bool = True, t=None)
     # only a probe off its anchor leaves a cell of the raster an empty window
     off_anchor = not b.mask[b.anchor]
 
-    # the padding columns, and the rows above the raster, stay NaN from here on
-    tables[0].fill(np.nan)
-    for r0 in range(0, h, n):
-        n0 = r0 + y_lo  # the source row of table row 0
-        first = 0
-        if r0:
-            # the previous strip's rows n.. are this strip's rows 0..span-1,
-            # moved up in blocks of at most n rows so no block overlaps its source
-            for i in range(0, span, n):
-                j = min(span, i + n)
-                flat[0, i * width : j * width] = flat[0, (i + n) * width : (j + n) * width]
-            first = span
-        # rows first..rows-1 are built: T f inside the raster, NaN below it; those
-        # above it are NaN from the first fill or from the rows moved up
-        i0 = min(rows, max(first, -n0))
-        i1 = max(i0, min(rows, h - n0))
-        tables[0, i1:rows].fill(np.nan)
-        tables[0, i0:i1, -c_lo : w - c_lo] = f[n0 + i0 : n0 + i1]
-        if t is not None:
-            # on the rows' whole flat range: T of a NaN padding cell is NaN
-            t(flat[0, i0 * width : i1 * width])
-        _fold(sides, off_anchor, strips, acc, levels, singles, shared)
-        finish(*strips)
-        r1 = min(h, r0 + n)
-        for out, block in zip(outs, blocks[-len(outs) :]):
-            out[r0:r1] = block[: r1 - r0, :w]
+    try:
+        # the padding columns, and the rows above the raster, stay NaN from here
+        # on; no value an earlier call left in the buffer is read
+        tables[0].fill(np.nan)
+        for r0 in range(0, h, n):
+            n0 = r0 + y_lo  # the source row of table row 0
+            first = 0
+            if r0:
+                # the previous strip's rows n.. are this strip's rows 0..span-1,
+                # moved up in blocks of at most n rows so no block overlaps its source
+                for i in range(0, span, n):
+                    j = min(span, i + n)
+                    flat[0, i * width : j * width] = flat[0, (i + n) * width : (j + n) * width]
+                first = span
+            # rows first..rows-1 are built: T f inside the raster, NaN below it; those
+            # above it are NaN from the first fill or from the rows moved up
+            i0 = min(rows, max(first, -n0))
+            i1 = max(i0, min(rows, h - n0))
+            tables[0, i1:rows].fill(np.nan)
+            tables[0, i0:i1, -c_lo : w - c_lo] = f[n0 + i0 : n0 + i1]
+            if t is not None:
+                # on the rows' whole flat range: T of a NaN padding cell is NaN
+                t(flat[0, i0 * width : i1 * width])
+            _fold(sides, off_anchor, strips, acc, levels, singles, shared)
+            finish(*strips)
+            r1 = min(h, r0 + n)
+            for out, block in zip(outs, blocks[-len(outs) :]):
+                out[r0:r1] = block[: r1 - r0, :w]
+    finally:
+        _scratch.buf = scratch
 
 
 def _fold(sides, off_anchor, strips, accum, levels, singles, shared):

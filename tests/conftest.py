@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipmaps import GreyImage, Probe, RealMap, map_mult, mglb_mult, mlub_mult
+from lipmaps import GreyImage, Probe, RealMap, map_mult, mglb_mult, mlub_mult, morphology
 from lipmaps.asplund import _ratio_bounds, _require_mult
 from lipmaps.morphology import full_overlap_rect
 
@@ -51,6 +51,17 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cold_peak(call):
+    """:func:`traced_peak` of ``call()`` from an empty kernel scratch buffer, as on a thread's first call.
+
+    The kernel keeps its scratch in one buffer per thread between calls, so a
+    call that fits in it allocates none; the buffer is dropped first, so the
+    measured peak holds the call's whole scratch.
+    """
+    morphology._scratch.buf = None
+    return traced_peak(call)
 
 
 def reference(fn):

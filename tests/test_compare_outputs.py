@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_same_tree_has_no_mismatch():
     src = str(ROOT / "src")
-    cmd = [sys.executable, "tools/compare_outputs.py", src, src, "--cases", "1", "--heights", "65"]
+    cmd = [sys.executable, "tools/compare_outputs.py", src, src, "--cases", "1", "--heights", "65", "--wide", "34x1100"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     counts = proc.stdout.splitlines()[0]
@@ -38,6 +38,9 @@ def test_same_tree_has_no_mismatch():
     # and lip_add crossed its block seams at every scale: 4 sizes, 5 layouts, 4 operand
     # pairs, with overflow raising and ignored
     assert f", {5 * 4 * 5 * 4 * 2} lip results (" in counts
+    # and every probe and image kind, at every scale, met a table wider than 576 columns
+    # (two strips of 17 rows) in all 8 maps, spread of both sides, dilate and erode
+    assert f", {5 * 7 * 5 * 11} wide results (" in counts
 
 
 def test_needs_both_trees():

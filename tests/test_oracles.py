@@ -115,6 +115,17 @@ class TestValidation:
         with pytest.raises(DomainError, match="step_ratio must be finite"):
             oracle_scan_mult(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), step_ratio)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-9])
+    def test_grid_too_fine(self, step):
+        # numpy would fail to allocate the grid; the scan names its step instead
+        with pytest.raises(DomainError, match=r"^step .* gives a grid of .* points, more than 10000000$"):
+            oracle_scan_add(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), step)
+
+    @pytest.mark.parametrize("step_ratio", [1 + 2**-52, 1 + 1e-12, 1 + 1e-9])
+    def test_ratio_grid_too_fine(self, step_ratio):
+        with pytest.raises(DomainError, match=r"^step_ratio .* gives a grid of .* points, more than 10000000$"):
+            oracle_scan_mult(grey([[1.0, 5.0]]), grey([[2.0, 3.0]]), step_ratio)
+
     def test_strict_regime(self):
         with pytest.raises(Exception):
             oracle_scan_mult(grey([[0.0, 10.0]]), grey([[10.0, 10.0]]))

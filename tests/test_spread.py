@@ -13,11 +13,12 @@ among such runs.  Every map must match the loop below bit for bit; the loop
 reads the raster one cell at a time and does not go through the kernel.
 """
 
-import tracemalloc
+import sys
+import threading
 
 import numpy as np
 import pytest
-from conftest import reference, traced_peak
+from conftest import cold_peak, reference, traced_peak
 
 from lipmaps import (
     GreyImage,
@@ -31,10 +32,11 @@ from lipmaps import (
     mglb_mult,
     mlub_add,
     mlub_mult,
+    morphology,
 )
 from lipmaps.asplund import _RATIO_ROWS
 from lipmaps.lip import hat, xi, xi_inv
-from lipmaps.morphology import _STRIP, _chords, dilate, erode, probe_runs, spread
+from lipmaps.morphology import _STRIP, _STRIP_FLOATS, _chords, _stream, dilate, erode, probe_runs, spread
 
 M = 256.0
 RUN_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
@@ -93,19 +95,27 @@ def with_mask(rng, values, holes):
     return values, mask, anchor
 
 
-def assert_all_maps(f_mult, f_add, b):
-    """Every map of the kernel equals its per-cell loop, bit for bit."""
-    m = b.m
-    shape = f_mult.shape
+def loop_extrema(f, b):
+    """Per cell, the max and the min of ``f(x + h) - b(h)``, from the per-cell loop."""
+    wins = windows(f, b)
+    hi = loop_reduce(f.shape, wins, lambda x, v: x - v, max, -np.inf)
+    lo = loop_reduce(f.shape, wins, lambda x, v: x - v, min, np.inf)
+    return hi, lo
 
-    wins = windows(hat(f_mult.values, m), b.with_values(hat(b.values, m)))
-    hi = loop_reduce(shape, wins, lambda x, v: x - v, max, -np.inf)
-    lo = loop_reduce(shape, wins, lambda x, v: x - v, min, np.inf)
+
+def offset_extrema(f, b):
+    """The same from one clipped raster pass per probe offset, fast enough for wide rasters."""
+    return offset_loop(f, b, np.maximum, -np.inf), offset_loop(f, b, np.minimum, np.inf)
+
+
+def assert_all_maps(f_mult, f_add, b, extrema=loop_extrema):
+    """Every map of the kernel equals its reference, by default the per-cell loop, bit for bit."""
+    m = b.m
+
+    hi, lo = extrema(hat(f_mult.values, m), b.with_values(hat(b.values, m)))
     assert np.array_equal(map_mult(f_mult, b).values, hi - lo)
 
-    wins = windows(xi(f_add.values, m), b.with_values(xi(b.values, m)))
-    hi = loop_reduce(shape, wins, lambda x, v: x - v, max, -np.inf)
-    lo = loop_reduce(shape, wins, lambda x, v: x - v, min, np.inf)
+    hi, lo = extrema(xi(f_add.values, m), b.with_values(xi(b.values, m)))
     assert np.array_equal(mlub_add(f_add, b).values, xi_inv(hi, m))
     assert np.array_equal(mglb_add(f_add, b).values, xi_inv(lo, m))
     assert np.array_equal(map_add(f_add, b).values, xi_inv(hi - lo, m))
@@ -250,17 +260,8 @@ class TestSharedValues:
         two = probe(np.where(np.arange(64) % 2, 5.0, 9.0))
         assert len(set(probe_runs(many)[3])) == 64 and len(probe_runs(two)[0]) == 64
         f = rng.uniform(1.0, 255.0, size=(2 * _STRIP + 2, 200))
-
-        def peak(b):
-            tracemalloc.start()
-            try:
-                spread(f, b)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        # less than one more strip-sized accumulator for 62 more values
-        assert peak(many) < peak(two) + _STRIP * f.shape[1] * f.itemsize
+        # less than one more strip-sized accumulator for 62 more values, both from an empty buffer
+        assert cold_peak(lambda: spread(f, many)) < cold_peak(lambda: spread(f, two)) + _STRIP * f.shape[1] * f.itemsize
         assert_all_maps(*images(rng, (_STRIP + 1, 9)), many)
 
 
@@ -556,7 +557,12 @@ class TestFlatLayout:
         ring = make_ring_probe(30, 15)
         f = rng.uniform(1.0, 255.0, size=(height, 200))
         floats = scratch_floats(f.shape, ring, sides) + sides * f.size
-        assert traced_peak(lambda: spread(f, ring, lo=sides == 2)) < floats * f.itemsize + 64 * 1024
+        assert cold_peak(lambda: spread(f, ring, lo=sides == 2)) < floats * f.itemsize + 64 * 1024
+
+
+def strip_cap(shape, b):
+    """The most rows a strip of the kernel has on a raster of ``shape``: ``_STRIP``, or fewer on a wide table."""
+    return max(1, min(_STRIP, _STRIP_FLOATS // _chords(b, shape)[3]))
 
 
 def scratch_floats(shape, b, sides):
@@ -564,11 +570,11 @@ def scratch_floats(shape, b, sides):
 
     The table, the ``H_L`` buffer (at most one table level), the accumulator
     and one padded block per side, for strips of ``n`` rows: the fewest
-    strips of at most ``_STRIP`` rows, all of one height.  The table holds
-    ``n`` rows plus the span of the probe's rows that reach the raster.
+    strips of at most :func:`strip_cap` rows, all of one height.  The table
+    holds ``n`` rows plus the span of the probe's rows that reach the raster.
     """
     h = shape[0]
-    n = -(-h // -(-h // _STRIP))
+    n = -(-h // -(-h // strip_cap(shape, b)))
     y_lo, y_hi, _, width, groups = _chords(b, shape)
     top = max(k for lengths in groups.values() for k, *_ in lengths)
     return (top + 2) * (n + y_hi - y_lo) * width + (1 + sides) * n * width
@@ -590,7 +596,7 @@ class TestMapMemory:
         f = GreyImage(rng.uniform(1.0, 255.0, size=(512, 512)), M)
         ring = make_ring_probe(6, 3)
         call(f, ring)  # numpy's first-call allocations stay out of the trace
-        return traced_peak(lambda: call(f, ring)), f, ring
+        return cold_peak(lambda: call(f, ring)), f, ring
 
     @pytest.mark.parametrize(
         "call, rasters, sides",
@@ -622,11 +628,177 @@ class TestMapMemory:
         assert peak < floats * f.values.itemsize + 256 * 1024
 
 
-def offset_loop(f, b, pick, empty):
-    """Window max or min of ``f(x + h) - b(h)``, one clipped raster pass per probe offset, zeros as ``+0.0``."""
+class TestScratchBuffer:
+    """The kernel carves its scratch out of one buffer per thread, kept between calls.
+
+    Each call takes the buffer out of the thread's slot until it returns, so
+    a call made from inside it makes its own, and fills table level 0 with
+    NaN before it reads it: no value an earlier call left there can reach a
+    result.
+    """
+
+    @staticmethod
+    def probes(rng, shape):
+        """Single cells, runs, a ring, two anchors off the mask, and three probes that reach no cell."""
+        ring = make_ring_probe(6, 3)
+        mixed, mask, _ = mixed_probe(rng, 2, True)
+        mask[1, 5] = False
+        return [
+            Probe(rng.uniform(5.0, 250.0, size=(3, 3)), np.ones((3, 3), dtype=bool), (1, 1), M),
+            Probe(*flat_probe(rng, 3, RUN_LENGTHS, 5.0, 250.0, holes=True), M),
+            ring,
+            Probe(ring.values, ring.mask, (0, 12), M),
+            Probe(mixed, mask, (1, 5), M),
+        ] + [p.with_values(np.abs(p.values) + 5.0) for p in TestNoReach.probes(rng, *shape)]
+
+    @staticmethod
+    def calls(rng, shape, b):
+        """``(name, call)`` of ``spread`` and each kernel map on images of ``shape`` and ``b``, each call giving bytes."""
+        f_mult, f_add = images(rng, shape)
+        f = with_infinities(rng, shape)
+        calls = [("spread", lambda: b"".join(side.tobytes() for side in spread(f, b)))]
+        for fn, image in [(mlub_mult, f_mult), (mglb_mult, f_mult), (map_mult, f_mult)] + [
+            (mlub_add, f_add), (mglb_add, f_add), (map_add, f_add)
+        ]:
+            calls.append((fn.__name__, lambda fn=fn, image=image: fn(image, b).values.tobytes()))
+        return calls
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("shape", [(1, 7), (_STRIP + 1, 23), (2 * _STRIP + 2, 9)])
+    def test_poisoned_buffer(self, rng, poison, shape):
+        for b in self.probes(rng, shape):
+            for name, call in self.calls(rng, shape, b):
+                morphology._scratch.buf = None
+                want = call()
+                buf = morphology._scratch.buf = np.full(1 << 16, poison)
+                assert call() == want, name
+                assert morphology._scratch.buf is buf  # the call ran on the poisoned buffer
+
+    def test_two_threads(self, rng):
+        # maps of two shapes and probes at once, two threads of each, each thread
+        # on its own buffer, with thread switches as often as the interpreter allows
+        jobs = [
+            (map_add, images(rng, (2 * _STRIP + 2, 31))[1], make_ring_probe(6, 3)),
+            (map_mult, images(rng, (_STRIP + 1, 90))[0], Probe(*flat_probe(rng, 3, RUN_LENGTHS, 5.0, 250.0), M)),
+        ] * 2
+        want = [fn(f, b).values.tobytes() for fn, f, b in jobs]
+        got = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def work(i):
+            fn, f, b = jobs[i]
+            start.wait()
+            for _ in range(20):
+                got[i].append(fn(f, b).values.tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[bytes_] * 20 for bytes_ in want]
+
+    def test_reuse(self, rng):
+        # a second call of one shape allocates its outputs and no scratch
+        f = GreyImage(rng.uniform(1.0, 255.0, size=(512, 512)), M)
+        ring = make_ring_probe(6, 3)
+        for call in (map_add, map_mult):
+            call(f, ring)
+            assert traced_peak(lambda: call(f, ring)) < f.values.nbytes + 64 * 1024
+        g = f.values[: 2 * _STRIP + 2, :200]
+        spread(g, ring)
+        assert traced_peak(lambda: spread(g, ring)) < 2 * g.nbytes + 64 * 1024
+
+    def test_nested_call(self, rng):
+        # a finish that runs the kernel itself, on another shape and probe, once per strip
+        f, g = with_infinities(rng, (2 * _STRIP + 2, 19)), with_infinities(rng, (_STRIP + 1, 40))
+        ring, flat = make_ring_probe(6, 3), Probe(*flat_probe(rng, 3, RUN_LENGTHS, -20.0, 20.0, holes=True), M)
+        inner = []
+
+        def finish(*sides):
+            inner.append(spread(g, flat))
+            for side in sides:
+                np.add(side, 0.0, out=side)
+
+        outs = [np.empty(f.shape), np.empty(f.shape)]
+        _stream(f, ring, outs, finish)
+        assert len(inner) == 3
+        want = b"".join(side.tobytes() for side in spread(g, flat))
+        assert all(b"".join(side.tobytes() for side in got) == want for got in inner)
+        assert b"".join(out.tobytes() for out in outs) == b"".join(side.tobytes() for side in spread(f, ring))
+
+
+class TestFloatBudget:
+    """Tables wider than 576 columns, whose strips have at most ``_STRIP_FLOATS // width`` rows.
+
+    For such a width's strip height ``n``, heights ``n - 1`` and ``n`` are
+    one strip, ``n + 1`` two, and ``2n + 2`` three whose last one computes
+    rows past the raster.  The per-cell loop is too slow at these sizes, so
+    the reference is the per-offset loop.
+    """
+
+    @staticmethod
+    def probes(rng):
+        free, mask, _ = with_mask(rng, rng.uniform(5.0, 250.0, size=(3, 3)), True)
+        mask[1, 1] = False
+        return [
+            make_ring_probe(3, 1),
+            Probe(*flat_probe(rng, 2, RUN_LENGTHS, 5.0, 250.0, holes=True), M),
+            Probe(*mixed_probe(rng, 2, True), M),
+            Probe(free, mask, (1, 1), M),
+        ]
+
+    @pytest.mark.parametrize("width", [600, 1100])
+    @pytest.mark.parametrize(
+        "height", [lambda n: n - 1, lambda n: n, lambda n: n + 1, lambda n: 2 * n + 2], ids=["n-1", "n", "n+1", "2n+2"]
+    )
+    def test_against_offset_loop(self, rng, width, height):
+        for b in self.probes(rng):
+            n = strip_cap((_STRIP, width), b)
+            assert n < _STRIP
+            shape = (height(n), width)
+            assert_all_maps(*images(rng, shape), b, offset_extrema)
+            f = with_infinities(rng, shape)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(spread(f, b), offset_extrema(f, b)))
+            assert np.array_equal(dilate(f, b), offset_loop(f, b, np.maximum, -np.inf, sign=-1))
+            assert np.array_equal(erode(f, b), offset_extrema(f, b)[1])
+
+    @pytest.mark.parametrize(
+        "shape, strips, n",
+        [((64, 564), 1, 64), ((64, 565), 2, 32), ((1024, 1024), 30, 35), ((3, 40000), 3, 1), ((5, 0), 1, 5), ((0, 7), 0, 1)],
+    )
+    def test_strip_height(self, rng, shape, strips, n):
+        # the r=6 ring adds 12 columns: tables of 576 and 577 columns, and the 1036 of a 1024-wide raster
+        f = rng.uniform(-50.0, 50.0, size=shape)
+        lengths = []
+        _stream(f, make_ring_probe(6, 3), [np.empty(shape)], lambda *sides: lengths.append(len(sides[-1])))
+        width = shape[1] + 12 if shape[1] else 0
+        assert lengths == [(n - 1) * width + shape[1]] * strips
+
+    def test_scratch_memory_bound(self, rng):
+        # a 1106-column table, whose strips have at most 33 rows: three strips of 23
+        ring = make_ring_probe(3, 1)
+        f = rng.uniform(1.0, 255.0, size=(68, 1100))
+        floats = scratch_floats(f.shape, ring, 2) + 2 * f.size
+        assert cold_peak(lambda: spread(f, ring)) < floats * f.itemsize + 64 * 1024
+
+
+def offset_loop(f, b, pick, empty, sign=1):
+    """Window max or min of ``f(x + sign*h) - sign*b(h)``, one clipped raster pass per probe offset, zeros as ``+0.0``.
+
+    With ``sign = -1`` that is the dilation's ``f(x - h) + b(h)``, since
+    ``x - (-v)`` is ``x + v`` bit for bit.
+    """
     h, w = f.shape
     out = np.full(f.shape, empty)
     for dy, dx, v in zip(*b.offsets()):
+        dy, dx, v = sign * dy, sign * dx, sign * v
         r0, r1 = max(0, -dy), min(h, h - dy)
         c0, c1 = max(0, -dx), min(w, w - dx)
         if r0 < r1 and c0 < c1:

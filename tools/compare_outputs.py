@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/compare_outputs.py OLD_SRC NEW_SRC [--seed N] [--cases N] [--heights H,...]
+    python tools/compare_outputs.py OLD_SRC NEW_SRC [--seed N] [--cases N] [--heights H,...] [--wide HxW,...]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``lipmaps`` package
 (the ``src`` directory of two checkouts).  Each is imported in its own
@@ -52,6 +52,13 @@ row-major, transposed and strided operands with the edge values ``m``,
 0, -0.0, 5e-324 and ``-1e300`` at the seams, with array and scalar
 operands in both orders, once with overflow raising and once with it
 ignored.  Its results are compared by a SHA-256 digest of each array.
+
+The wide battery runs, at every scale, every map, ``spread`` of both sides,
+``dilate`` and ``erode`` on each probe and image kind at the shapes of
+``--wide``, by default 62x600 and 67x1100.  Their tables are wider than 576
+columns, so the kernel cuts them into strips of fewer than 64 rows: two
+strips at 62x600, and three at 67x1100, the last computing rows past the
+raster.  Its results are compared by a SHA-256 digest of each array too.
 
 The CLI battery runs ``lipmaps.cli.main`` in the same process: on the first
 case of each scale, every probe kind with the strict, edge-valued and
@@ -160,6 +167,9 @@ CHECK_LAST_LIP = {"NaN": float("nan"), "-inf": -float("inf"), "above m": 2.0}
 LIP_SIZES = {2**15 - 1: (217, 151), 2**15: (128, 256), 2**15 + 1: (99, 331), 3 * 2**15 + 7: (17, 5783)}
 LIP_BIG = (181, 182)  # the CLI's ``lighting --add`` raster, larger than one block
 
+#: The kernel calls of the wide battery; ``spread`` of one side is ``dilate``'s and ``erode``'s path.
+WIDE_KERNEL = ("spread both", "dilate", "erode")
+
 #: Image kinds the CLI battery runs, with every probe kind, on the first case of
 #: each scale: maps that succeed, edge values that only ``--clamp`` admits to
 #: ``map-mult``, values below 0.
@@ -189,7 +199,7 @@ def cli_commands(m):
     ]
 
 
-def battery(lipmaps, seed, cases, heights, tmp):
+def battery(lipmaps, seed, cases, heights, wide, tmp):
     """``{case name: result}``; the names of I/O round trips start with ``io``, of CLI runs with ``cli``.
 
     The names of the check battery's results start with ``check``.  A result
@@ -382,6 +392,22 @@ def battery(lipmaps, seed, cases, heights, tmp):
                             r = tuple(hashlib.sha256(x).digest() for x in r)
                         results[f"lip m={m:g} size={size} shape={shape} {layout} {pair} over={over}"] = r
 
+    def wide_battery(m):
+        """Every map, ``spread`` of both sides, ``dilate`` and ``erode`` on each probe and image kind at each ``wide`` shape."""
+        # each call reads the loops' image, f and b below when it runs
+        calls = {name: (lambda fn=fn: fn(image, b), lambda r: (r.values, r.full_mask)) for name, fn in maps.items()}
+        calls.update((name, (lambda fn=kernel[name]: fn(f, b), lambda out: out)) for name in WIDE_KERNEL)
+        for shape in wide:
+            for pname, values, mask, anchor in probes(wide_rng, shape, m):
+                b = lipmaps.Probe(values, mask, anchor, m)
+                for iname, f in images(wide_rng, shape, m):
+                    image = lipmaps.GreyImage(f, m)
+                    for name, (call, arrays) in calls.items():
+                        _, r = run(call, arrays)
+                        if not isinstance(r[0], str):  # a digest for each array: they are up to 590 KB
+                            r = tuple(None if x is None else hashlib.sha256(x).digest() for x in r)
+                        results[f"wide m={m:g} shape={shape} image={iname} probe={pname} {name}"] = r
+
     def cli_big(m):
         """``lighting --add`` on an image larger than one ``lip_add`` block."""
         for name in os.listdir("."):
@@ -398,12 +424,14 @@ def battery(lipmaps, seed, cases, heights, tmp):
     rng = np.random.default_rng(seed)
     check_rng = np.random.default_rng((seed, 1))  # its own stream, so the cases above stay as they were
     lip_rng = np.random.default_rng((seed, 2))
+    wide_rng = np.random.default_rng((seed, 3))
     check_pgm()
     for m in SCALES:
         check_battery(m)
         check_lip(m)
         lip_battery(m)
         cli_big(m)
+        wide_battery(m)
         for i in range(cases):
             shape = (heights[i % len(heights)], int(rng.integers(1, 14)))
             random = ["verify-link", "--random", str(shape[1]), str(shape[0]), "--seed", str(seed + i)]
@@ -427,18 +455,18 @@ def battery(lipmaps, seed, cases, heights, tmp):
     return results
 
 
-def emit(src, seed, cases, heights):
+def emit(src, seed, cases, heights, wide):
     sys.path.insert(0, src)
     warnings.simplefilter("error")
     import lipmaps
 
     with tempfile.TemporaryDirectory() as tmp:
-        sys.stdout.buffer.write(pickle.dumps(battery(lipmaps, seed, cases, heights, tmp)))
+        sys.stdout.buffer.write(pickle.dumps(battery(lipmaps, seed, cases, heights, wide, tmp)))
 
 
 def collect(src, args):
     cmd = [sys.executable, __file__, "--emit", src, "--seed", str(args.seed), "--cases", str(args.cases)]
-    cmd += ["--heights", args.heights]
+    cmd += ["--heights", args.heights, "--wide", args.wide]
     proc = subprocess.run(cmd, capture_output=True, check=False)
     if proc.returncode:
         sys.exit(f"battery failed on {src}:\n{proc.stderr.decode()}")
@@ -452,28 +480,34 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=14)
     parser.add_argument("--cases", type=int, default=5, help="cases per scale, each with every probe and image kind")
     parser.add_argument("--heights", default="1,64,65,129,130", help="raster heights, cycled over the cases")
+    parser.add_argument(
+        "--wide", default="62x600,67x1100", help="raster shapes HxW of the wide battery, comma-separated; empty for none"
+    )
     parser.add_argument("--emit", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     heights = [int(h) for h in args.heights.split(",")]
+    wide_shapes = [tuple(int(n) for n in shape.split("x")) for shape in args.wide.split(",") if shape]
     if args.emit:
-        return emit(args.emit, args.seed, args.cases, heights)
+        return emit(args.emit, args.seed, args.cases, heights, wide_shapes)
     if not (args.old and args.new):
         parser.error("OLD_SRC and NEW_SRC are required")
     old, new = collect(args.old, args), collect(args.new, args)
     mismatches = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli ", "check ", "lip "))]
+    calls = [r for k, r in new.items() if not k.startswith(("io ", "cli ", "check ", "lip ", "wide "))]
     checks = [r for k, r in new.items() if k.startswith("check ")]
     lips = [r for k, r in new.items() if k.startswith("lip ")]
+    wide = [r for k, r in new.items() if k.startswith("wide ")]
     raised = sum(1 for r in calls if r and isinstance(r[0], str))
     runs = [r for k, r in new.items() if k.startswith("cli ")]
     ok = sum(1 for r in runs if r[0] == 0)
     probe_io = sum(1 for k in new if k.endswith(("write_probe", "read_probe")))
     print(
         f"{len(calls)} results ({len(calls) - raised} arrays, {raised} exceptions), "
-        f"{len(new) - len(calls) - len(runs) - len(checks) - len(lips)} I/O results ({probe_io} probe), "
+        f"{len(new) - len(calls) - len(runs) - len(checks) - len(lips) - len(wide)} I/O results ({probe_io} probe), "
         f"{len(runs)} CLI results ({ok} exit 0), "
         f"{len(checks)} check results ({sum(1 for r in checks if isinstance(r[0], str))} exceptions), "
         f"{len(lips)} lip results ({sum(1 for r in lips if isinstance(r[0], str))} exceptions), "
+        f"{len(wide)} wide results ({sum(1 for r in wide if r and isinstance(r[0], str))} exceptions), "
         f"{len(mismatches)} mismatches"
     )
     for key in mismatches[:10]:
